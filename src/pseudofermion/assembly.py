@@ -115,12 +115,12 @@ def assemble(
 ) -> GlobalOperators:
     """Build and certify the direct-sum system up to ``max_level``.
 
-    ``mode`` selects the per-level realization: ``cholesky`` factors the
-    overlap Gram matrix at every level, ``fixture`` uses the closed-form
-    level-1/level-2 realizations (so it requires ``max_level <= 2`` and
-    real positive ``gamma``); level 0 is always the trivial block.  The
-    square-root ladder action of ``A, B, A^+, B^+`` on every embedded
-    basis vector is verified before returning.
+    ``mode`` selects the per-level realization: ``cholesky`` takes the
+    Cholesky gauge of the overlap Gram matrix at every level, ``fixture``
+    uses the closed-form level-1/level-2 realizations (so it requires
+    ``max_level <= 2`` and real positive ``gamma``); level 0 is always the
+    trivial block.  The square-root ladder action of ``A, B, A^+, B^+`` on
+    every embedded basis vector is verified before returning.
     """
     if isinstance(gamma, NCBosonParams):
         gamma = gamma.gamma

@@ -200,17 +200,13 @@ def states_at(family: BicoherentFamily, x: float) -> tuple[np.ndarray, np.ndarra
 
 
 def _integrate_dyads(family: BicoherentFamily, factors: np.ndarray) -> np.ndarray:
-    # sum_q w_q factor_q Ntilde_q |e(x_q)><h(x_q)|; the normalizer cancels
-    # against the dyad, but both are kept explicit to mirror the formula.
-    phi_d, psi_d, ntilde = _dressed_values(family, family.nodes)
-    acc = np.zeros((family.n_states, family.n_states), dtype=complex)
-    for q in range(family.nodes.size):
-        e_state = family.e_matrix @ phi_d[q] / np.sqrt(ntilde[q])
-        h_state = family.h_matrix @ psi_d[q] / np.sqrt(ntilde[q])
-        acc += family.weights[q] * factors[q] * ntilde[q] * np.outer(
-            e_state, h_state.conj()
-        )
-    return acc
+    # sum_q w_q factor_q Ntilde_q |e(x_q)><h(x_q)|.  The normalizer cancels
+    # against the 1/sqrt(Ntilde) of each state, which leaves
+    # E (Phi^T diag(w factor) conj(Psi)) H^+; it is still evaluated so that
+    # its positivity is validated at every node.
+    phi_d, psi_d, _ = _dressed_values(family, family.nodes)
+    weighted = phi_d.T * (family.weights * factors)
+    return family.e_matrix @ (weighted @ psi_d.conj()) @ family.h_matrix.conj().T
 
 
 def resolution_of_identity(family: BicoherentFamily) -> tuple[np.ndarray, float]:

@@ -9,8 +9,9 @@ the positive frame operators ``S_h = H H^+`` and ``S_e = E E^+`` that
 intertwine ``N`` with its adjoint, and the orthonormal basis obtained by
 symmetrizing with the positive square root of ``S_e``.
 
-Two realization routes are provided: Cholesky factorization of the Gram
-matrix, and the closed-form level-1/level-2 choices of module `fixtures`.
+Two realization routes are provided: the Cholesky gauge, whose upper
+triangular factor `overlaps.gram_block` supplies in closed form, and the
+closed-form level-1/level-2 choices of module `fixtures`.
 Both yield the same spectra and the same mixed-dyad anticommutator
 diagonal ``(1, 3, 5, ..., 2M-1, M)``; only level 1 gives ``{a, b} = 1``.
 """
@@ -81,14 +82,25 @@ def _sign_fixed_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return vals, vecs
 
 
-def hermitian_sqrt(matrix: np.ndarray, positivity_tol: float = POSITIVITY_TOL) -> np.ndarray:
-    """Unique positive square root of a Hermitian positive-definite matrix."""
+def _positive_sqrt_pair(
+    matrix: np.ndarray, positivity_tol: float, subject: str
+) -> tuple[np.ndarray, np.ndarray]:
+    # The positive square root of a Hermitian matrix and its inverse, from
+    # one sign-fixed eigendecomposition; ``subject`` names the matrix in
+    # the PositivityError raised when it is not positive definite.
     vals, vecs = _sign_fixed_eigh(matrix)
     if vals[0] <= positivity_tol:
         raise PositivityError(
-            f"matrix is not positive definite: min eigenvalue {vals[0]:.3e}"
+            f"{subject} is not positive definite: min eigenvalue {vals[0]:.3e}"
         )
-    return (vecs * np.sqrt(vals)) @ vecs.conj().T
+    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    return root, inv_root
+
+
+def hermitian_sqrt(matrix: np.ndarray, positivity_tol: float = POSITIVITY_TOL) -> np.ndarray:
+    """Unique positive square root of a Hermitian positive-definite matrix."""
+    return _positive_sqrt_pair(matrix, positivity_tol, "matrix")[0]
 
 
 @dataclass(frozen=True)
@@ -172,11 +184,13 @@ def realize_basis_cholesky(
 ) -> BlockBasis:
     """Upper-triangular basis realization of an overlap Gram matrix.
 
-    ``h_matrix`` is the conjugate transpose of the Cholesky factor, so
-    ``h_matrix^+ h_matrix`` reproduces the Gram matrix and the diagonal is
-    positive; the dual family is the inverse adjoint.
+    ``h_matrix`` is the Cholesky factor ``gram.factor``, taken from its
+    closed form rather than by factoring the Gram matrix: upper triangular
+    with positive diagonal and ``h_matrix^+ h_matrix`` equal to the Gram
+    matrix.  The dual family is the inverse adjoint.  Raises
+    `PositivityError` when the Gram matrix is not positive definite within
+    ``positivity_tol``.
     """
-    matrix = np.asarray(gram.matrix)
     min_eig = gram.min_eigenvalue()
     if min_eig <= positivity_tol:
         raise PositivityError(
@@ -184,11 +198,7 @@ def realize_basis_cholesky(
             f"within tolerance: min eigenvalue {min_eig:.3e} "
             "(deformation magnitude too close to 1)"
         )
-    try:
-        lower = np.linalg.cholesky(matrix)
-    except np.linalg.LinAlgError as exc:
-        raise PositivityError(f"cholesky factorization failed: {exc}") from exc
-    h = lower.conj().T
+    h = gram.factor
     e = np.linalg.inv(h).conj().T
     return BlockBasis(
         level=gram.level, h_matrix=h, e_matrix=e, source=BasisSource.CHOLESKY
@@ -298,13 +308,9 @@ def build_block_system(basis: BlockBasis, equality_tol: float = EQUALITY_TOL) ->
     s_h = h @ h.conj().T
     s_e = e @ e.conj().T
 
-    vals, vecs = _sign_fixed_eigh(s_e)
-    if vals[0] <= POSITIVITY_TOL:
-        raise PositivityError(
-            f"dual frame operator not positive definite: min eigenvalue {vals[0]:.3e}"
-        )
-    sqrt_s_e = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inv_sqrt_s_e = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    sqrt_s_e, inv_sqrt_s_e = _positive_sqrt_pair(
+        s_e, POSITIVITY_TOL, "dual frame operator"
+    )
 
     n_selfadjoint = sqrt_s_e @ n_op @ inv_sqrt_s_e
     c_matrix = sqrt_s_e @ h

@@ -3,22 +3,28 @@
 Two commuting annihilation operators built as unit-norm linear combinations
 of independent bosonic modes satisfy the mixed commutator ``[A1, A2^+] =
 gamma * 1``.  The excitations ``Phi_{n1,n2} = (A1^+)^n1 (A2^+)^n2 vac /
-sqrt(n1! n2!)`` are then no longer orthogonal within a fixed total level;
-this module computes their inner products two independent ways:
-
-* a commutator-driven recursion (`overlap`), and
-* a binomial expansion onto the orthonormal product Fock basis
-  (`fock_expand_oracle`), which serves as the cross-check oracle.
+sqrt(n1! n2!)`` are then no longer orthogonal within a fixed total level.
 
 Level-``M`` Gram matrices of these overlaps (`gram_block`) are the input
-for every per-level basis realization downstream.
+for every per-level basis realization downstream.  They come from a closed
+form: with the canonical coefficients ``A1^+ = a_x^+`` and ``A2^+ = gamma
+a_x^+ + s a_y^+``, ``s = sqrt(1 - |gamma|^2)``, the coefficients of the
+level-``M`` excitations over the product basis ``|M-i, i>`` form an upper
+triangular matrix ``R`` with positive diagonal ``s^j``.  The Gram matrix is
+``R^+ R`` and ``R`` is its Cholesky factor, so the factorization never has
+to be computed from the (ill-conditioned) Gram matrix itself.
+
+Two independent routes to the same inner products serve as oracles:
+
+* the paper's commutator-driven recursion (`overlap`), and
+* a binomial expansion onto the orthonormal product Fock basis
+  (`fock_expand_oracle`) for arbitrary combination coefficients.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
 
@@ -28,6 +34,13 @@ LEVEL_CAP = 30
 
 # Tolerance on the unit-norm constraints of the combination coefficients.
 NORM_TOL = 1e-10
+
+# Pascal table C(n, k) up to the level cap, zero for k > n; every entry is
+# an integer below 2^53 and so exact in double precision.
+_BINOMIAL = np.array(
+    [[math.comb(n, k) for k in range(LEVEL_CAP + 1)] for n in range(LEVEL_CAP + 1)],
+    dtype=float,
+)
 
 
 @dataclass(frozen=True)
@@ -87,43 +100,52 @@ class NCBosonParams:
 
 @dataclass(frozen=True)
 class GramBlock:
-    """Overlap matrix of the level-``M`` excitation vectors.
+    """Overlap matrix of the level-``M`` excitation vectors and its factor.
 
-    Entry ``(j, k)`` is the inner product of ``Phi_{M-j, j}`` with
-    ``Phi_{M-k, k}``.  Hermitian by construction; positive definite exactly
-    when ``|gamma| < 1``.
+    Entry ``(j, k)`` of ``matrix`` is the inner product of ``Phi_{M-j, j}``
+    with ``Phi_{M-k, k}``; Hermitian by construction, positive definite
+    exactly when ``|gamma| < 1``.  Column ``j`` of ``factor`` holds the
+    coefficients of ``Phi_{M-j, j}`` over the product basis ``|M-i, i>``:
+    upper triangular with diagonal ``s^j``, ``s = sqrt(1 - |gamma|^2)``, and
+    ``factor^+ factor = matrix``, so it is the Cholesky factor of ``matrix``.
     """
 
     level: int
     gamma: complex
     matrix: np.ndarray
+    factor: np.ndarray
 
     def min_eigenvalue(self) -> float:
         return float(np.linalg.eigvalsh(self.matrix)[0])
 
 
-@lru_cache(maxsize=None)
-def _raw_overlap(n1: int, n2: int, k1: int, k2: int, gamma: complex) -> complex:
+def _raw_overlap(
+    n1: int, n2: int, k1: int, k2: int, gamma: complex, memo: dict
+) -> complex:
     # Unnormalized overlap of (A1^+)^n1 (A2^+)^n2 vac with the (k1, k2)
     # excitation.  Peeling one A1 (or, once n1 = 0, one A2) off the left
     # vector and commuting it through the right-hand creation string gives
     # the two-term recursion; the conjugated deformation appears when the
-    # peeled operator is A2.
+    # peeled operator is A2.  ``memo`` lives for one top-level call.
     if n1 + n2 != k1 + k2:
         return 0.0
     if n1 == 0 and n2 == 0:
         return 1.0 if k1 == 0 and k2 == 0 else 0.0
+    key = (n1, n2, k1, k2)
+    if key in memo:
+        return memo[key]
     acc = 0.0 + 0.0j
     if n1 >= 1:
         if k1 >= 1:
-            acc += k1 * _raw_overlap(n1 - 1, n2, k1 - 1, k2, gamma)
+            acc += k1 * _raw_overlap(n1 - 1, n2, k1 - 1, k2, gamma, memo)
         if k2 >= 1:
-            acc += gamma * k2 * _raw_overlap(n1 - 1, n2, k1, k2 - 1, gamma)
+            acc += gamma * k2 * _raw_overlap(n1 - 1, n2, k1, k2 - 1, gamma, memo)
     else:
         if k1 >= 1:
-            acc += gamma.conjugate() * k1 * _raw_overlap(n1, n2 - 1, k1 - 1, k2, gamma)
+            acc += gamma.conjugate() * k1 * _raw_overlap(n1, n2 - 1, k1 - 1, k2, gamma, memo)
         if k2 >= 1:
-            acc += k2 * _raw_overlap(n1, n2 - 1, k1, k2 - 1, gamma)
+            acc += k2 * _raw_overlap(n1, n2 - 1, k1, k2 - 1, gamma, memo)
+    memo[key] = acc
     return acc
 
 
@@ -132,7 +154,8 @@ def overlap(n1: int, n2: int, k1: int, k2: int, gamma: complex) -> complex:
 
     Exactly zero across different total levels.  Within a level the value is
     produced by the commutator recursion with normalization
-    ``1/sqrt(n1! n2! k1! k2!)``.
+    ``1/sqrt(n1! n2! k1! k2!)``.  This is the paper's derivation, kept as an
+    oracle for `gram_block`; no production path calls it.
     """
     for idx in (n1, n2, k1, k2):
         if idx < 0:
@@ -141,7 +164,7 @@ def overlap(n1: int, n2: int, k1: int, k2: int, gamma: complex) -> complex:
         raise ValueError(f"total level exceeds cap {LEVEL_CAP}")
     if n1 + n2 != k1 + k2:
         return 0.0
-    raw = _raw_overlap(n1, n2, k1, k2, complex(gamma))
+    raw = _raw_overlap(n1, n2, k1, k2, complex(gamma), {})
     norm = math.sqrt(
         math.factorial(n1) * math.factorial(n2) * math.factorial(k1) * math.factorial(k2)
     )
@@ -185,19 +208,33 @@ def fock_expand_oracle(n1: int, n2: int, params: NCBosonParams) -> np.ndarray:
 
 
 def gram_block(level: int, gamma: complex) -> GramBlock:
-    """Assemble the level-``M`` overlap Gram matrix.
+    """Assemble the level-``M`` overlap Gram matrix from its closed-form factor.
 
-    The upper triangle is filled from `overlap` and mirrored conjugate, so
-    the result is Hermitian by construction.
+    ``factor[i, j] = sqrt(C(j, i) C(M-i, j-i)) gamma^(j-i) s^i`` for
+    ``i <= j`` and zero below the diagonal: the canonical-coefficient
+    expansion of `fock_expand_oracle`, column by column.  The matrix is
+    ``factor^+ factor`` with its upper triangle mirrored conjugate and its
+    diagonal taken as the real column norms, so it is Hermitian by
+    construction.  Requires ``|gamma| < 1``.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
+    if level > LEVEL_CAP:
+        raise ValueError(f"total level exceeds cap {LEVEL_CAP}")
     gamma = complex(gamma)
-    g = np.zeros((level + 1, level + 1), dtype=complex)
-    for j in range(level + 1):
-        for k in range(j, level + 1):
-            val = overlap(level - j, j, level - k, k, gamma)
-            g[j, k] = val
-            g[k, j] = val.conjugate()
+    s = NCBosonParams.from_gamma(gamma).beta_y.real
+    k = np.arange(level + 1)
+    rows, cols = k[:, None], k[None, :]
+    # C(j, i) vanishes below the diagonal, which zeroes the lower triangle;
+    # the clipped offset only keeps the other indices in range there.
+    offset = np.maximum(cols - rows, 0)
+    factor = (
+        np.sqrt(_BINOMIAL[cols, rows] * _BINOMIAL[level - rows, offset])
+        * gamma ** offset
+        * s ** rows
+    )
+    upper = np.triu(factor.conj().T @ factor, 1)
+    g = upper + upper.conj().T + np.diag(np.sum(np.abs(factor) ** 2, axis=0))
+    factor.setflags(write=False)
     g.setflags(write=False)
-    return GramBlock(level=level, gamma=gamma, matrix=g)
+    return GramBlock(level=level, gamma=gamma, matrix=g, factor=factor)

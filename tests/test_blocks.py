@@ -155,6 +155,47 @@ class TestDualByKernel:
             dual_basis_by_kernel(np.eye(3), np.eye(3), np.eye(3))
 
 
+def mpmath_lowering(mp, gamma, level):
+    """``a = h D h^-1`` in the Cholesky gauge, computed in mpmath.
+
+    Independent of the package: each excitation is expanded over the
+    product basis, the Gram matrix ``V^+ V`` is factored as ``L L^+`` and
+    ``h = L^+``.
+    """
+    g = mp.mpc(gamma.real, gamma.imag)
+    s = mp.sqrt(1 - abs(g) ** 2)
+    v = mp.matrix(level + 1, level + 1)
+    for j in range(level + 1):
+        n1, n2 = level - j, j
+        for i in range(n2 + 1):
+            nx, ny = n1 + i, n2 - i
+            v[ny, j] += (
+                mp.binomial(n2, i) * g**i * s ** (n2 - i)
+                * mp.sqrt(mp.factorial(nx) * mp.factorial(ny)
+                          / (mp.factorial(n1) * mp.factorial(n2)))
+            )
+    h = mp.cholesky(v.H * v).H
+    d = mp.matrix(level + 1, level + 1)
+    for k in range(1, level + 1):
+        d[k - 1, k] = mp.sqrt(k)
+    return h * d * mp.inverse(h)
+
+
+class TestForwardError:
+    @pytest.mark.parametrize(
+        "gamma, level", [(0.5, 20), (0.5, 25), (0.7, 18), (0.3 + 0.2j, 10), (0.9, 10)]
+    )
+    def test_lowering_matches_high_precision(self, gamma, level):
+        mpmath = pytest.importorskip("mpmath")
+        a = cholesky_system(level, gamma).a
+        with mpmath.workdps(50):
+            ref = mpmath_lowering(mpmath.mp, complex(gamma), level)
+            ref = np.array(
+                [[complex(ref[i, j]) for j in range(level + 1)] for i in range(level + 1)]
+            )
+        assert np.max(np.abs(a - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+
 class TestBlockSystem:
     @pytest.mark.parametrize("gamma", GAMMA_GRID)
     @pytest.mark.parametrize("level", range(7))

@@ -12,6 +12,7 @@ from pseudofermion.overlaps import (
 )
 
 GAMMA_GRID = [0.2, 0.4, 0.8]
+FACTOR_GAMMAS = [0.0, 0.2, 0.8, 0.3 + 0.45j]
 
 
 def oracle_overlap(n1, n2, k1, k2, params):
@@ -150,3 +151,47 @@ class TestGramBlock:
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             gram_block(-1, 0.5)
+
+    def test_rejects_level_above_cap(self):
+        with pytest.raises(ValueError, match="cap"):
+            gram_block(LEVEL_CAP + 1, 0.5)
+
+
+class TestGramFactor:
+    @pytest.mark.parametrize("g", FACTOR_GAMMAS)
+    def test_upper_triangular_with_diagonal_s_power(self, g):
+        s = math.sqrt(1.0 - abs(g) ** 2)
+        for level in range(11):
+            factor = gram_block(level, g).factor
+            np.testing.assert_array_equal(factor, np.triu(factor))
+            np.testing.assert_allclose(
+                np.diag(factor), s ** np.arange(level + 1.0), atol=0, rtol=1e-14
+            )
+
+    @pytest.mark.parametrize("g", FACTOR_GAMMAS)
+    def test_columns_match_expansion_oracle(self, g):
+        params = NCBosonParams.from_gamma(g)
+        for level in range(11):
+            factor = gram_block(level, g).factor
+            for j in range(level + 1):
+                column = fock_expand_oracle(level - j, j, params)
+                gap = np.max(np.abs(factor[:, j] - column))
+                assert gap <= 1e-12 * np.max(np.abs(column))
+
+    @pytest.mark.parametrize("g", FACTOR_GAMMAS)
+    def test_factor_product_matches_recursion(self, g):
+        for level in range(11):
+            factor = gram_block(level, g).factor
+            recursed = np.array(
+                [
+                    [overlap(level - j, j, level - k, k, g) for k in range(level + 1)]
+                    for j in range(level + 1)
+                ]
+            )
+            gap = np.abs(factor.conj().T @ factor - recursed)
+            assert np.all(gap <= 1e-12 * np.maximum(1.0, np.abs(recursed)))
+
+    def test_factor_is_read_only(self):
+        block = gram_block(3, 0.4)
+        with pytest.raises(ValueError):
+            block.factor[0, 0] = 9.0
