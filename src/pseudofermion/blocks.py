@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from .fock import build_fock_rep, lowering_matrix
+from .fock import lowering_matrix
 from .overlaps import GramBlock, NCBosonParams, fock_expand_oracle
 
 # Relative residual ceiling for equality checks; positivity is an absolute
@@ -431,11 +431,14 @@ def deformed_number_operators(
     """Build and certify the deformed per-mode number operators at one level.
 
     The pair ``M1 = (N1 - gamma A1^+ A2) / (1 - |gamma|^2)`` and its
-    mirror ``M2`` act diagonally on the deformed excitations: the oracle
-    expansion of each excitation with total level at most ``level`` is
-    checked to be an eigenvector with the per-mode count as eigenvalue,
-    and ``[M1, M2]`` is checked to vanish on those levels.  Raises
-    ValueError if either certification fails.
+    mirror ``M2`` are forms ``Sum_pq K_pq a_p^+ a_q`` that keep the total
+    level.  On level ``n`` each is the derived representation of its 2x2
+    ``K``: tridiagonal on ``|n - j, j>``, diagonal ``K_xx (n - j) + K_yy j``,
+    off-diagonals ``sqrt((n - j + 1) j)`` times ``K_xy`` (above) and
+    ``K_yx`` (below).  On every level up to ``level`` the oracle expansion
+    of each excitation is checked to be an eigenvector with the per-mode
+    count as eigenvalue, and ``[M1, M2]`` is checked to vanish on each whole
+    level, untruncated.  Raises ValueError if either certification fails.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -446,52 +449,41 @@ def deformed_number_operators(
             f"deformation magnitude {abs(gamma)} leaves no room to invert 1 - |gamma|^2"
         )
 
-    rep = build_fock_rep(max(level, 1))
-    a1 = params.alpha_x * rep.a_x + params.alpha_y * rep.a_y
-    a2 = params.beta_x * rep.a_x + params.beta_y * rep.a_y
-    m1_full = (a1.conj().T @ a1 - gamma * (a1.conj().T @ a2)) / denom
-    m2_full = (a2.conj().T @ a2 - gamma.conjugate() * (a2.conj().T @ a1)) / denom
-    h_full = m1_full + m2_full
+    alpha = np.array([params.alpha_x, params.alpha_y])
+    beta = np.array([params.beta_x, params.beta_y])
+    k1 = np.outer(alpha.conj(), alpha - gamma * beta) / denom
+    k2 = np.outer(beta.conj(), beta - gamma.conjugate() * alpha) / denom
 
-    action = 0.0
+    action = commutator = 0.0
     for total in range(level + 1):
-        for n2 in range(total + 1):
-            n1 = total - n2
-            vec = np.zeros(rep.dim, dtype=complex)
-            coeff = fock_expand_oracle(n1, n2, params)
-            for i, value in enumerate(coeff):
-                vec[rep.basis_index(total - i, i)] = value
-            action = max(
-                action,
-                relative_residual(m1_full @ vec - n1 * vec, m1_full, vec),
-                relative_residual(m2_full @ vec - n2 * vec, m2_full, vec),
-                relative_residual(h_full @ vec - total * vec, h_full, vec),
-            )
+        j = np.arange(total + 1)
+        hop = np.sqrt((total - j[1:] + 1) * j[1:])
+        m1, m2 = (
+            np.diag(k[0, 0] * (total - j) + k[1, 1] * j)
+            + np.diag(k[0, 1] * hop, 1)
+            + np.diag(k[1, 0] * hop, -1)
+            for k in (k1, k2)
+        )
+        h = m1 + m2
+        vecs = np.column_stack([fock_expand_oracle(total - i, i, params) for i in j])
+        action = max(
+            action,
+            relative_residual(m1 @ vecs - vecs * (total - j), m1, vecs),
+            relative_residual(m2 @ vecs - vecs * j, m2, vecs),
+            relative_residual(h @ vecs - total * vecs, h, vecs),
+        )
+        commutator = max(commutator, relative_residual(m1 @ m2 - m2 @ m1, m1, m2))
     if action > equality_tol:
         raise ValueError(f"deformed number operator action defect {action:.3e}")
-
-    sub = [
-        rep.basis_index(nx, ny)
-        for nx in range(rep.cutoff + 1)
-        for ny in range(rep.cutoff + 1)
-        if nx + ny <= rep.cutoff
-    ]
-    comm = m1_full @ m2_full - m2_full @ m1_full
-    commutator = relative_residual(comm[:, sub], m1_full, m2_full)
     if commutator > equality_tol:
         raise ValueError(f"deformed number operators do not commute: {commutator:.3e}")
-
-    embed = np.zeros((rep.dim, level + 1), dtype=complex)
-    for j in range(level + 1):
-        embed[rep.basis_index(level - j, j), j] = 1.0
-    restrict = embed.conj().T
 
     return DeformedLevelOperators(
         level=level,
         gamma=gamma,
-        m1=restrict @ m1_full @ embed,
-        m2=restrict @ m2_full @ embed,
-        h_total=restrict @ h_full @ embed,
+        m1=m1,
+        m2=m2,
+        h_total=h,
         action_residual=action,
         commutator_residual=commutator,
     )

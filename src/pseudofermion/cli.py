@@ -50,9 +50,9 @@ from .overlaps import LEVEL_CAP, gram_block
 
 SCHEMA_VERSION = "pfl-1"
 
-# Entrywise ceiling when comparing against the closed-form reference
-# matrices; tighter than the invariant tolerance because the comparison is
-# direct transcription, not conditioned algebra.
+# Ceiling on the defect against the closed-form reference matrices, relative
+# to max(1, largest expected entry); tighter than the invariant tolerance
+# because the comparison is direct transcription, not conditioned algebra.
 FIXTURE_TOL = 1e-12
 
 
@@ -447,17 +447,15 @@ def run_verify_fixtures(gamma: float) -> ReportDocument:
         matrices[f"{tag}:e"] = basis.e_matrix
         for key, expected in closed.items():
             matrices[f"{tag}:{key}"] = produced[key]
-            checks.append(
-                Check(f"{tag}:{key}_matches", max_abs(produced[key] - expected), FIXTURE_TOL)
-            )
-        checks.append(
-            Check(
-                f"{tag}:nilpotency_order",
-                max_abs(np.linalg.matrix_power(system.a, level + 1))
-                + max_abs(np.linalg.matrix_power(system.b, level + 1)),
-                FIXTURE_TOL,
-            )
+            defect = relative_residual(produced[key] - expected, expected)
+            checks.append(Check(f"{tag}:{key}_matches", defect, FIXTURE_TOL))
+        # Scaled like verify_block_system's nilpotency: the rounding in a
+        # power grows with the product of its factors' norms.
+        nilpotency = sum(
+            relative_residual(np.linalg.matrix_power(m, level + 1), *([m] * (level + 1)))
+            for m in (system.a, system.b)
         )
+        checks.append(Check(f"{tag}:nilpotency_order", nilpotency, FIXTURE_TOL))
         e_kernel = dual_basis_by_kernel(basis.h_matrix, system.a, system.b)
         checks.append(
             Check(f"{tag}:kernel_dual", max_abs(e_kernel - basis.e_matrix), EQUALITY_TOL)

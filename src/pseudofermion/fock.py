@@ -13,6 +13,12 @@ value of the stack is recorded over a sweep of cutoffs.  A surviving joint
 vacuum shows up as an exact (machine-zero) singular value at every cutoff;
 for ``theta != 0`` the smallest singular value stays bounded away from
 zero instead of decaying as the cutoff grows.
+
+The stack splits exactly.  Both conditions change the total occupation by
+one, so even and odd inputs never couple; the diagonal gauge
+``|nx, ny> -> i^ny |nx, ny>`` maps ``a_y`` to ``i a_y``, which makes ``L1``
+real and ``L2`` ``i`` times a real matrix.  Neither step moves a singular
+value, so the scan takes them from two real parity blocks.
 """
 
 from __future__ import annotations
@@ -51,14 +57,12 @@ class FockRep:
 
     ``a_x`` and ``a_y`` are the per-mode lowering matrices tensored with
     the identity on the other mode, on the product space of dimension
-    ``(cutoff + 1)**2``.  ``ordering`` records which mode index is major
-    in the product-basis enumeration.
+    ``(cutoff + 1)**2``, enumerated with the first-mode occupation major.
     """
 
     cutoff: int
     a_x: np.ndarray
     a_y: np.ndarray
-    ordering: str = "x-major"
 
     @property
     def dim(self) -> int:
@@ -69,7 +73,7 @@ class FockRep:
         if not (0 <= nx <= self.cutoff and 0 <= ny <= self.cutoff):
             raise ValueError(f"occupation out of range: {(nx, ny)}")
         d = self.cutoff + 1
-        return nx * d + ny if self.ordering == "x-major" else ny * d + nx
+        return nx * d + ny
 
 
 @dataclass(frozen=True)
@@ -82,30 +86,24 @@ class NoGoReport:
     kernel_dimension_estimate: int
 
 
-def build_fock_rep(cutoff: int, ordering: str = "x-major") -> FockRep:
+def build_fock_rep(cutoff: int) -> FockRep:
     """Build the two-mode representation with per-mode occupation cap ``cutoff``."""
     if cutoff < 1:
         raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    if ordering not in ("x-major", "y-major"):
-        raise ValueError(f"unknown ordering {ordering!r}")
     single = lowering_matrix(cutoff + 1)
     eye = np.eye(cutoff + 1, dtype=complex)
-    if ordering == "x-major":
-        a_x = np.kron(single, eye)
-        a_y = np.kron(eye, single)
-    else:
-        a_x = np.kron(eye, single)
-        a_y = np.kron(single, eye)
+    a_x = np.kron(single, eye)
+    a_y = np.kron(eye, single)
     a_x.setflags(write=False)
     a_y.setflags(write=False)
-    return FockRep(cutoff=cutoff, a_x=a_x, a_y=a_y, ordering=ordering)
+    return FockRep(cutoff=cutoff, a_x=a_x, a_y=a_y)
 
 
 def stacked_vacuum_conditions(theta: float, rep: FockRep) -> np.ndarray:
     """The two vacuum-condition operators stacked vertically.
 
     Uses ``x + d/dx = sqrt(2) a_x`` and ``d/dy = (a_y - a_y^+)/sqrt(2)``
-    (and symmetrically for the second condition).
+    (and symmetrically for the second condition).  Test oracle of the scan.
     """
     ax, ay = rep.a_x, rep.a_y
     dx = (ax - ax.conj().T) / _SQRT2
@@ -113,6 +111,28 @@ def stacked_vacuum_conditions(theta: float, rep: FockRep) -> np.ndarray:
     l1 = _SQRT2 * ax + 1j * (theta / 2.0) * dy
     l2 = _SQRT2 * ay - 1j * (theta / 2.0) * dx
     return np.vstack([l1, l2])
+
+
+def _parity_singular_values(theta: float, cutoff: int) -> np.ndarray:
+    # Real gauge: sqrt2 a_x - t (a_y + a_y^+) over sqrt2 a_y - t (a_x - a_x^+).
+    # Each term moves one mode by one quantum, amplitude sqrt(larger count).
+    t = theta / (2.0 * _SQRT2)
+    d = cutoff + 1
+    nx, ny = np.divmod(np.arange(d * d), d)
+    odd = (nx + ny) % 2 == 1
+    rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
+    svals = []
+    for cols in (~odd, odd):
+        cx, cy, half = nx[cols], ny[cols], d * d - np.count_nonzero(cols)
+        block = np.zeros((2 * half, cx.size))
+        for row0, dx, dy, coeff in ((0, -1, 0, _SQRT2), (0, 0, -1, -t), (0, 0, 1, -t),
+                                    (half, 0, -1, _SQRT2), (half, -1, 0, -t), (half, 1, 0, t)):
+            tx, ty = cx + dx, cy + dy
+            ok = (np.minimum(tx, ty) >= 0) & (np.maximum(tx, ty) <= cutoff)
+            amp = np.sqrt(np.maximum(cx, tx) if dx else np.maximum(cy, ty))
+            block[row0 + rank[tx[ok] * d + ty[ok]], np.flatnonzero(ok)] = coeff * amp[ok]
+        svals.append(np.linalg.svd(block, compute_uv=False))
+    return np.concatenate(svals)
 
 
 def nogo_joint_kernel(
@@ -138,9 +158,8 @@ def nogo_joint_kernel(
     minima = []
     kernel_dim = 0
     for cutoff in cutoffs:
-        rep = build_fock_rep(cutoff)
-        svals = np.linalg.svd(stacked_vacuum_conditions(theta, rep), compute_uv=False)
-        minima.append(float(svals[-1]))
+        svals = _parity_singular_values(theta, cutoff)
+        minima.append(float(svals.min()))
         kernel_dim = int(np.sum(svals < kernel_tol))
     return NoGoReport(
         theta=float(theta),

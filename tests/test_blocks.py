@@ -20,7 +20,7 @@ from pseudofermion.blocks import (
     synthesize_ladders,
     verify_block_system,
 )
-from pseudofermion.fock import lowering_matrix
+from pseudofermion.fock import build_fock_rep, lowering_matrix
 from pseudofermion.overlaps import NCBosonParams, gram_block
 
 GAMMA_GRID = [0.0, 0.1, 0.5, 0.9, 0.5 + 0.3j]
@@ -186,7 +186,7 @@ class TestForwardError:
         "gamma, level", [(0.5, 20), (0.5, 25), (0.7, 18), (0.3 + 0.2j, 10), (0.9, 10)]
     )
     def test_lowering_matches_high_precision(self, gamma, level):
-        mpmath = pytest.importorskip("mpmath")
+        import mpmath
         a = cholesky_system(level, gamma).a
         with mpmath.workdps(50):
             ref = mpmath_lowering(mpmath.mp, complex(gamma), level)
@@ -301,7 +301,47 @@ class TestHermitianSqrt:
             hermitian_sqrt(np.diag([1.0, -1.0]))
 
 
+def fock_space_number_operators(params, level):
+    """``M1``, ``M2`` and their sum on one level, via the full two-mode space.
+
+    Forms the operators as dense matrices on the ``(level + 1)**2``
+    truncated Fock space and restricts them to the states ``|level - j, j>``.
+    """
+    rep = build_fock_rep(max(level, 1))
+    gamma = params.gamma
+    denom = 1.0 - abs(gamma) ** 2
+    a1 = params.alpha_x * rep.a_x + params.alpha_y * rep.a_y
+    a2 = params.beta_x * rep.a_x + params.beta_y * rep.a_y
+    m1 = (a1.conj().T @ a1 - gamma * (a1.conj().T @ a2)) / denom
+    m2 = (a2.conj().T @ a2 - gamma.conjugate() * (a2.conj().T @ a1)) / denom
+    sub = [rep.basis_index(level - j, j) for j in range(level + 1)]
+    restrict = np.ix_(sub, sub)
+    return m1[restrict], m2[restrict], (m1 + m2)[restrict]
+
+
+# alpha = (cos t, e^{i phi} sin t) puts weight on both product modes, so
+# every entry of the 2x2 coefficient matrices is exercised.
+NON_CANONICAL = NCBosonParams(
+    math.cos(0.4), complex(math.cos(0.7), math.sin(0.7)) * math.sin(0.4), 0.6, 0.8j
+)
+
+
 class TestDeformedNumberOperators:
+    @pytest.mark.parametrize("level", [0, 1, 5, 12])
+    @pytest.mark.parametrize(
+        "params",
+        [NCBosonParams.from_gamma(0.5), NCBosonParams.from_gamma(0.3 + 0.2j), NON_CANONICAL],
+        ids=["real", "complex", "non_canonical"],
+    )
+    def test_matches_fock_space_construction(self, params, level):
+        ops = deformed_number_operators(params, level)
+        for produced, expected in zip(
+            (ops.m1, ops.m2, ops.h_total), fock_space_number_operators(params, level)
+        ):
+            assert np.max(np.abs(produced - expected)) <= 1e-14 * np.max(np.abs(expected))
+        assert ops.action_residual <= EQUALITY_TOL
+        assert ops.commutator_residual <= EQUALITY_TOL
+
     def test_reduces_to_mode_counts_at_zero(self):
         params = NCBosonParams.from_gamma(0.0)
         ops = deformed_number_operators(params, 3)

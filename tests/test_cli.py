@@ -3,7 +3,10 @@ import json
 import numpy as np
 import pytest
 
+from pseudofermion import fixtures
+from pseudofermion.blocks import build_block_system, fixture_basis
 from pseudofermion.cli import (
+    FIXTURE_TOL,
     Check,
     ReportDocument,
     deserialize_matrix,
@@ -175,3 +178,52 @@ class TestExitCodes:
     def test_complex_gamma_accepted(self, capsys):
         assert main(["gram", "--gamma", "0.3+0.2i", "--level", "2"]) == 0
         capsys.readouterr()
+
+
+def mpmath_fixture_m2(mp, gamma):
+    """Level-2 fixture operators ``a, b, N, S_h, S_e`` computed in mpmath.
+
+    Starts from the closed-form primal vectors of `fixtures.fixture_h_m2`
+    written out at working precision; ``e = (h^-1)^+``, ``a = h D h^-1`` and
+    ``b = h D^+ h^-1`` with ``D`` the level-2 lowering matrix.
+    """
+    g = mp.mpf(gamma)
+    r2 = mp.sqrt(2)
+    h = mp.matrix([[g * r2, 1, g / r2], [0, g / r2, 1], [0, 0, 1]])
+    d = mp.matrix([[0, 1, 0], [0, 0, r2], [0, 0, 0]])
+    h_inv = mp.inverse(h)
+    e = h_inv.H
+    a = h * d * h_inv
+    b = h * d.T * h_inv
+    return {"a": a, "b": b, "N": b * a, "S_h": h * h.H, "S_e": e * e.H}
+
+
+class TestVerifyFixturesSmallGamma:
+    """At small gamma the level-2 metric entries grow like gamma^-4."""
+
+    @pytest.mark.parametrize("gamma", [0.05, 0.08])
+    def test_level_two_matches_high_precision(self, gamma):
+        # The produced and the closed-form matrices both sit within
+        # FIXTURE_TOL of the 50-digit answer, relative to its largest entry,
+        # and the powers a^3, b^3 of the exact answer vanish; so the
+        # scaled *_matches and nilpotency_order checks certify a right
+        # answer where their absolute form failed.
+        import mpmath
+        system = build_block_system(fixture_basis(2, gamma))
+        produced = {key: getattr(system, key) for key in ("a", "b", "N", "S_h", "S_e")}
+        expected = fixtures.closed_form_m2(gamma)
+        with mpmath.workdps(50):
+            ref = mpmath_fixture_m2(mpmath.mp, gamma)
+            for key in produced:
+                exact = np.array(ref[key].tolist(), dtype=complex)
+                scale = max(1.0, np.max(np.abs(exact)))
+                assert np.max(np.abs(produced[key] - exact)) <= FIXTURE_TOL * scale
+                assert np.max(np.abs(expected[key] - exact)) <= FIXTURE_TOL * scale
+            for key in ("a", "b"):
+                assert mpmath.mnorm(ref[key] ** 3, 1) < mpmath.mpf(10) ** -40
+
+    @pytest.mark.parametrize("gamma", ["0.05", "0.08", "0.11"])
+    def test_exits_zero(self, gamma, capsys):
+        assert main(["verify-fixtures", "--gamma", gamma]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert all(item["pass"] for item in payload["checks"])

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from pseudofermion.fock import (
+    DEFAULT_KERNEL_TOL,
     build_fock_rep,
     lowering_matrix,
     nogo_joint_kernel,
@@ -59,24 +60,25 @@ class TestTwoModeRep:
                 idx = rep.basis_index(nx, ny)
                 assert abs(n_x[idx, idx] - nx) < 1e-15
 
-    def test_orderings_are_consistent(self):
-        x_major = build_fock_rep(2, "x-major")
-        y_major = build_fock_rep(2, "y-major")
-        assert x_major.basis_index(2, 1) == 2 * 3 + 1
-        assert y_major.basis_index(2, 1) == 1 * 3 + 2
-        # same spectra either way
+    def test_basis_index_is_x_major(self):
+        rep = build_fock_rep(2)
+        assert rep.basis_index(2, 1) == 2 * 3 + 1
+        # the flat index agrees with the mode matrices: a_x lowers the major
+        # occupation, a_y the minor one
+        state = np.zeros(rep.dim)
+        state[rep.basis_index(2, 1)] = 1.0
         np.testing.assert_allclose(
-            np.sort(np.linalg.eigvals(x_major.a_x.conj().T @ x_major.a_x).real),
-            np.sort(np.linalg.eigvals(y_major.a_x.conj().T @ y_major.a_x).real),
-            atol=1e-12,
-            rtol=0,
+            (rep.a_x @ state)[rep.basis_index(1, 1)], np.sqrt(2.0), atol=1e-15, rtol=0
+        )
+        np.testing.assert_allclose(
+            (rep.a_y @ state)[rep.basis_index(2, 0)], 1.0, atol=1e-15, rtol=0
         )
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             build_fock_rep(0)
         with pytest.raises(ValueError):
-            build_fock_rep(3, "column-major")
+            build_fock_rep(2).basis_index(0, -1)
         with pytest.raises(ValueError):
             build_fock_rep(2).basis_index(3, 0)
 
@@ -104,6 +106,21 @@ class TestJointKernelScan:
         np.testing.assert_allclose(null, expected, atol=1e-12, rtol=0)
         # and the second singular value is far from zero
         assert svals[-2] > 1.0
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 8, 16])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.7, 1.9])
+    def test_scan_matches_dense_stack(self, theta, cutoff):
+        # the parity-block scan against the dense complex SVD of the full
+        # stack; odd and even cutoffs give parity blocks of unequal and
+        # equal width
+        dense = np.linalg.svd(
+            stacked_vacuum_conditions(theta, build_fock_rep(cutoff)), compute_uv=False
+        )
+        report = nogo_joint_kernel(theta, [cutoff])
+        assert abs(report.min_singular_values[0] - dense[-1]) <= 1e-15
+        assert report.kernel_dimension_estimate == int(np.sum(dense < DEFAULT_KERNEL_TOL))
+        if theta == 0.0:
+            assert report.min_singular_values[0] <= 1e-12
 
     @pytest.mark.parametrize(
         "theta,floor",
