@@ -1,13 +1,12 @@
 """Block-diagonal assembly of the level operators up to a cutoff.
 
-The per-level ladder matrices of module `blocks` embed into one direct-sum
-space ordered by increasing level.  The assembled ``A`` and ``B`` commute
-with every level projection, reproduce the square-root ladder action on
-each primal and dual vector, and give number operators ``N = B A`` and
-``N_sharp = A^+ B^+`` whose eigenvectors are the embedded families.  The
-frame operators assemble blockwise as well; their per-block norms grow
-with the level for any nonzero deformation, which is the finite-size
-witness that the global frame operators need not stay bounded.
+Every global operator on the direct sum of the levels ``0 .. L`` is block
+diagonal, so an assembly keeps only the per-level systems of module
+`blocks` and where each starts; the ladder action, the resolution of
+identity and the intertwining ``S_e N = N^+ S_e`` are certified block by
+block.  The frame operators' per-block norms grow with the level for any
+nonzero deformation, which is the finite-size witness that the global
+frame operators need not stay bounded.
 """
 
 from __future__ import annotations
@@ -35,32 +34,43 @@ ASSEMBLY_MODES = ("cholesky", "fixture")
 class GlobalOperators:
     """Direct-sum ladder system over levels ``0 .. max_level``.
 
-    ``projections[M]`` is the orthogonal projection onto the level-``M``
-    coordinates; ``offsets[M]`` is where that block starts.
+    ``block_systems[M]`` holds the level-``M`` operators; they act on the
+    global coordinates ``offsets[M] : offsets[M] + M + 1``, which is the
+    range of the level-``M`` projection.  ``A``, ``B`` and ``N`` are the
+    dense direct sums of the blocks' ``a``, ``b`` and ``N``, formed anew
+    and read-only on every access.
     """
 
     max_level: int
     gamma: complex
     mode: str
-    total_dim: int
-    A: np.ndarray
-    B: np.ndarray
-    N: np.ndarray
-    N_sharp: np.ndarray
-    projections: tuple[np.ndarray, ...]
-    S_h_global: np.ndarray
-    S_e_global: np.ndarray
     block_systems: tuple[BlockSystem, ...]
     offsets: tuple[int, ...]
     action_residual: float
 
-    def __post_init__(self):
-        for name in ("A", "B", "N", "N_sharp", "S_h_global", "S_e_global"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
-        for proj in self.projections:
-            proj.setflags(write=False)
+    @property
+    def total_dim(self) -> int:
+        return self.offsets[-1] + self.max_level + 1
+
+    @property
+    def A(self) -> np.ndarray:
+        return self._direct_sum("a")
+
+    @property
+    def B(self) -> np.ndarray:
+        return self._direct_sum("b")
+
+    @property
+    def N(self) -> np.ndarray:
+        return self._direct_sum("N")
+
+    def _direct_sum(self, name: str) -> np.ndarray:
+        out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
+        for system, off in zip(self.block_systems, self.offsets):
+            dim = system.basis.dim
+            out[off : off + dim, off : off + dim] = getattr(system, name)
+        out.setflags(write=False)
+        return out
 
     def h_vector(self, level: int, k: int) -> np.ndarray:
         """Embedded primal vector ``h_k`` of the given level."""
@@ -97,16 +107,6 @@ class ResolutionReport:
     s_h_block_conditions: tuple[float, ...]
 
 
-def _block_diag(mats: list[np.ndarray], total: int) -> np.ndarray:
-    out = np.zeros((total, total), dtype=complex)
-    pos = 0
-    for m in mats:
-        d = m.shape[0]
-        out[pos : pos + d, pos : pos + d] = m
-        pos += d
-    return out
-
-
 def assemble(
     gamma: complex | NCBosonParams,
     max_level: int,
@@ -120,7 +120,8 @@ def assemble(
     uses the closed-form level-1/level-2 realizations (so it requires
     ``max_level <= 2`` and real positive ``gamma``); level 0 is always the
     trivial block.  The square-root ladder action of ``A, B, A^+, B^+`` on
-    every embedded basis vector is verified before returning.
+    every basis vector is verified before returning, block by block but
+    scaled by the global ``max|A|`` and ``max|B|``.
     """
     if isinstance(gamma, NCBosonParams):
         gamma = gamma.gamma
@@ -129,11 +130,9 @@ def assemble(
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     if mode not in ASSEMBLY_MODES:
         raise ValueError(f"unknown realization mode {mode!r}")
-    if mode == "fixture":
-        if max_level > 2:
-            raise ValueError("closed-form realizations stop at level 2")
-        if gamma.imag != 0.0 or gamma.real <= 0.0:
-            raise ValueError("fixture mode requires real gamma > 0")
+    # fixture_basis refuses levels above 2 but sees only the real part.
+    if mode == "fixture" and (gamma.imag != 0.0 or not gamma.real > 0.0):
+        raise ValueError("fixture mode requires real gamma > 0")
 
     systems = []
     for level in range(max_level + 1):
@@ -143,55 +142,31 @@ def assemble(
             basis = realize_basis_cholesky(gram_block(level, gamma))
         systems.append(build_block_system(basis))
 
-    dims = [s.basis.dim for s in systems]
-    total = sum(dims)
-    offsets = tuple(int(x) for x in np.cumsum([0] + dims[:-1]))
-
-    big_a = _block_diag([s.a for s in systems], total)
-    big_b = _block_diag([s.b for s in systems], total)
-    s_h_global = _block_diag([s.S_h for s in systems], total)
-    s_e_global = _block_diag([s.S_e for s in systems], total)
-
-    projections = []
-    for level, off in enumerate(offsets):
-        proj = np.zeros((total, total), dtype=complex)
-        idx = np.arange(off, off + dims[level])
-        proj[idx, idx] = 1.0
-        projections.append(proj)
-
+    # Global scales max|A|, max|B|: a direct sum's max-norm is its largest block's.
+    norm_a = max(max_abs(s.a) for s in systems)
+    norm_b = max(max_abs(s.b) for s in systems)
     action = 0.0
-    for system, off in zip(systems, offsets):
-        dim = system.basis.dim
-        h_emb = np.zeros((total, dim), dtype=complex)
-        e_emb = np.zeros((total, dim), dtype=complex)
-        h_emb[off : off + dim, :] = system.basis.h_matrix
-        e_emb[off : off + dim, :] = system.basis.e_matrix
-        down = lowering_matrix(dim)
+    for system in systems:
+        a, b = system.a, system.b
+        h, e = system.basis.h_matrix, system.basis.e_matrix
+        down = lowering_matrix(system.basis.dim)
         up = down.conj().T
         action = max(
             action,
-            relative_residual(big_a @ h_emb - h_emb @ down, big_a, h_emb),
-            relative_residual(big_b @ h_emb - h_emb @ up, big_b, h_emb),
-            relative_residual(big_a.conj().T @ e_emb - e_emb @ up, big_a, e_emb),
-            relative_residual(big_b.conj().T @ e_emb - e_emb @ down, big_b, e_emb),
+            relative_residual(a @ h - h @ down, norm_a, h),
+            relative_residual(b @ h - h @ up, norm_b, h),
+            relative_residual(a.conj().T @ e - e @ up, norm_a, e),
+            relative_residual(b.conj().T @ e - e @ down, norm_b, e),
         )
-    if action > equality_tol:
+    if not action <= equality_tol:
         raise ValueError(f"assembled ladder action defect {action:.3e}")
 
     return GlobalOperators(
         max_level=max_level,
         gamma=gamma,
         mode=mode,
-        total_dim=total,
-        A=big_a,
-        B=big_b,
-        N=big_b @ big_a,
-        N_sharp=big_a.conj().T @ big_b.conj().T,
-        projections=tuple(projections),
-        S_h_global=s_h_global,
-        S_e_global=s_e_global,
         block_systems=tuple(systems),
-        offsets=offsets,
+        offsets=tuple(m * (m + 1) // 2 for m in range(max_level + 1)),
         action_residual=action,
     )
 
@@ -201,25 +176,21 @@ def global_resolution_check(ops: GlobalOperators) -> ResolutionReport:
 
     The resolution sums every mixed dyad ``|e_k><h_k|`` over all levels;
     the intertwining defect ``(S_e N - N^+ S_e)`` is applied to each
-    embedded primal vector, which is the vector-wise form in which the
-    identity actually holds.
+    primal vector, which is the vector-wise form in which the identity
+    actually holds.  Both are block diagonal, so each residual is the
+    largest over the blocks.
     """
-    total = ops.total_dim
-    acc = np.zeros((total, total), dtype=complex)
-    for system, off in zip(ops.block_systems, ops.offsets):
-        dim = system.basis.dim
-        block = system.basis.e_matrix @ system.basis.h_matrix.conj().T
-        acc[off : off + dim, off : off + dim] += block
-    resolution = max_abs(acc - np.eye(total))
-
-    defect_op = ops.S_e_global @ ops.N - ops.N.conj().T @ ops.S_e_global
-    h_all = _block_diag([s.basis.h_matrix for s in ops.block_systems], total)
-    intertwining = max_abs(defect_op @ h_all)
-
+    resolution = intertwining = 0.0
     norms_h, norms_e, conds_h = [], [], []
     for system in ops.block_systems:
+        h, e = system.basis.h_matrix, system.basis.e_matrix
+        s_e, n_op = system.S_e, system.N
+        resolution = max(resolution, max_abs(e @ h.conj().T - np.eye(system.basis.dim)))
+        intertwining = max(
+            intertwining, max_abs((s_e @ n_op - n_op.conj().T @ s_e) @ h)
+        )
         norms_h.append(float(np.linalg.norm(system.S_h, 2)))
-        norms_e.append(float(np.linalg.norm(system.S_e, 2)))
+        norms_e.append(float(np.linalg.norm(s_e, 2)))
         conds_h.append(float(np.linalg.cond(system.S_h)))
     return ResolutionReport(
         resolution_residual=resolution,

@@ -99,15 +99,18 @@ def _dressed_values(family: BicoherentFamily, xs: np.ndarray):
     if np.iscomplexobj(alpha) and np.any(np.abs(alpha.imag) > 0.0):
         raise ValueError("dressing function must be real-valued")
     alpha = alpha.real.astype(float)
-    phi_d = np.exp(alpha)[:, None] * values
-    psi_d = np.exp(-alpha)[:, None] * values
-    ntilde = np.sum(np.conj(phi_d) * psi_d, axis=1)
-    bad = (np.abs(ntilde.imag) > 1e-12 * np.maximum(1.0, np.abs(ntilde.real))) | (
-        ntilde.real <= 0.0
+    # A dressing that overflows leaves a NaN or infinite normalizer, which
+    # the guard rejects: each of its comparisons fails on NaN.
+    with np.errstate(over="ignore", invalid="ignore"):
+        phi_d = np.exp(alpha)[:, None] * values
+        psi_d = np.exp(-alpha)[:, None] * values
+        ntilde = np.sum(np.conj(phi_d) * psi_d, axis=1)
+    bad = ~(np.abs(ntilde.imag) <= 1e-12 * np.maximum(1.0, np.abs(ntilde.real))) | ~(
+        (0.0 < ntilde.real) & (ntilde.real < np.inf)
     )
     if np.any(bad):
         raise ValueError(
-            f"state normalizer must be strictly positive, got {ntilde[bad][0]} "
+            f"state normalizer must be finite and strictly positive, got {ntilde[bad][0]} "
             f"at x = {xs[bad][0]}"
         )
     return phi_d, psi_d, ntilde.real
@@ -156,7 +159,7 @@ def build_family(
         h, e = (np.asarray(m, dtype=complex) for m in basis)
         if h.shape != (n_states, n_states) or e.shape != (n_states, n_states):
             raise ValueError("vector basis matrices must be square of size n_states")
-        if relative_residual(e.conj().T @ h - np.eye(n_states), e, h) > FAMILY_TOL:
+        if not relative_residual(e.conj().T @ h - np.eye(n_states), e, h) <= FAMILY_TOL:
             raise ValueError("vector families are not biorthonormal")
 
     base_nodes, base_weights = leggauss(quad_order)
@@ -177,7 +180,7 @@ def build_family(
 
     phi_d, psi_d, _ = _dressed_values(family, nodes)
     overlaps = (np.conj(psi_d) * weights[:, None]).T @ phi_d
-    if max_abs(overlaps - np.eye(n_states)) > FAMILY_TOL:
+    if not max_abs(overlaps - np.eye(n_states)) <= FAMILY_TOL:
         raise ValueError(
             "function families are not biorthonormal under the quadrature "
             f"(defect {max_abs(overlaps - np.eye(n_states)):.3e}); "

@@ -127,7 +127,7 @@ class BlockBasis:
                 f"got {h.shape} and {e.shape}"
             )
         defect = e.conj().T @ h - np.eye(dim)
-        if relative_residual(defect, e, h) > 1e-8:
+        if not relative_residual(defect, e, h) <= 1e-8:
             raise ValueError(
                 "families are not biorthonormal: "
                 f"max |<e_j, h_k> - delta_jk| = {max_abs(defect):.3e}"
@@ -283,7 +283,7 @@ def dual_basis_by_kernel(
     e_kernel = np.column_stack(cols)
 
     e_expected = np.linalg.inv(h).conj().T
-    if relative_residual(e_kernel - e_expected, e_expected) > 1e-8:
+    if not relative_residual(e_kernel - e_expected, e_expected) <= 1e-8:
         raise ValueError(
             "kernel-built dual family disagrees with the inverse-adjoint dual"
         )
@@ -318,7 +318,7 @@ def build_block_system(basis: BlockBasis, equality_tol: float = EQUALITY_TOL) ->
     anti = a @ b + b @ a
     mixed = e.conj().T @ anti @ h
     diagonal = np.real(np.diag(mixed)).copy()
-    if relative_residual(mixed - np.diag(diagonal), e, anti, h) > equality_tol:
+    if not relative_residual(mixed - np.diag(diagonal), e, anti, h) <= equality_tol:
         raise ValueError(
             "mixed-dyad expansion of the anticommutator is not diagonal: "
             f"defect {max_abs(mixed - np.diag(diagonal)):.3e}"
@@ -473,9 +473,9 @@ def deformed_number_operators(
             relative_residual(h @ vecs - total * vecs, h, vecs),
         )
         commutator = max(commutator, relative_residual(m1 @ m2 - m2 @ m1, m1, m2))
-    if action > equality_tol:
+    if not action <= equality_tol:
         raise ValueError(f"deformed number operator action defect {action:.3e}")
-    if commutator > equality_tol:
+    if not commutator <= equality_tol:
         raise ValueError(f"deformed number operators do not commute: {commutator:.3e}")
 
     return DeformedLevelOperators(

@@ -21,9 +21,11 @@ _S2 = math.sqrt(2.0)
 
 
 def _check_gamma(gamma: float) -> float:
+    # The level-2 closed forms divide by gamma^4; outside these bounds it
+    # underflows to zero or overflows.
     gamma = float(gamma)
-    if gamma <= 0.0:
-        raise ValueError(f"fixtures require gamma > 0, got {gamma}")
+    if not 2.0**-255 <= gamma <= 2.0**255:
+        raise ValueError(f"fixtures require 2^-255 <= gamma <= 2^255, got {gamma}")
     return gamma
 
 

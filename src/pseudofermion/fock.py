@@ -23,6 +23,7 @@ value, so the scan takes them from two real parity blocks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -145,8 +146,14 @@ def nogo_joint_kernel(
     The kernel dimension estimate counts singular values below
     ``kernel_tol`` at the largest cutoff.  Because the scan is done at
     finite truncation, a nonzero floor is reported as evidence (min
-    singular value not decaying with cutoff), never as a proof.
+    singular value not decaying with cutoff), never as a proof.  Requires
+    a finite ``theta`` and a finite ``kernel_tol > 0``.
     """
+    theta, kernel_tol = float(theta), float(kernel_tol)
+    if not math.isfinite(theta):
+        raise ValueError(f"theta must be finite, got {theta}")
+    if not 0.0 < kernel_tol < math.inf:
+        raise ValueError(f"kernel_tol must be finite and > 0, got {kernel_tol}")
     cutoffs = [int(c) for c in cutoffs]
     if not cutoffs:
         raise ValueError("cutoff list must be non-empty")
@@ -162,7 +169,7 @@ def nogo_joint_kernel(
         minima.append(float(svals.min()))
         kernel_dim = int(np.sum(svals < kernel_tol))
     return NoGoReport(
-        theta=float(theta),
+        theta=theta,
         cutoffs=tuple(cutoffs),
         min_singular_values=tuple(minima),
         kernel_dimension_estimate=kernel_dim,

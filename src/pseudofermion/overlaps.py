@@ -63,7 +63,7 @@ class NCBosonParams:
             object.__setattr__(self, name, complex(getattr(self, name)))
         norm_a = abs(self.alpha_x) ** 2 + abs(self.alpha_y) ** 2
         norm_b = abs(self.beta_x) ** 2 + abs(self.beta_y) ** 2
-        if abs(norm_a - 1.0) > NORM_TOL or abs(norm_b - 1.0) > NORM_TOL:
+        if not (abs(norm_a - 1.0) <= NORM_TOL and abs(norm_b - 1.0) <= NORM_TOL):
             raise ValueError(
                 "combination coefficients must be unit-norm per pair: "
                 f"|alpha|^2 = {norm_a!r}, |beta|^2 = {norm_b!r}"
@@ -88,7 +88,7 @@ class NCBosonParams:
         Requires ``|gamma| < 1``.
         """
         gamma = complex(gamma)
-        if abs(gamma) >= 1.0:
+        if not abs(gamma) < 1.0:
             raise ValueError(f"|gamma| must be < 1, got |{gamma}| = {abs(gamma)}")
         return cls(
             alpha_x=1.0,

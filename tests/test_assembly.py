@@ -4,6 +4,58 @@ import numpy as np
 import pytest
 
 from pseudofermion.assembly import assemble, global_resolution_check
+from pseudofermion.blocks import max_abs, relative_residual
+from pseudofermion.fock import lowering_matrix
+
+
+def _block_diag(mats, total):
+    out = np.zeros((total, total), dtype=complex)
+    pos = 0
+    for m in mats:
+        d = m.shape[0]
+        out[pos : pos + d, pos : pos + d] = m
+        pos += d
+    return out
+
+
+def dense_assembly(ops):
+    """The dense ``total x total`` form of an assembly and of its checks.
+
+    Embeds every block of ``ops`` in the full direct-sum space and computes
+    ``A``, ``B``, ``N = B A`` and the action, resolution and intertwining
+    residuals from the dense matrices, as the assembly did before it kept
+    its operators as blocks.  Test oracle of the blockwise assembly.
+    """
+    systems = ops.block_systems
+    total = sum(s.basis.dim for s in systems)
+    big_a = _block_diag([s.a for s in systems], total)
+    big_b = _block_diag([s.b for s in systems], total)
+    big_n = big_b @ big_a
+    s_e = _block_diag([s.S_e for s in systems], total)
+
+    action = 0.0
+    for system, off in zip(systems, ops.offsets):
+        dim = system.basis.dim
+        h_emb = np.zeros((total, dim), dtype=complex)
+        e_emb = np.zeros((total, dim), dtype=complex)
+        h_emb[off : off + dim, :] = system.basis.h_matrix
+        e_emb[off : off + dim, :] = system.basis.e_matrix
+        down = lowering_matrix(dim)
+        up = down.conj().T
+        action = max(
+            action,
+            relative_residual(big_a @ h_emb - h_emb @ down, big_a, h_emb),
+            relative_residual(big_b @ h_emb - h_emb @ up, big_b, h_emb),
+            relative_residual(big_a.conj().T @ e_emb - e_emb @ up, big_a, e_emb),
+            relative_residual(big_b.conj().T @ e_emb - e_emb @ down, big_b, e_emb),
+        )
+    dyads = _block_diag(
+        [s.basis.e_matrix @ s.basis.h_matrix.conj().T for s in systems], total
+    )
+    resolution = max_abs(dyads - np.eye(total))
+    h_all = _block_diag([s.basis.h_matrix for s in systems], total)
+    intertwining = max_abs((s_e @ big_n - big_n.conj().T @ s_e) @ h_all)
+    return big_a, big_b, big_n, action, resolution, intertwining
 
 
 class TestAssemble:
@@ -29,7 +81,7 @@ class TestAssemble:
                 np.testing.assert_allclose(ops.N @ h, k * h, atol=1e-10, rtol=0)
                 e = ops.e_vector(level, k)
                 np.testing.assert_allclose(
-                    ops.N_sharp @ e, k * e, atol=1e-10, rtol=0
+                    ops.N.conj().T @ e, k * e, atol=1e-10, rtol=0
                 )
         assert ops.action_residual <= 1e-10
 
@@ -47,29 +99,24 @@ class TestAssemble:
                 )
                 np.testing.assert_allclose(ops.B @ h, up, atol=1e-10, rtol=0)
 
-    def test_projections(self):
+    def test_dense_operators_are_block_diagonal(self):
         ops = assemble(0.6, 3)
-        total = np.zeros((ops.total_dim, ops.total_dim), dtype=complex)
-        for i, p in enumerate(ops.projections):
-            np.testing.assert_allclose(p @ p, p, atol=1e-10, rtol=0)
-            np.testing.assert_allclose(p, p.conj().T, atol=1e-12, rtol=0)
-            np.testing.assert_allclose(p @ ops.A, ops.A @ p, atol=1e-10, rtol=0)
-            for j, q in enumerate(ops.projections):
-                if i != j:
-                    np.testing.assert_allclose(
-                        p @ q, np.zeros_like(p), atol=1e-10, rtol=0
-                    )
-            total += p
-        np.testing.assert_allclose(total, np.eye(ops.total_dim), atol=1e-10, rtol=0)
+        for name, key in (("A", "a"), ("B", "b"), ("N", "N")):
+            dense = getattr(ops, name)
+            assert not dense.flags.writeable
+            off_block = np.ones(dense.shape, dtype=bool)
+            for system, off in zip(ops.block_systems, ops.offsets):
+                level = slice(off, off + system.level + 1)
+                assert np.array_equal(dense[level, level], getattr(system, key))
+                off_block[level, level] = False
+            assert not np.any(dense[off_block])
 
     def test_orthonormal_limit(self):
         ops = assemble(0.0, 3)
-        np.testing.assert_allclose(
-            ops.S_h_global, np.eye(ops.total_dim), atol=1e-12, rtol=0
-        )
-        np.testing.assert_allclose(
-            ops.S_e_global, np.eye(ops.total_dim), atol=1e-12, rtol=0
-        )
+        for system in ops.block_systems:
+            eye = np.eye(system.basis.dim)
+            np.testing.assert_allclose(system.S_h, eye, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(system.S_e, eye, atol=1e-12, rtol=0)
         np.testing.assert_allclose(ops.B, ops.A.conj().T, atol=1e-12, rtol=0)
 
     def test_fixture_mode(self):
@@ -120,3 +167,31 @@ class TestResolutionReport:
         report = global_resolution_check(assemble(0.9, 4))
         conds = np.asarray(report.s_h_block_conditions)
         np.testing.assert_allclose(conds, 19.0 ** np.arange(5.0), atol=0, rtol=1e-8)
+
+
+class TestDenseOracle:
+    @pytest.mark.parametrize(
+        "gamma, max_level, mode",
+        [(g, m, "cholesky") for g in (0.5, 0.3 + 0.2j, 0.9) for m in (0, 4, 12)]
+        + [(0.5, 2, "fixture")],
+    )
+    def test_matches_dense_construction(self, gamma, max_level, mode):
+        ops = assemble(gamma, max_level, mode)
+        report = global_resolution_check(ops)
+        big_a, big_b, big_n, action, resolution, intertwining = dense_assembly(ops)
+        assert np.array_equal(ops.A, big_a)
+        assert np.array_equal(ops.B, big_b)
+        assert max_abs(ops.N - big_n) <= 1e-15 * max_abs(big_n)
+        # Each pair is one rounding error summed in two orders.  The
+        # intertwining residual is absolute, so its floor is one rounding
+        # unit of its largest term, max|S_e| max|N| max|h| over the blocks.
+        term = max(
+            max_abs(s.S_e) * max_abs(s.N) * max_abs(s.basis.h_matrix)
+            for s in ops.block_systems
+        )
+        for blockwise, dense, floor in (
+            (ops.action_residual, action, 1e-15),
+            (report.resolution_residual, resolution, 1e-15),
+            (report.intertwining_residual, intertwining, np.finfo(float).eps * term),
+        ):
+            assert abs(blockwise - dense) <= 1e-3 * dense or max(blockwise, dense) < floor

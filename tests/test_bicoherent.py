@@ -142,6 +142,19 @@ class TestValidation:
         with pytest.raises(ValueError, match="positive"):
             build_family(2, phi_fn=lambda x: np.zeros((np.size(x), 2)))
 
+    @pytest.mark.parametrize(
+        "alpha_fn",
+        [
+            lambda x: np.full_like(x, np.inf),
+            lambda x: np.full_like(x, np.nan),
+            lambda x: 1000.0 * x,
+        ],
+        ids=["inf", "nan", "overflow"],
+    )
+    def test_rejects_non_finite_normalizer(self, alpha_fn):
+        with pytest.raises(ValueError, match="finite and strictly positive"):
+            build_family(3, alpha_fn=alpha_fn)
+
     def test_rejects_out_of_domain_evaluation(self):
         family = build_family(3)
         with pytest.raises(ValueError):

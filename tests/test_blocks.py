@@ -86,6 +86,14 @@ class TestRealizations:
         with pytest.raises(ValueError):
             fixture_basis(1, 0.0)
 
+    @pytest.mark.parametrize("gamma", [math.nan, math.inf, 1e-100, 1e-200, 1e100])
+    def test_fixture_rejects_non_finite_and_extreme_gamma(self, gamma):
+        # gamma^4 underflows to zero or overflows at the finite values.
+        with pytest.raises(ValueError, match="gamma"):
+            fixture_basis(1, gamma)
+        with pytest.raises(ValueError, match="gamma"):
+            fixtures.closed_form_m2(gamma)
+
     def test_basis_validation(self):
         with pytest.raises(ValueError, match="biorthonormal"):
             BlockBasis(level=1, h_matrix=np.eye(2), e_matrix=2.0 * np.eye(2))

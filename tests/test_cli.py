@@ -134,6 +134,24 @@ class TestExitCodes:
             == 2
         )
         capsys.readouterr()
+        # refused by the library's own validation
+        for argv in (
+            ["gram", "--gamma", "0.5", "--level", "31"],
+            ["assemble", "--gamma", "0.5", "--max-level", "-1"],
+            ["assemble", "--gamma", "0.5", "--mode", "fixture", "--max-level", "3"],
+            ["assemble", "--gamma", "1.2", "--max-level", "2"],
+            ["bicoherent", "--n", "0"],
+            ["bicoherent", "--n", "3", "--quad", "0"],
+            ["verify-fixtures", "--gamma", "0"],
+            ["gram", "--gamma", "nan", "--level", "2"],
+            ["verify-fixtures", "--gamma", "nan"],
+            ["nogo", "--theta", "inf"],
+            ["nogo", "--theta", "0.3", "--kernel-tol", "nan"],
+        ):
+            assert main(argv) == 2, argv
+            captured = capsys.readouterr()
+            assert captured.out == "", argv
+            assert captured.err.startswith("error: "), argv
 
     def test_honest_check_failure(self, capsys):
         # an absurd kernel tolerance makes kernel_empty fail without any
@@ -227,3 +245,14 @@ class TestVerifyFixturesSmallGamma:
         assert main(["verify-fixtures", "--gamma", gamma]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert all(item["pass"] for item in payload["checks"])
+
+
+class TestVerifyFixturesExtremeGamma:
+    """gamma^4 underflows to zero below 2^-255 and overflows above 2^255."""
+
+    @pytest.mark.parametrize("gamma", ["1e-100", "1e-200", "1e100"])
+    def test_exits_two(self, gamma, capsys):
+        assert main(["verify-fixtures", "--gamma", gamma]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: fixtures require")

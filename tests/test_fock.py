@@ -151,3 +151,13 @@ class TestJointKernelScan:
             nogo_joint_kernel(0.3, [1, 4])
         with pytest.raises(ValueError):
             nogo_joint_kernel(0.3, [8, 4])
+
+    @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
+    def test_rejects_non_finite_theta(self, theta):
+        with pytest.raises(ValueError, match="theta"):
+            nogo_joint_kernel(theta, [4])
+
+    @pytest.mark.parametrize("kernel_tol", [np.nan, np.inf, 0.0, -1.0])
+    def test_rejects_bad_kernel_tol(self, kernel_tol):
+        with pytest.raises(ValueError, match="kernel_tol"):
+            nogo_joint_kernel(0.3, [4], kernel_tol)

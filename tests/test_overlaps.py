@@ -42,6 +42,15 @@ class TestParams:
         with pytest.raises(ValueError):
             NCBosonParams.from_gamma(1.0)
 
+    @pytest.mark.parametrize("g", [math.nan, math.inf, complex(0.2, math.nan)])
+    def test_rejects_non_finite_gamma(self, g):
+        with pytest.raises(ValueError):
+            NCBosonParams.from_gamma(g)
+
+    def test_rejects_nan_coefficients(self):
+        with pytest.raises(ValueError, match="unit-norm"):
+            NCBosonParams(alpha_x=math.nan, alpha_y=0.0, beta_x=0.0, beta_y=1.0)
+
 
 class TestOverlap:
     def test_printed_values(self):
@@ -155,6 +164,10 @@ class TestGramBlock:
     def test_rejects_level_above_cap(self):
         with pytest.raises(ValueError, match="cap"):
             gram_block(LEVEL_CAP + 1, 0.5)
+
+    def test_rejects_nan_gamma(self):
+        with pytest.raises(ValueError):
+            gram_block(3, math.nan)
 
 
 class TestGramFactor:
