@@ -99,6 +99,28 @@ class TestAssemble:
                 )
                 np.testing.assert_allclose(ops.B @ h, up, atol=1e-10, rtol=0)
 
+    def test_projections(self):
+        # A level's projection is the identity on its coordinate slice
+        # offsets[M] : offsets[M] + M + 1 and zero elsewhere.
+        ops = assemble(0.6, 3)
+        projections = []
+        for level, off in enumerate(ops.offsets):
+            p = np.zeros((ops.total_dim, ops.total_dim), dtype=complex)
+            p[off : off + level + 1, off : off + level + 1] = np.eye(level + 1)
+            projections.append(p)
+        total = np.zeros((ops.total_dim, ops.total_dim), dtype=complex)
+        for i, p in enumerate(projections):
+            np.testing.assert_allclose(p @ p, p, atol=1e-10, rtol=0)
+            np.testing.assert_allclose(p, p.conj().T, atol=1e-12, rtol=0)
+            np.testing.assert_allclose(p @ ops.A, ops.A @ p, atol=1e-10, rtol=0)
+            for j, q in enumerate(projections):
+                if i != j:
+                    np.testing.assert_allclose(
+                        p @ q, np.zeros_like(p), atol=1e-10, rtol=0
+                    )
+            total += p
+        np.testing.assert_allclose(total, np.eye(ops.total_dim), atol=1e-10, rtol=0)
+
     def test_dense_operators_are_block_diagonal(self):
         ops = assemble(0.6, 3)
         for name, key in (("A", "a"), ("B", "b"), ("N", "N")):
