@@ -54,6 +54,7 @@ from .overlaps import (
     fock_expand_oracle,
     gram_block,
     overlap,
+    sym_power,
 )
 
 __version__ = "0.1.0"
@@ -93,6 +94,7 @@ __all__ = [
     "resolution_of_identity",
     "stacked_vacuum_conditions",
     "states_at",
+    "sym_power",
     "synthesize_ladders",
     "upper_symbol",
     "verify_block_system",

@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fixtures
 from .fock import lowering_matrix
-from .overlaps import GramBlock, NCBosonParams, fock_expand_oracle
+from .overlaps import GramBlock, NCBosonParams, sym_power
 
 # Relative residual ceiling for equality checks; positivity is an absolute
 # eigenvalue floor.  Dense double-precision algebra at dimension <= 10.
@@ -435,10 +435,11 @@ def deformed_number_operators(
     level.  On level ``n`` each is the derived representation of its 2x2
     ``K``: tridiagonal on ``|n - j, j>``, diagonal ``K_xx (n - j) + K_yy j``,
     off-diagonals ``sqrt((n - j + 1) j)`` times ``K_xy`` (above) and
-    ``K_yx`` (below).  On every level up to ``level`` the oracle expansion
-    of each excitation is checked to be an eigenvector with the per-mode
-    count as eigenvalue, and ``[M1, M2]`` is checked to vanish on each whole
-    level, untruncated.  Raises ValueError if either certification fails.
+    ``K_yx`` (below).  On every level up to ``level`` the Fock expansion
+    of each excitation, one `sym_power` call per level, is checked to be
+    an eigenvector with the per-mode count as eigenvalue, and ``[M1, M2]``
+    is checked to vanish on each whole level, untruncated.  Raises
+    ValueError if either certification fails.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -453,6 +454,7 @@ def deformed_number_operators(
     beta = np.array([params.beta_x, params.beta_y])
     k1 = np.outer(alpha.conj(), alpha - gamma * beta) / denom
     k2 = np.outer(beta.conj(), beta - gamma.conjugate() * alpha) / denom
+    t = np.column_stack([alpha, beta]).conj()
 
     action = commutator = 0.0
     for total in range(level + 1):
@@ -465,7 +467,7 @@ def deformed_number_operators(
             for k in (k1, k2)
         )
         h = m1 + m2
-        vecs = np.column_stack([fock_expand_oracle(total - i, i, params) for i in j])
+        vecs = sym_power(t, total)
         action = max(
             action,
             relative_residual(m1 @ vecs - vecs * (total - j), m1, vecs),

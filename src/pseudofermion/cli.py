@@ -152,6 +152,13 @@ _BINARY_OPS = {
     ast.Pow: np.power,
 }
 
+# Every node type the grammar admits; the walk in `parse_expression` also
+# requires constants to be numbers and names to be ``x``.
+_ALLOWED_NODES = {
+    ast.Expression, ast.Constant, ast.Name, ast.Load, ast.BinOp, ast.UnaryOp,
+    ast.USub, ast.UAdd, *_BINARY_OPS,
+}
+
 
 def parse_expression(text: str) -> Callable:
     """Compile a tiny arithmetic grammar in ``x`` to a vectorized function.
@@ -164,44 +171,30 @@ def parse_expression(text: str) -> Callable:
     except SyntaxError as exc:
         raise ValueError(f"cannot parse expression {text!r}: {exc}") from exc
 
-    def validate(node):
-        if isinstance(node, ast.Expression):
-            validate(node.body)
-        elif isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
-            pass
-        elif isinstance(node, ast.Name) and node.id == "x":
-            pass
-        elif isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
-            validate(node.left)
-            validate(node.right)
-        elif isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            validate(node.operand)
-        else:
+    for node in ast.walk(tree):
+        if (
+            type(node) not in _ALLOWED_NODES
+            or (isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)))
+            or (isinstance(node, ast.Name) and node.id != "x")
+        ):
             raise ValueError(
                 f"unsupported element in expression {text!r}: only numbers, 'x', "
                 "+ - * / ^ and parentheses are allowed"
             )
 
-    validate(tree)
-
     def evaluate(node, x):
         if isinstance(node, ast.Expression):
             return evaluate(node.body, x)
-        if isinstance(node, ast.Constant) and isinstance(node.value, (int, float)):
+        if isinstance(node, ast.Constant):
             return float(node.value)
-        if isinstance(node, ast.Name) and node.id == "x":
+        if isinstance(node, ast.Name):
             return x
-        if isinstance(node, ast.BinOp) and type(node.op) in _BINARY_OPS:
+        if isinstance(node, ast.BinOp):
             return _BINARY_OPS[type(node.op)](
                 evaluate(node.left, x), evaluate(node.right, x)
             )
-        if isinstance(node, ast.UnaryOp) and isinstance(node.op, (ast.USub, ast.UAdd)):
-            value = evaluate(node.operand, x)
-            return -value if isinstance(node.op, ast.USub) else value
-        raise ValueError(
-            f"unsupported element in expression {text!r}: only numbers, 'x', "
-            "+ - * / ^ and parentheses are allowed"
-        )
+        value = evaluate(node.operand, x)
+        return -value if isinstance(node.op, ast.USub) else value
 
     def fn(x: np.ndarray) -> np.ndarray:
         out = np.asarray(evaluate(tree, np.asarray(x, dtype=float)), dtype=float)

@@ -19,6 +19,24 @@ one, so even and odd inputs never couple; the diagonal gauge
 ``|nx, ny> -> i^ny |nx, ny>`` maps ``a_y`` to ``i a_y``, which makes ``L1``
 real and ``L2`` ``i`` times a real matrix.  Neither step moves a singular
 value, so the scan takes them from two real parity blocks.
+
+Each block halves once more under the swap of the two modes.  In the real
+gauge ``L1 = sqrt2 a_x - t (a_y + a_y^+)`` and ``L2 = sqrt2 a_y - t (a_x -
+a_x^+)``, ``t = theta / (2 sqrt2)``.  Let ``U |nx, ny> = (-1)^floor((nx +
+ny)/2) |ny, nx>`` on the inputs of a block ``B = [L1; L2]`` and let
+``U_out`` exchange the ``L1`` row of output ``(a, b)`` with the ``L2`` row
+of ``(b, a)``, with sign ``(-1)^floor((a + b + 1)/2)``.  Both are signed
+permutations that square to one, and ``B = U_out B U`` exactly.  So ``B``
+maps the ``+-1`` eigenspaces of ``U`` into those of ``U_out``, which are
+orthogonal; on each, the ``L2`` half of ``B v`` is a signed copy of the
+``L1`` half, so ``|B v| = sqrt2 |L1 v|`` and ``L2`` drops out.  The
+singular values of ``B`` are therefore those of ``sqrt2 L1 Q_eps`` over
+``eps = +-1``, with ``Q_eps`` an orthonormal basis of the eigenspace: the
+columns ``(e_c + eps s_c e_swap(c)) / sqrt2`` for each pair ``c, swap(c)``,
+``s_c`` the sign of ``U`` at ``c``, and ``e_c`` for each fixed point ``nx =
+ny``, which occurs only in the even block and lies in the eigenspace of its
+sign ``(-1)^nx``.  A block of ``n`` columns and ``h`` outputs thus costs
+two ``h x n/2`` SVDs instead of one ``2h x n``.
 """
 
 from __future__ import annotations
@@ -115,8 +133,12 @@ def stacked_vacuum_conditions(theta: float, rep: FockRep) -> np.ndarray:
 
 
 def _parity_singular_values(theta: float, cutoff: int) -> np.ndarray:
-    # Real gauge: sqrt2 a_x - t (a_y + a_y^+) over sqrt2 a_y - t (a_x - a_x^+).
-    # Each term moves one mode by one quantum, amplitude sqrt(larger count).
+    # Real-gauge L1 = sqrt2 a_x - t (a_y + a_y^+) on one input parity; each
+    # term moves one mode by one quantum, amplitude sqrt(larger count).
+    # The swap symmetry (module docstring) gives the singular values of the
+    # whole [L1; L2] block as those of L1 sqrt2 Q_eps, whose columns are
+    # col_c + eps s_c col_swap(c) per pair and sqrt2 col_c per fixed point.
+    # At theta = 0 the vacuum column is exactly zero, so its value stays 0.
     t = theta / (2.0 * _SQRT2)
     d = cutoff + 1
     nx, ny = np.divmod(np.arange(d * d), d)
@@ -124,15 +146,20 @@ def _parity_singular_values(theta: float, cutoff: int) -> np.ndarray:
     rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
     svals = []
     for cols in (~odd, odd):
-        cx, cy, half = nx[cols], ny[cols], d * d - np.count_nonzero(cols)
-        block = np.zeros((2 * half, cx.size))
-        for row0, dx, dy, coeff in ((0, -1, 0, _SQRT2), (0, 0, -1, -t), (0, 0, 1, -t),
-                                    (half, 0, -1, _SQRT2), (half, -1, 0, -t), (half, 1, 0, t)):
+        cx, cy = nx[cols], ny[cols]
+        l1 = np.zeros((d * d - cx.size, cx.size))
+        for dx, dy, coeff in ((-1, 0, _SQRT2), (0, -1, -t), (0, 1, -t)):
             tx, ty = cx + dx, cy + dy
             ok = (np.minimum(tx, ty) >= 0) & (np.maximum(tx, ty) <= cutoff)
             amp = np.sqrt(np.maximum(cx, tx) if dx else np.maximum(cy, ty))
-            block[row0 + rank[tx[ok] * d + ty[ok]], np.flatnonzero(ok)] = coeff * amp[ok]
-        svals.append(np.linalg.svd(block, compute_uv=False))
+            l1[rank[tx[ok] * d + ty[ok]], np.flatnonzero(ok)] = coeff * amp[ok]
+        pair = cx < cy
+        own = l1[:, pair]
+        mate = l1[:, rank[cy[pair] * d + cx[pair]]] * (-1.0) ** ((cx[pair] + cy[pair]) // 2)
+        for eps in (1, -1):
+            fixed = (cx == cy) & ((-1) ** cx == eps)
+            q = np.hstack([own + eps * mate, _SQRT2 * l1[:, fixed]])
+            svals.append(np.linalg.svd(q, compute_uv=False))
     return np.concatenate(svals)
 
 

@@ -14,11 +14,15 @@ triangular matrix ``R`` with positive diagonal ``s^j``.  The Gram matrix is
 ``R^+ R`` and ``R`` is its Cholesky factor, so the factorization never has
 to be computed from the (ill-conditioned) Gram matrix itself.
 
+For arbitrary combination coefficients, `sym_power` expands every
+excitation of a level onto the orthonormal product Fock basis at once: the
+level-``M`` columns are ``Sym^M(T)`` of the 2x2 coefficient matrix ``T``.
+
 Two independent routes to the same inner products serve as oracles:
 
 * the paper's commutator-driven recursion (`overlap`), and
-* a binomial expansion onto the orthonormal product Fock basis
-  (`fock_expand_oracle`) for arbitrary combination coefficients.
+* the scalar binomial expansion of one excitation (`fock_expand_oracle`),
+  the reference for `sym_power`.
 """
 
 from __future__ import annotations
@@ -177,7 +181,9 @@ def fock_expand_oracle(n1: int, n2: int, params: NCBosonParams) -> np.ndarray:
     Expands the creation-operator binomials directly; entry ``i`` of the
     returned vector multiplies the orthonormal state with ``M - i`` quanta
     in mode x and ``i`` in mode y, ``M = n1 + n2``.  Inner products of
-    these coefficient vectors are the independent check on `overlap`.
+    these coefficient vectors are the independent check on `overlap`, and
+    the vectors themselves are the scalar reference for `sym_power`; only
+    tests call it.
     """
     if n1 < 0 or n2 < 0:
         raise ValueError(f"negative excitation index: {(n1, n2)}")
@@ -205,6 +211,43 @@ def fock_expand_oracle(n1: int, n2: int, params: NCBosonParams) -> np.ndarray:
             )
         coeff[pos] = acc * math.sqrt(math.factorial(m1) * math.factorial(m2))
     return coeff / math.sqrt(math.factorial(n1) * math.factorial(n2))
+
+
+def sym_power(t: np.ndarray, level: int) -> np.ndarray:
+    """Every column of ``Sym^M(T)`` at once, ``M = level``.
+
+    ``t[p, q]`` is the coefficient of ``a_p^+`` (``p`` = x, y) in the
+    ``q``-th creation operator, so for the deformed pair ``t = [[conj
+    alpha_x, conj beta_x], [conj alpha_y, conj beta_y]]``.  Column ``n2``
+    of the result holds the coefficients of ``Phi_{M-n2,n2}`` over the
+    product basis ``|M-i, i>``: the binomial double sum of
+    `fock_expand_oracle`, evaluated for every row, column and summation
+    index in one array and normalized by ``sqrt(C(M, n2) / C(M, i))``.
+    """
+    if not 0 <= level <= LEVEL_CAP:
+        raise ValueError(f"level must lie in [0, {LEVEL_CAP}], got {level}")
+    t = np.asarray(t, dtype=complex)
+    k = np.arange(level + 1)
+    # rows: y quanta i of the product state; cols: n2; last axis: the
+    # number of x quanta taken from the first operator.  Out-of-range terms
+    # carry a zero binomial; their exponents are clipped to stay finite.
+    rows, cols, first = k[:, None, None], k[None, :, None], k[None, None, :]
+    n1, m1 = level - cols, level - rows
+    second = m1 - first
+    inside = second >= 0
+    second = np.where(inside, second, 0)
+    power = t[:, :, None] ** k
+    terms = (
+        _BINOMIAL[n1, first]
+        * _BINOMIAL[cols, second]
+        * inside
+        * power[0, 0, first]
+        * power[1, 0, np.maximum(n1 - first, 0)]
+        * power[0, 1, second]
+        * power[1, 1, np.maximum(cols - second, 0)]
+    )
+    norm = np.sqrt(_BINOMIAL[level, k][None, :] / _BINOMIAL[level, k][:, None])
+    return terms.sum(axis=2) * norm
 
 
 def gram_block(level: int, gamma: complex) -> GramBlock:

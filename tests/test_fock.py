@@ -3,6 +3,7 @@ import pytest
 
 from pseudofermion.fock import (
     DEFAULT_KERNEL_TOL,
+    _parity_singular_values,
     build_fock_rep,
     lowering_matrix,
     nogo_joint_kernel,
@@ -107,20 +108,33 @@ class TestJointKernelScan:
         # and the second singular value is far from zero
         assert svals[-2] > 1.0
 
-    @pytest.mark.parametrize("cutoff", [2, 3, 8, 16])
-    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.7, 1.9])
+    @pytest.mark.parametrize("cutoff", [2, 3, 8, 16, 17])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.7, 1.9, 1e-3, -2.5])
     def test_scan_matches_dense_stack(self, theta, cutoff):
-        # the parity-block scan against the dense complex SVD of the full
-        # stack; odd and even cutoffs give parity blocks of unequal and
-        # equal width
+        # the swap-reduced parity-block scan against the dense complex SVD
+        # of the full stack; odd and even cutoffs give parity blocks of
+        # unequal and equal width.  Every singular value, not only the
+        # smallest, must agree to a backward-stable bound.
         dense = np.linalg.svd(
             stacked_vacuum_conditions(theta, build_fock_rep(cutoff)), compute_uv=False
         )
+        svals = np.sort(_parity_singular_values(theta, cutoff))
+        assert svals.size == dense.size
+        gap = np.max(np.abs(svals - np.sort(dense)))
+        assert gap <= 32 * np.finfo(float).eps * dense[0]
         report = nogo_joint_kernel(theta, [cutoff])
         assert abs(report.min_singular_values[0] - dense[-1]) <= 1e-15
         assert report.kernel_dimension_estimate == int(np.sum(dense < DEFAULT_KERNEL_TOL))
         if theta == 0.0:
             assert report.min_singular_values[0] <= 1e-12
+
+    @pytest.mark.parametrize("theta", [1e-3, -1e-3, 0.1, -0.1, 0.5, -0.5, 1.9, -1.9])
+    def test_floor_matches_closed_form(self, theta):
+        # the infinite-cutoff floor |theta| / sqrt(2 (1 + sqrt(1 + theta^2/4)))
+        # is reached to rounding by cutoff 32
+        floor = abs(theta) / np.sqrt(2.0 * (1.0 + np.sqrt(1.0 + theta**2 / 4.0)))
+        sigma = nogo_joint_kernel(theta, [32]).min_singular_values[0]
+        assert abs(sigma - floor) <= 1e-15 * floor
 
     @pytest.mark.parametrize(
         "theta,floor",

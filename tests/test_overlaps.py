@@ -9,6 +9,7 @@ from pseudofermion.overlaps import (
     fock_expand_oracle,
     gram_block,
     overlap,
+    sym_power,
 )
 
 GAMMA_GRID = [0.2, 0.4, 0.8]
@@ -208,3 +209,45 @@ class TestGramFactor:
         block = gram_block(3, 0.4)
         with pytest.raises(ValueError):
             block.factor[0, 0] = 9.0
+
+
+def coefficient_matrix(params):
+    """``T`` of `sym_power`: column q holds the conjugated q-th coefficients."""
+    return np.array(
+        [[params.alpha_x, params.beta_x], [params.alpha_y, params.beta_y]]
+    ).conj()
+
+
+# alpha = (cos t, e^{i phi} sin t) puts weight on both product modes.
+NON_CANONICAL = NCBosonParams(
+    math.cos(0.4), complex(math.cos(0.7), math.sin(0.7)) * math.sin(0.4), 0.6, 0.8j
+)
+
+
+class TestSymPower:
+    @pytest.mark.parametrize("level", [0, 1, 5, 12, 20, 30])
+    @pytest.mark.parametrize(
+        "params",
+        [NCBosonParams.from_gamma(0.5), NCBosonParams.from_gamma(0.3 + 0.2j), NON_CANONICAL],
+        ids=["real", "complex", "non_canonical"],
+    )
+    def test_matches_expansion_oracle(self, params, level):
+        columns = sym_power(coefficient_matrix(params), level)
+        expected = np.column_stack(
+            [fock_expand_oracle(level - j, j, params) for j in range(level + 1)]
+        )
+        assert columns.shape == expected.shape
+        assert np.max(np.abs(columns - expected)) <= 1e-15 * np.max(np.abs(expected))
+
+    @pytest.mark.parametrize("g", [0.5, 0.3 + 0.2j, 0.9, 0.05])
+    def test_canonical_columns_are_gram_factor(self, g):
+        t = coefficient_matrix(NCBosonParams.from_gamma(g))
+        for level in (0, 1, 5, 12, 20, 30):
+            factor = gram_block(level, g).factor
+            gap = np.max(np.abs(sym_power(t, level) - factor))
+            assert gap <= 1e-15 * np.max(np.abs(factor))
+
+    @pytest.mark.parametrize("level", [-1, LEVEL_CAP + 1])
+    def test_rejects_level_out_of_range(self, level):
+        with pytest.raises(ValueError, match="level"):
+            sym_power(np.eye(2), level)
