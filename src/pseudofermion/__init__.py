@@ -23,7 +23,6 @@ from .bicoherent import (
     upper_symbol,
 )
 from .blocks import (
-    BasisSource,
     BlockBasis,
     BlockSystem,
     DeformedLevelOperators,
@@ -36,6 +35,7 @@ from .blocks import (
     fixture_basis,
     hermitian_sqrt,
     realize_basis_cholesky,
+    realize_level,
     synthesize_ladders,
     verify_block_system,
 )
@@ -60,7 +60,6 @@ from .overlaps import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BasisSource",
     "BicoherentFamily",
     "BlockBasis",
     "BlockSystem",
@@ -91,6 +90,7 @@ __all__ = [
     "overlap",
     "raising_matrix",
     "realize_basis_cholesky",
+    "realize_level",
     "resolution_of_identity",
     "stacked_vacuum_conditions",
     "states_at",

@@ -19,15 +19,11 @@ from .blocks import (
     EQUALITY_TOL,
     BlockSystem,
     build_block_system,
-    fixture_basis,
     max_abs,
-    realize_basis_cholesky,
+    realize_level,
     relative_residual,
 )
 from .fock import lowering_matrix
-from .overlaps import NCBosonParams, gram_block
-
-ASSEMBLY_MODES = ("cholesky", "fixture")
 
 
 @dataclass(frozen=True)
@@ -107,40 +103,25 @@ class ResolutionReport:
     s_h_block_conditions: tuple[float, ...]
 
 
-def assemble(
-    gamma: complex | NCBosonParams,
-    max_level: int,
-    mode: str = "cholesky",
-    equality_tol: float = EQUALITY_TOL,
-) -> GlobalOperators:
+def assemble(gamma: complex, max_level: int, mode: str = "cholesky") -> GlobalOperators:
     """Build and certify the direct-sum system up to ``max_level``.
 
-    ``mode`` selects the per-level realization: ``cholesky`` takes the
-    Cholesky gauge of the overlap Gram matrix at every level, ``fixture``
-    uses the closed-form level-1/level-2 realizations (so it requires
-    ``max_level <= 2`` and real positive ``gamma``); level 0 is always the
-    trivial block.  The square-root ladder action of ``A, B, A^+, B^+`` on
-    every basis vector is verified before returning, block by block but
-    scaled by the global ``max|A|`` and ``max|B|``.
+    ``mode`` selects the per-level realization of `blocks.realize_level`:
+    ``cholesky`` takes the Cholesky gauge of the overlap Gram matrix at
+    every level, ``fixture`` uses the closed-form level-1/level-2
+    realizations (so it requires ``max_level <= 2`` and real positive
+    ``gamma``); level 0 is always the trivial block.  The square-root
+    ladder action of ``A, B, A^+, B^+`` on every basis vector is verified
+    before returning, block by block but scaled by the global ``max|A|``
+    and ``max|B|``.
     """
-    if isinstance(gamma, NCBosonParams):
-        gamma = gamma.gamma
     gamma = complex(gamma)
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
-    if mode not in ASSEMBLY_MODES:
-        raise ValueError(f"unknown realization mode {mode!r}")
-    # fixture_basis refuses levels above 2 but sees only the real part.
-    if mode == "fixture" and (gamma.imag != 0.0 or not gamma.real > 0.0):
-        raise ValueError("fixture mode requires real gamma > 0")
-
-    systems = []
-    for level in range(max_level + 1):
-        if mode == "fixture" and level >= 1:
-            basis = fixture_basis(level, gamma.real)
-        else:
-            basis = realize_basis_cholesky(gram_block(level, gamma))
-        systems.append(build_block_system(basis))
+    systems = [
+        build_block_system(realize_level(level, gamma, mode))
+        for level in range(max_level + 1)
+    ]
 
     # Global scales max|A|, max|B|: a direct sum's max-norm is its largest block's.
     norm_a = max(max_abs(s.a) for s in systems)
@@ -158,7 +139,7 @@ def assemble(
             relative_residual(a.conj().T @ e - e @ up, norm_a, e),
             relative_residual(b.conj().T @ e - e @ down, norm_b, e),
         )
-    if not action <= equality_tol:
+    if not action <= EQUALITY_TOL:
         raise ValueError(f"assembled ladder action defect {action:.3e}")
 
     return GlobalOperators(

@@ -19,12 +19,12 @@ maps classical functions to operators (upper symbols).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .blocks import BlockBasis, max_abs, relative_residual
+from .blocks import BlockBasis, max_abs
 
 DEFAULT_QUAD_ORDER = 64
 
@@ -120,7 +120,7 @@ def build_family(
     n_states: int,
     phi_fn: Callable | None = None,
     alpha_fn: Callable | None = None,
-    basis: BlockBasis | Sequence[np.ndarray] | None = None,
+    basis: BlockBasis | None = None,
     quad_order: int = DEFAULT_QUAD_ORDER,
     domain: tuple[float, float] = (-1.0, 1.0),
 ) -> BicoherentFamily:
@@ -149,18 +149,12 @@ def build_family(
     if basis is None:
         h = np.eye(n_states, dtype=complex)
         e = np.eye(n_states, dtype=complex)
-    elif isinstance(basis, BlockBasis):
+    else:
         if basis.dim != n_states:
             raise ValueError(
                 f"vector basis dimension {basis.dim} does not match n_states {n_states}"
             )
         h, e = basis.h_matrix, basis.e_matrix
-    else:
-        h, e = (np.asarray(m, dtype=complex) for m in basis)
-        if h.shape != (n_states, n_states) or e.shape != (n_states, n_states):
-            raise ValueError("vector basis matrices must be square of size n_states")
-        if not relative_residual(e.conj().T @ h - np.eye(n_states), e, h) <= FAMILY_TOL:
-            raise ValueError("vector families are not biorthonormal")
 
     base_nodes, base_weights = leggauss(quad_order)
     nodes = 0.5 * (x_hi + x_lo) + 0.5 * (x_hi - x_lo) * base_nodes

@@ -9,16 +9,16 @@ the positive frame operators ``S_h = H H^+`` and ``S_e = E E^+`` that
 intertwine ``N`` with its adjoint, and the orthonormal basis obtained by
 symmetrizing with the positive square root of ``S_e``.
 
-Two realization routes are provided: the Cholesky gauge, whose upper
-triangular factor `overlaps.gram_block` supplies in closed form, and the
-closed-form level-1/level-2 choices of module `fixtures`.
-Both yield the same spectra and the same mixed-dyad anticommutator
-diagonal ``(1, 3, 5, ..., 2M-1, M)``; only level 1 gives ``{a, b} = 1``.
+Two realization routes are provided, chosen by name in `realize_level`:
+the Cholesky gauge, whose upper triangular factor `overlaps.gram_block`
+supplies in closed form, and the closed-form level-1/level-2 choices of
+module `fixtures`.  Both yield the same spectra and the same mixed-dyad
+anticommutator diagonal ``(1, 3, 5, ..., 2M-1, M)``; only level 1 gives
+``{a, b} = 1``.  No function here takes a tolerance argument.
 """
 
 from __future__ import annotations
 
-import enum
 import math
 from dataclasses import dataclass
 
@@ -26,7 +26,7 @@ import numpy as np
 
 from . import fixtures
 from .fock import lowering_matrix
-from .overlaps import GramBlock, NCBosonParams, sym_power
+from .overlaps import GramBlock, NCBosonParams, gram_block, sym_power
 
 # Relative residual ceiling for equality checks; positivity is an absolute
 # eigenvalue floor.  Dense double-precision algebra at dimension <= 10.
@@ -37,16 +37,11 @@ POSITIVITY_TOL = 1e-12
 # sits below this fraction of the next one.
 KERNEL_GAP = 1e-6
 
+REALIZATION_MODES = ("cholesky", "fixture")
+
 
 class PositivityError(ValueError):
     """A matrix required to be positive definite is not, within tolerance."""
-
-
-class BasisSource(enum.Enum):
-    CHOLESKY = "cholesky"
-    FIXTURE_M1 = "fixture_m1"
-    FIXTURE_M2 = "fixture_m2"
-    USER_SUPPLIED = "user_supplied"
 
 
 def max_abs(matrix: np.ndarray) -> float:
@@ -68,39 +63,24 @@ def relative_residual(defect: np.ndarray, *references: np.ndarray) -> float:
     return max_abs(defect) / max(1.0, scale)
 
 
-def _sign_fixed_eigh(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # Ascending eigenvalues; each eigenvector is rotated so its first
-    # component above 1e-12 in magnitude is positive real.  Determinism of
-    # reports depends on this, not on LAPACK's arbitrary phase choice.
-    vals, vecs = np.linalg.eigh(matrix)
-    vecs = np.array(vecs)
-    for col in range(vecs.shape[1]):
-        nonzero = np.flatnonzero(np.abs(vecs[:, col]) > 1e-12)
-        if nonzero.size:
-            pivot = vecs[nonzero[0], col]
-            vecs[:, col] *= pivot.conjugate() / abs(pivot)
-    return vals, vecs
-
-
-def _positive_sqrt_pair(
-    matrix: np.ndarray, positivity_tol: float, subject: str
-) -> tuple[np.ndarray, np.ndarray]:
+def _positive_sqrt_pair(matrix: np.ndarray, subject: str) -> tuple[np.ndarray, np.ndarray]:
     # The positive square root of a Hermitian matrix and its inverse, from
-    # one sign-fixed eigendecomposition; ``subject`` names the matrix in
-    # the PositivityError raised when it is not positive definite.
-    vals, vecs = _sign_fixed_eigh(matrix)
-    if vals[0] <= positivity_tol:
+    # one eigendecomposition; ``subject`` names the matrix in the
+    # PositivityError raised when it is not positive definite.
+    vals, vecs = np.linalg.eigh(matrix)
+    if vals[0] <= POSITIVITY_TOL:
         raise PositivityError(
             f"{subject} is not positive definite: min eigenvalue {vals[0]:.3e}"
         )
+    # Sum_k f(l_k) v_k v_k^+ is invariant under eigenspace unitaries: phases reach no output.
     root = (vecs * np.sqrt(vals)) @ vecs.conj().T
     inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
     return root, inv_root
 
 
-def hermitian_sqrt(matrix: np.ndarray, positivity_tol: float = POSITIVITY_TOL) -> np.ndarray:
+def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
     """Unique positive square root of a Hermitian positive-definite matrix."""
-    return _positive_sqrt_pair(matrix, positivity_tol, "matrix")[0]
+    return _positive_sqrt_pair(matrix, "matrix")[0]
 
 
 @dataclass(frozen=True)
@@ -115,7 +95,6 @@ class BlockBasis:
     level: int
     h_matrix: np.ndarray
     e_matrix: np.ndarray
-    source: BasisSource = BasisSource.USER_SUPPLIED
 
     def __post_init__(self):
         dim = self.level + 1
@@ -179,9 +158,7 @@ class BlockSystem:
         return self.basis.level
 
 
-def realize_basis_cholesky(
-    gram: GramBlock, positivity_tol: float = POSITIVITY_TOL
-) -> BlockBasis:
+def realize_basis_cholesky(gram: GramBlock) -> BlockBasis:
     """Upper-triangular basis realization of an overlap Gram matrix.
 
     ``h_matrix`` is the Cholesky factor ``gram.factor``, taken from its
@@ -189,10 +166,10 @@ def realize_basis_cholesky(
     with positive diagonal and ``h_matrix^+ h_matrix`` equal to the Gram
     matrix.  The dual family is the inverse adjoint.  Raises
     `PositivityError` when the Gram matrix is not positive definite within
-    ``positivity_tol``.
+    `POSITIVITY_TOL`.
     """
     min_eig = gram.min_eigenvalue()
-    if min_eig <= positivity_tol:
+    if min_eig <= POSITIVITY_TOL:
         raise PositivityError(
             f"gram matrix at level {gram.level} is not positive definite "
             f"within tolerance: min eigenvalue {min_eig:.3e} "
@@ -200,9 +177,7 @@ def realize_basis_cholesky(
         )
     h = gram.factor
     e = np.linalg.inv(h).conj().T
-    return BlockBasis(
-        level=gram.level, h_matrix=h, e_matrix=e, source=BasisSource.CHOLESKY
-    )
+    return BlockBasis(level=gram.level, h_matrix=h, e_matrix=e)
 
 
 def fixture_basis(level: int, gamma: float) -> BlockBasis:
@@ -212,23 +187,41 @@ def fixture_basis(level: int, gamma: float) -> BlockBasis:
             level=1,
             h_matrix=fixtures.fixture_h_m1(gamma),
             e_matrix=fixtures.fixture_e_m1(gamma),
-            source=BasisSource.FIXTURE_M1,
         )
     if level == 2:
         return BlockBasis(
             level=2,
             h_matrix=fixtures.fixture_h_m2(gamma),
             e_matrix=fixtures.fixture_e_m2(gamma),
-            source=BasisSource.FIXTURE_M2,
         )
     raise ValueError(f"closed-form realizations exist only for levels 1 and 2, got {level}")
+
+
+def realize_level(level: int, gamma: complex, mode: str = "cholesky") -> BlockBasis:
+    """One level's basis realization in a mode of `REALIZATION_MODES`.
+
+    ``cholesky`` is `realize_basis_cholesky` of the overlap Gram matrix;
+    ``fixture`` is `fixture_basis`, which needs real ``gamma > 0`` and
+    ``level <= 2``.  Level 0 is the trivial block in every mode, taken
+    from the Cholesky gauge.
+    """
+    if mode not in REALIZATION_MODES:
+        raise ValueError(f"unknown realization mode {mode!r}")
+    gamma = complex(gamma)
+    if mode == "fixture":
+        # fixture_basis sees only the real part, so the rest is refused here.
+        if gamma.imag != 0.0 or not gamma.real > 0.0:
+            raise ValueError("fixture mode requires real gamma > 0")
+        if level != 0:
+            return fixture_basis(level, gamma.real)
+    return realize_basis_cholesky(gram_block(level, gamma))
 
 
 def basis_from_h(level: int, h_matrix: np.ndarray) -> BlockBasis:
     """User-supplied primal family; the dual is taken as the inverse adjoint."""
     h = np.asarray(h_matrix, dtype=complex)
     e = np.linalg.inv(h).conj().T
-    return BlockBasis(level=level, h_matrix=h, e_matrix=e, source=BasisSource.USER_SUPPLIED)
+    return BlockBasis(level=level, h_matrix=h, e_matrix=e)
 
 
 def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:
@@ -248,12 +241,7 @@ def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:
     return a, b
 
 
-def dual_basis_by_kernel(
-    h_matrix: np.ndarray,
-    a: np.ndarray,
-    b: np.ndarray,
-    kernel_gap: float = KERNEL_GAP,
-) -> np.ndarray:
+def dual_basis_by_kernel(h_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dual family built from the kernel of ``b^+`` and repeated ``a^+``.
 
     ``e_0`` spans the null space of ``b^+`` (required one-dimensional),
@@ -265,7 +253,7 @@ def dual_basis_by_kernel(
     dim = h.shape[0]
     _, svals, vh = np.linalg.svd(b.conj().T)
     if dim > 1:
-        if svals[-2] <= kernel_gap * max(svals[0], 1.0) or svals[-1] > kernel_gap * svals[-2]:
+        if svals[-2] <= KERNEL_GAP * max(svals[0], 1.0) or svals[-1] > KERNEL_GAP * svals[-2]:
             raise ValueError(
                 "null space of the adjoint raising matrix is not "
                 f"one-dimensional within tolerance: singular values {svals}"
@@ -295,7 +283,7 @@ def anticommutator_reference(level: int) -> np.ndarray:
     return np.array([2 * k + 1 for k in range(level)] + [level], dtype=float)
 
 
-def build_block_system(basis: BlockBasis, equality_tol: float = EQUALITY_TOL) -> BlockSystem:
+def build_block_system(basis: BlockBasis) -> BlockSystem:
     """Derive every level operator from a basis realization.
 
     Raises `PositivityError` if the dual frame operator fails positive
@@ -308,9 +296,7 @@ def build_block_system(basis: BlockBasis, equality_tol: float = EQUALITY_TOL) ->
     s_h = h @ h.conj().T
     s_e = e @ e.conj().T
 
-    sqrt_s_e, inv_sqrt_s_e = _positive_sqrt_pair(
-        s_e, POSITIVITY_TOL, "dual frame operator"
-    )
+    sqrt_s_e, inv_sqrt_s_e = _positive_sqrt_pair(s_e, "dual frame operator")
 
     n_selfadjoint = sqrt_s_e @ n_op @ inv_sqrt_s_e
     c_matrix = sqrt_s_e @ h
@@ -318,7 +304,7 @@ def build_block_system(basis: BlockBasis, equality_tol: float = EQUALITY_TOL) ->
     anti = a @ b + b @ a
     mixed = e.conj().T @ anti @ h
     diagonal = np.real(np.diag(mixed)).copy()
-    if not relative_residual(mixed - np.diag(diagonal), e, anti, h) <= equality_tol:
+    if not relative_residual(mixed - np.diag(diagonal), e, anti, h) <= EQUALITY_TOL:
         raise ValueError(
             "mixed-dyad expansion of the anticommutator is not diagonal: "
             f"defect {max_abs(mixed - np.diag(diagonal)):.3e}"
@@ -425,9 +411,7 @@ class DeformedLevelOperators:
             object.__setattr__(self, name, arr)
 
 
-def deformed_number_operators(
-    params: NCBosonParams, level: int, equality_tol: float = EQUALITY_TOL
-) -> DeformedLevelOperators:
+def deformed_number_operators(params: NCBosonParams, level: int) -> DeformedLevelOperators:
     """Build and certify the deformed per-mode number operators at one level.
 
     The pair ``M1 = (N1 - gamma A1^+ A2) / (1 - |gamma|^2)`` and its
@@ -475,9 +459,9 @@ def deformed_number_operators(
             relative_residual(h @ vecs - total * vecs, h, vecs),
         )
         commutator = max(commutator, relative_residual(m1 @ m2 - m2 @ m1, m1, m2))
-    if not action <= equality_tol:
+    if not action <= EQUALITY_TOL:
         raise ValueError(f"deformed number operator action defect {action:.3e}")
-    if not commutator <= equality_tol:
+    if not commutator <= EQUALITY_TOL:
         raise ValueError(f"deformed number operators do not commute: {commutator:.3e}")
 
     return DeformedLevelOperators(

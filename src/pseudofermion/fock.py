@@ -59,10 +59,7 @@ def lowering_matrix(dim: int) -> np.ndarray:
     """
     if dim < 1:
         raise ValueError(f"dim must be >= 1, got {dim}")
-    m = np.zeros((dim, dim), dtype=complex)
-    for k in range(1, dim):
-        m[k - 1, k] = np.sqrt(k)
-    return m
+    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
 def raising_matrix(dim: int) -> np.ndarray:

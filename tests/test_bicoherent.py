@@ -10,7 +10,7 @@ from pseudofermion.bicoherent import (
     states_at,
     upper_symbol,
 )
-from pseudofermion.blocks import fixture_basis
+from pseudofermion.blocks import BlockBasis, fixture_basis
 
 
 def jacobi_offdiagonal(n):
@@ -63,7 +63,8 @@ class TestFamilyConstruction:
 
     def test_explicit_pair_tuple(self):
         basis = fixture_basis(1, 0.5)
-        family = build_family(2, basis=(basis.h_matrix, basis.e_matrix))
+        pair = BlockBasis(level=1, h_matrix=basis.h_matrix, e_matrix=basis.e_matrix)
+        family = build_family(2, basis=pair)
         _, residual = resolution_of_identity(family)
         assert residual <= 1e-10
 

@@ -1,3 +1,4 @@
+import functools
 import math
 
 import numpy as np
@@ -6,7 +7,6 @@ import pytest
 from pseudofermion import fixtures
 from pseudofermion.blocks import (
     EQUALITY_TOL,
-    BasisSource,
     BlockBasis,
     PositivityError,
     anticommutator_reference,
@@ -17,6 +17,7 @@ from pseudofermion.blocks import (
     fixture_basis,
     hermitian_sqrt,
     realize_basis_cholesky,
+    realize_level,
     synthesize_ladders,
     verify_block_system,
 )
@@ -39,7 +40,6 @@ class TestRealizations:
             atol=1e-12,
             rtol=0,
         )
-        assert basis.source is BasisSource.CHOLESKY
 
     def test_cholesky_upper_triangular_positive_diagonal(self):
         basis = realize_basis_cholesky(gram_block(3, 0.4 + 0.2j))
@@ -57,6 +57,20 @@ class TestRealizations:
         basis = realize_basis_cholesky(gram_block(4, 0.0))
         np.testing.assert_allclose(basis.h_matrix, np.eye(5), atol=1e-15, rtol=0)
         np.testing.assert_allclose(basis.e_matrix, np.eye(5), atol=1e-15, rtol=0)
+
+    def test_realize_level_modes(self):
+        for level, gamma in ((0, 0.4), (3, 0.3 + 0.2j)):
+            chosen = realize_level(level, gamma)
+            expected = realize_basis_cholesky(gram_block(level, gamma))
+            np.testing.assert_array_equal(chosen.h_matrix, expected.h_matrix)
+        np.testing.assert_array_equal(realize_level(0, 0.4, "fixture").h_matrix, [[1.0]])
+        for level in (1, 2):
+            chosen = realize_level(level, 0.4, "fixture")
+            np.testing.assert_array_equal(chosen.h_matrix, fixture_basis(level, 0.4).h_matrix)
+        refused = ((1, 0.4, "qr"), (1, 0.4j, "fixture"), (0, -0.4, "fixture"), (3, 0.4, "fixture"))
+        for args in refused:
+            with pytest.raises(ValueError):
+                realize_level(*args)
 
     def test_cholesky_positivity_error(self):
         with pytest.raises(PositivityError):
@@ -163,45 +177,84 @@ class TestDualByKernel:
             dual_basis_by_kernel(np.eye(3), np.eye(3), np.eye(3))
 
 
-def mpmath_lowering(mp, gamma, level):
-    """``a = h D h^-1`` in the Cholesky gauge, computed in mpmath.
+@functools.lru_cache(maxsize=None)
+def mpmath_reference(gamma, level):
+    """Cholesky-gauge level operators from a 50-digit mpmath computation.
 
     Independent of the package: each excitation is expanded over the
     product basis, the Gram matrix ``V^+ V`` is factored as ``L L^+`` and
-    ``h = L^+``.
+    ``h = L^+``; then ``a = h D h^-1``, ``S_e = h^-+ h^-1`` with its
+    positive root from a Hermitian eigendecomposition,
+    ``n = sqrt(S_e) N sqrt(S_e)^-1`` with ``N = h diag(k) h^-1``, and
+    ``c = sqrt(S_e) h``.  Returned as complex arrays keyed like the
+    `BlockSystem` fields.
     """
-    g = mp.mpc(gamma.real, gamma.imag)
-    s = mp.sqrt(1 - abs(g) ** 2)
-    v = mp.matrix(level + 1, level + 1)
-    for j in range(level + 1):
-        n1, n2 = level - j, j
-        for i in range(n2 + 1):
-            nx, ny = n1 + i, n2 - i
-            v[ny, j] += (
-                mp.binomial(n2, i) * g**i * s ** (n2 - i)
-                * mp.sqrt(mp.factorial(nx) * mp.factorial(ny)
-                          / (mp.factorial(n1) * mp.factorial(n2)))
-            )
-    h = mp.cholesky(v.H * v).H
-    d = mp.matrix(level + 1, level + 1)
-    for k in range(1, level + 1):
-        d[k - 1, k] = mp.sqrt(k)
-    return h * d * mp.inverse(h)
+    import mpmath
+
+    with mpmath.workdps(50):
+        mp = mpmath.mp
+        g = mp.mpc(gamma.real, gamma.imag)
+        s = mp.sqrt(1 - abs(g) ** 2)
+        v = mp.matrix(level + 1, level + 1)
+        for j in range(level + 1):
+            n1, n2 = level - j, j
+            for i in range(n2 + 1):
+                nx, ny = n1 + i, n2 - i
+                v[ny, j] += (
+                    mp.binomial(n2, i) * g**i * s ** (n2 - i)
+                    * mp.sqrt(mp.factorial(nx) * mp.factorial(ny)
+                              / (mp.factorial(n1) * mp.factorial(n2)))
+                )
+        h = mp.cholesky(v.H * v).H
+        h_inv = mp.inverse(h)
+        d = mp.matrix(level + 1, level + 1)
+        for k in range(1, level + 1):
+            d[k - 1, k] = mp.sqrt(k)
+        vals, q = mp.eigh(h_inv.H * h_inv)
+        root = q * mp.diag([mp.sqrt(x) for x in vals]) * q.H
+        inv_root = q * mp.diag([1 / mp.sqrt(x) for x in vals]) * q.H
+        n_op = h * mp.diag(list(range(level + 1))) * h_inv
+        ref = {
+            "a": h * d * h_inv,
+            "sqrt_S_e": root,
+            "n_selfadjoint": root * n_op * inv_root,
+            "c_matrix": root * h,
+        }
+        return {key: np.array(m.tolist(), dtype=complex) for key, m in ref.items()}
+
+
+def forward_error(system, ref, key):
+    """``max|produced - exact|`` relative to ``max(1, max|exact|)``."""
+    exact = ref[key]
+    return np.max(np.abs(getattr(system, key) - exact)) / max(1.0, np.max(np.abs(exact)))
+
+
+FORWARD_GRID = [(0.5, 20), (0.5, 25), (0.7, 18), (0.3 + 0.2j, 10), (0.9, 10)]
 
 
 class TestForwardError:
-    @pytest.mark.parametrize(
-        "gamma, level", [(0.5, 20), (0.5, 25), (0.7, 18), (0.3 + 0.2j, 10), (0.9, 10)]
-    )
+    @pytest.mark.parametrize("gamma, level", FORWARD_GRID)
     def test_lowering_matches_high_precision(self, gamma, level):
-        import mpmath
         a = cholesky_system(level, gamma).a
-        with mpmath.workdps(50):
-            ref = mpmath_lowering(mpmath.mp, complex(gamma), level)
-            ref = np.array(
-                [[complex(ref[i, j]) for j in range(level + 1)] for i in range(level + 1)]
-            )
+        ref = mpmath_reference(complex(gamma), level)["a"]
         assert np.max(np.abs(a - ref)) <= 1e-10 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("gamma, level", FORWARD_GRID)
+    def test_sqrt_matches_high_precision(self, gamma, level):
+        # The root is formed from an eigendecomposition with whatever
+        # eigenvector phases LAPACK returns; it must not depend on them.
+        system = cholesky_system(level, gamma)
+        ref = mpmath_reference(complex(gamma), level)
+        assert forward_error(system, ref, "sqrt_S_e") <= 1e-9
+
+    # kappa(S_h) = 1.9e3, 5.9e4 and 6.9e3.  At (0.5, 20), kappa 3.5e9, every
+    # verify_block_system check passes while c is off by ~4e-9.
+    @pytest.mark.parametrize("gamma, level", [(0.3 + 0.2j, 10), (0.5, 10), (0.9, 3)])
+    def test_symmetrized_outputs_match_high_precision(self, gamma, level):
+        system = cholesky_system(level, gamma)
+        ref = mpmath_reference(complex(gamma), level)
+        assert forward_error(system, ref, "n_selfadjoint") <= 1e-12
+        assert forward_error(system, ref, "c_matrix") <= 1e-12
 
 
 class TestBlockSystem:
@@ -270,7 +323,6 @@ class TestBlockSystem:
             rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         )
         other = build_block_system(basis_from_h(level, q @ cholesky.basis.h_matrix))
-        assert other.basis.source is BasisSource.USER_SUPPLIED
         gram = cholesky.basis.h_matrix.conj().T @ cholesky.basis.h_matrix
         gram_other = other.basis.h_matrix.conj().T @ other.basis.h_matrix
         np.testing.assert_allclose(gram_other, gram, atol=1e-12, rtol=0)

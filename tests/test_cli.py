@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import pseudofermion
 from pseudofermion import fixtures
-from pseudofermion.blocks import build_block_system, fixture_basis
+from pseudofermion.blocks import build_block_system, dual_basis_by_kernel, fixture_basis
 from pseudofermion.cli import (
     FIXTURE_TOL,
     Check,
@@ -213,7 +218,7 @@ def mpmath_fixture_m2(mp, gamma):
     e = h_inv.H
     a = h * d * h_inv
     b = h * d.T * h_inv
-    return {"a": a, "b": b, "N": b * a, "S_h": h * h.H, "S_e": e * e.H}
+    return {"a": a, "b": b, "N": b * a, "S_h": h * h.H, "S_e": e * e.H, "e": e}
 
 
 class TestVerifyFixturesSmallGamma:
@@ -240,7 +245,20 @@ class TestVerifyFixturesSmallGamma:
             for key in ("a", "b"):
                 assert mpmath.mnorm(ref[key] ** 3, 1) < mpmath.mpf(10) ** -40
 
-    @pytest.mark.parametrize("gamma", ["0.05", "0.08", "0.11"])
+    @pytest.mark.parametrize("gamma", [0.01, 0.02, 0.05])
+    def test_kernel_dual_matches_high_precision(self, gamma):
+        # The dual built from ker b^+ and repeated a^+ sits within
+        # FIXTURE_TOL of the 50-digit dual, relative to its largest entry
+        # (~gamma^-2); so m2:kernel_dual is scaled by that entry too.
+        import mpmath
+        basis = fixture_basis(2, gamma)
+        system = build_block_system(basis)
+        e_kernel = dual_basis_by_kernel(basis.h_matrix, system.a, system.b)
+        with mpmath.workdps(50):
+            exact = np.array(mpmath_fixture_m2(mpmath.mp, gamma)["e"].tolist(), dtype=complex)
+        assert np.max(np.abs(e_kernel - exact)) <= FIXTURE_TOL * np.max(np.abs(exact))
+
+    @pytest.mark.parametrize("gamma", ["0.002", "0.01", "0.05", "0.08", "0.11"])
     def test_exits_zero(self, gamma, capsys):
         assert main(["verify-fixtures", "--gamma", gamma]) == 0
         payload = json.loads(capsys.readouterr().out)
@@ -256,3 +274,28 @@ class TestVerifyFixturesExtremeGamma:
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err.startswith("error: fixtures require")
+
+
+class TestThreadDeterminism:
+    """Reports do not depend on the BLAS thread count."""
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["block", "--gamma", "0.7", "--level", "20"],
+            ["assemble", "--gamma", "0.3+0.2i", "--max-level", "12"],
+        ],
+    )
+    def test_byte_identical_across_openblas_threads(self, argv):
+        src = str(Path(pseudofermion.__file__).resolve().parents[1])
+        outputs = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+            run = subprocess.run(
+                [sys.executable, "-m", "pseudofermion.cli", *argv],
+                env=env, capture_output=True, check=False,
+            )
+            assert run.stdout and run.returncode in (0, 1), run.stderr
+            outputs.append((run.returncode, run.stdout))
+        assert outputs[0] == outputs[1]
