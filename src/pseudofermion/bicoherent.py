@@ -32,6 +32,10 @@ DEFAULT_QUAD_ORDER = 64
 # sits many orders below it.
 FAMILY_TOL = 1e-8
 
+# Relative allowance for rounding: in the interval ends a point may lie
+# beyond, and in the imaginary part of the (real) state normalizer.
+ROUNDING_SLACK = 1e-12
+
 
 def normalized_legendre(n_states: int, x_lo: float = -1.0, x_hi: float = 1.0) -> Callable:
     """Orthonormal Legendre-type polynomial family on an interval.
@@ -105,9 +109,9 @@ def _dressed_values(family: BicoherentFamily, xs: np.ndarray):
         phi_d = np.exp(alpha)[:, None] * values
         psi_d = np.exp(-alpha)[:, None] * values
         ntilde = np.sum(np.conj(phi_d) * psi_d, axis=1)
-    bad = ~(np.abs(ntilde.imag) <= 1e-12 * np.maximum(1.0, np.abs(ntilde.real))) | ~(
-        (0.0 < ntilde.real) & (ntilde.real < np.inf)
-    )
+    bad = ~(
+        np.abs(ntilde.imag) <= ROUNDING_SLACK * np.maximum(1.0, np.abs(ntilde.real))
+    ) | ~((0.0 < ntilde.real) & (ntilde.real < np.inf))
     if np.any(bad):
         raise ValueError(
             f"state normalizer must be finite and strictly positive, got {ntilde[bad][0]} "
@@ -183,17 +187,28 @@ def build_family(
     return family
 
 
-def states_at(family: BicoherentFamily, x: float) -> tuple[np.ndarray, np.ndarray]:
-    """The dressed state pair at one point; always ``<e(x), h(x)> = 1``."""
-    x = float(x)
-    slack = 1e-12 * max(1.0, abs(family.x_lo), abs(family.x_hi))
-    if not family.x_lo - slack <= x <= family.x_hi + slack:
-        raise ValueError(f"x = {x} outside domain [{family.x_lo}, {family.x_hi}]")
-    phi_d, psi_d, ntilde = _dressed_values(family, np.array([x]))
-    root = np.sqrt(ntilde[0])
-    e_state = family.e_matrix @ phi_d[0] / root
-    h_state = family.h_matrix @ psi_d[0] / root
-    return e_state, h_state
+def states_at(
+    family: BicoherentFamily, xs: np.ndarray | float
+) -> tuple[np.ndarray, np.ndarray]:
+    """The dressed state pairs at an array of points, one state per row.
+
+    Returns ``(e_states, h_states)``, each of shape ``(len(xs), n_states)``;
+    row ``q`` holds ``e(x_q)`` and ``h(x_q)``, and ``<e(x_q), h(x_q)> = 1``.
+    A scalar is one point.  Raises ValueError if any point lies outside the
+    family's interval.
+    """
+    xs = np.atleast_1d(np.asarray(xs, dtype=float))
+    slack = ROUNDING_SLACK * max(1.0, abs(family.x_lo), abs(family.x_hi))
+    outside = ~((family.x_lo - slack <= xs) & (xs <= family.x_hi + slack))
+    if np.any(outside):
+        raise ValueError(
+            f"x = {xs[outside][0]} outside domain [{family.x_lo}, {family.x_hi}]"
+        )
+    phi_d, psi_d, ntilde = _dressed_values(family, xs)
+    root = np.sqrt(ntilde)[:, None]
+    e_states = phi_d @ family.e_matrix.T / root
+    h_states = psi_d @ family.h_matrix.T / root
+    return e_states, h_states
 
 
 def _integrate_dyads(family: BicoherentFamily, factors: np.ndarray) -> np.ndarray:

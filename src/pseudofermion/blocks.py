@@ -33,6 +33,11 @@ from .overlaps import GramBlock, NCBosonParams, gram_block, sym_power
 EQUALITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-12
 
+# Relative ceiling on the defect of a dual family: the biorthonormality
+# e^+ h = 1 of a supplied pair, and the agreement of the kernel-built dual
+# with the inverse adjoint of h.  A guard on inputs, not a certification.
+DUAL_TOL = 1e-8
+
 # A kernel is accepted as one-dimensional when the smallest singular value
 # sits below this fraction of the next one.
 KERNEL_GAP = 1e-6
@@ -106,7 +111,7 @@ class BlockBasis:
                 f"got {h.shape} and {e.shape}"
             )
         defect = e.conj().T @ h - np.eye(dim)
-        if not relative_residual(defect, e, h) <= 1e-8:
+        if not relative_residual(defect, e, h) <= DUAL_TOL:
             raise ValueError(
                 "families are not biorthonormal: "
                 f"max |<e_j, h_k> - delta_jk| = {max_abs(defect):.3e}"
@@ -271,7 +276,7 @@ def dual_basis_by_kernel(h_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> 
     e_kernel = np.column_stack(cols)
 
     e_expected = np.linalg.inv(h).conj().T
-    if not relative_residual(e_kernel - e_expected, e_expected) <= 1e-8:
+    if not relative_residual(e_kernel - e_expected, e_expected) <= DUAL_TOL:
         raise ValueError(
             "kernel-built dual family disagrees with the inverse-adjoint dual"
         )

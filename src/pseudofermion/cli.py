@@ -8,9 +8,13 @@ Exit status is 0 when every check passes, 1 when any fails, and 2 for
 unusable parameters.  Reports are deterministic: identical parameters
 yield byte-identical output.
 
-Complex numbers serialize as ``[re, im]`` pairs and matrices as row-major
-nested arrays, using the shortest decimal representation that round-trips
-doubles exactly.
+Reports are compact JSON, with no whitespace between tokens.  Complex numbers
+serialize as ``[re, im]`` pairs and matrices as row-major nested arrays,
+using the shortest decimal representation that round-trips doubles
+exactly.  ``assemble`` reports each level's ``a``, ``b`` and ``N`` under
+``level{M}:a``, ``level{M}:b`` and ``level{M}:N``, the naming of its
+``level{M}:<check>`` checks; the dense direct sums are those blocks placed
+on the diagonal at offsets ``M(M+1)/2``.
 """
 
 from __future__ import annotations
@@ -49,26 +53,32 @@ from .blocks import (
 from .fock import DEFAULT_KERNEL_TOL, nogo_joint_kernel
 from .overlaps import gram_block
 
-SCHEMA_VERSION = "pfl-1"
+SCHEMA_VERSION = "pfl-2"
 
 # Ceiling on the defect against the closed-form reference matrices, relative
 # to max(1, largest expected entry); tighter than the invariant tolerance
 # because the comparison is direct transcription, not conditioned algebra.
 FIXTURE_TOL = 1e-12
 
+# Absolute ceiling for residuals whose scale is one by construction: the
+# pairing <e(x), h(x)> - 1 of the normalized bicoherent states, and the
+# joint-kernel singular values (floor at theta = 0, drops across cutoffs).
+UNIT_SCALE_TOL = 1e-12
+
 
 def serialize_matrix(matrix: np.ndarray) -> list:
     """Row-major nested lists with each entry as an ``[re, im]`` pair."""
     arr = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    return [[[float(v.real), float(v.imag)] for v in row] for row in arr]
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
 
 
 def deserialize_matrix(rows: list) -> np.ndarray:
-    """Inverse of `serialize_matrix`; always returns a 2-d complex array."""
-    return np.array(
-        [[complex(entry[0], entry[1]) for entry in row] for row in rows],
-        dtype=complex,
-    )
+    """Bit-exact inverse of `serialize_matrix`; always a 2-d complex array.
+
+    The ``[re, im]`` pairs are reinterpreted in place as complex entries,
+    which keeps signed zeros and infinities that ``re + 1j * im`` would not.
+    """
+    return np.asarray(rows, dtype=float).view(complex)[..., 0]
 
 
 @dataclass(frozen=True)
@@ -120,7 +130,7 @@ class ReportDocument:
             "checks": [check.as_json() for check in self.checks],
             "version": self.version,
         }
-        return json.dumps(payload, indent=2)
+        return json.dumps(payload, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
@@ -272,13 +282,13 @@ def run_nogo(theta: float, cutoffs: Sequence[int], kernel_tol: float) -> ReportD
     svals = np.asarray(report.min_singular_values)
     checks = []
     if theta == 0.0:
-        checks.append(Check("vacuum_survives", float(svals[-1]), 1e-12))
+        checks.append(Check("vacuum_survives", float(svals[-1]), UNIT_SCALE_TOL))
         checks.append(
             Check("kernel_dimension_one", abs(report.kernel_dimension_estimate - 1), 0.0)
         )
     else:
         drop = float(np.max(svals[:-1] - svals[1:])) if svals.size > 1 else 0.0
-        checks.append(Check("floor_nondecreasing", max(0.0, drop), 1e-12))
+        checks.append(Check("floor_nondecreasing", max(0.0, drop), UNIT_SCALE_TOL))
         checks.append(
             Check("kernel_empty", float(report.kernel_dimension_estimate), 0.0)
         )
@@ -316,7 +326,10 @@ def run_assemble(gamma: complex, max_level: int, mode: str) -> ReportDocument:
         checks.append(
             Check("s_h_norm_growth", max(0.0, float(np.max(-np.diff(norms)))), 0.0)
         )
+    matrices = {}
     for system in ops.block_systems:
+        for name in ("a", "b", "N"):
+            matrices[f"level{system.level}:{name}"] = getattr(system, name)
         for name, residual in verify_block_system(system).items():
             checks.append(Check(f"level{system.level}:{name}", residual, EQUALITY_TOL))
     return ReportDocument(
@@ -327,9 +340,7 @@ def run_assemble(gamma: complex, max_level: int, mode: str) -> ReportDocument:
             "mode": mode,
         },
         matrices={
-            "A": ops.A,
-            "B": ops.B,
-            "N": ops.N,
+            **matrices,
             "s_h_block_norms": norms,
             "s_e_block_norms": np.array(resolution.s_e_block_norms),
             "s_h_block_conditions": np.array(resolution.s_h_block_conditions),
@@ -344,13 +355,11 @@ def run_bicoherent(
     alpha_fn = parse_expression(alpha_text)
     family = build_family(n_states, alpha_fn=alpha_fn, quad_order=quad_order)
 
-    pairing = 0.0
-    for x in family.nodes:
-        e_state, h_state = states_at(family, x)
-        pairing = max(pairing, abs(np.vdot(e_state, h_state) - 1.0))
+    e_states, h_states = states_at(family, family.nodes)
+    pairing = max_abs(np.sum(e_states.conj() * h_states, axis=1) - 1.0)
     operator, residual = resolution_of_identity(family)
     checks = [
-        Check("pairing_unity", pairing, 1e-12),
+        Check("pairing_unity", pairing, UNIT_SCALE_TOL),
         Check("resolution_identity", residual, EQUALITY_TOL),
     ]
     matrices = {"resolution_operator": operator}

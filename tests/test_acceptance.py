@@ -274,8 +274,7 @@ def test_criterion_9_bicoherent_family():
     worst_resolution = 0.0
     for n_states in range(1, 6):
         family = build_family(n_states)
-        for x in family.nodes:
-            e_state, h_state = states_at(family, x)
+        for e_state, h_state in zip(*states_at(family, family.nodes)):
             worst_pairing = max(
                 worst_pairing, abs(np.vdot(e_state, h_state) - 1.0)
             )

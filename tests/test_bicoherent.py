@@ -34,9 +34,19 @@ class TestFamilyConstruction:
 
     def test_pairing_is_unity(self):
         family = build_family(4)
-        for x in (-0.9, -0.25, 0.0, 0.5, 0.99):
-            e_state, h_state = states_at(family, x)
+        e_states, h_states = states_at(family, [-0.9, -0.25, 0.0, 0.5, 0.99])
+        for e_state, h_state in zip(e_states, h_states):
             assert abs(np.vdot(e_state, h_state) - 1.0) <= 1e-12
+
+    def test_batch_matches_single_points(self):
+        basis = fixture_basis(2, 0.4)
+        family = build_family(3, alpha_fn=lambda x: 0.3 * x, basis=basis)
+        e_states, h_states = states_at(family, family.nodes)
+        assert e_states.shape == h_states.shape == (family.nodes.size, 3)
+        for x, e_row, h_row in zip(family.nodes, e_states, h_states):
+            (e_state,), (h_state,) = states_at(family, x)
+            np.testing.assert_allclose(e_row, e_state, rtol=1e-14, atol=1e-15)
+            np.testing.assert_allclose(h_row, h_state, rtol=1e-14, atol=1e-15)
 
     def test_dressing_invariance(self):
         plain = build_family(4)
@@ -58,7 +68,7 @@ class TestFamilyConstruction:
         operator, residual = resolution_of_identity(family)
         assert residual <= 1e-10
         np.testing.assert_allclose(operator, np.eye(3), atol=1e-10, rtol=0)
-        e_state, h_state = states_at(family, 0.2)
+        (e_state,), (h_state,) = states_at(family, 0.2)
         assert abs(np.vdot(e_state, h_state) - 1.0) <= 1e-12
 
     def test_explicit_pair_tuple(self):
@@ -160,6 +170,11 @@ class TestValidation:
         family = build_family(3)
         with pytest.raises(ValueError):
             states_at(family, 1.5)
+
+    @pytest.mark.parametrize("xs", [[0.0, -1.5, 0.5], [np.nan]])
+    def test_rejects_out_of_domain_point_in_batch(self, xs):
+        with pytest.raises(ValueError, match="outside domain"):
+            states_at(build_family(3), xs)
 
     def test_rejects_bad_state_count(self):
         with pytest.raises(ValueError):

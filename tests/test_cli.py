@@ -9,6 +9,7 @@ import pytest
 
 import pseudofermion
 from pseudofermion import fixtures
+from pseudofermion.assembly import assemble
 from pseudofermion.blocks import build_block_system, dual_basis_by_kernel, fixture_basis
 from pseudofermion.cli import (
     FIXTURE_TOL,
@@ -17,10 +18,20 @@ from pseudofermion.cli import (
     deserialize_matrix,
     main,
     parse_expression,
+    run_assemble,
+    run_bicoherent,
     run_block,
     run_gram,
+    run_nogo,
+    run_verify_fixtures,
     serialize_matrix,
 )
+from pseudofermion.fock import DEFAULT_KERNEL_TOL
+
+
+def bits(matrix):
+    """The raw 64-bit words of a matrix as complex entries, for bitwise equality."""
+    return np.ascontiguousarray(np.atleast_2d(matrix), dtype=complex).view(np.uint64)
 
 
 class TestSerialization:
@@ -36,6 +47,12 @@ class TestSerialization:
 
     def test_scalar_entry_layout(self):
         assert serialize_matrix(np.array([[0.5 - 0.25j]])) == [[[0.5, -0.25]]]
+
+    def test_signed_zeros_and_infinities_round_trip(self):
+        matrix = np.array([[complex(1.0, -0.0), complex(-0.0, 2.0)],
+                           [complex(np.inf, -np.inf), complex(0.0, 0.0)]])
+        rows = json.loads(json.dumps(serialize_matrix(matrix)))
+        assert np.array_equal(bits(deserialize_matrix(rows)), bits(matrix))
 
 
 class TestCheck:
@@ -83,6 +100,84 @@ class TestReportDocument:
         )
 
 
+# One small invocation of each subcommand.
+SUBCOMMAND_RUNS = {
+    "gram": lambda: run_gram(0.3 + 0.2j, 3),
+    "block": lambda: run_block(0.3 + 0.2j, 4, "cholesky"),
+    "nogo": lambda: run_nogo(0.5, [4, 8], DEFAULT_KERNEL_TOL),
+    "assemble": lambda: run_assemble(0.3 + 0.2j, 6, "cholesky"),
+    "bicoherent": lambda: run_bicoherent(6, "0.3*x", 64, "x^2"),
+    "verify-fixtures": lambda: run_verify_fixtures(0.4),
+}
+
+
+def pfl1_text(report):
+    """A report in the ``pfl-1`` layout: ``indent=2``, matrices built per entry."""
+    payload = json.loads(report.to_json())
+    payload["matrices"] = {
+        name: [[[float(v.real), float(v.imag)] for v in row]
+               for row in np.atleast_2d(np.asarray(matrix, dtype=complex))]
+        for name, matrix in report.matrices.items()
+    }
+    payload["version"] = "pfl-1"
+    return json.dumps(payload, indent=2)
+
+
+class TestSchemaPfl2:
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
+    def test_round_trip_bit_exact_and_deterministic(self, command):
+        report = SUBCOMMAND_RUNS[command]()
+        text = report.to_json()
+        assert SUBCOMMAND_RUNS[command]().to_json() == text
+        assert "\n" not in text and ", " not in text
+        clone = ReportDocument.from_json(text)
+        assert clone.command == command and clone.version == "pfl-2"
+        assert list(clone.matrices) == list(report.matrices)
+        for name, matrix in report.matrices.items():
+            assert np.array_equal(bits(clone.matrices[name]), bits(matrix)), name
+        assert clone.to_json() == text
+
+    def test_assemble_level_blocks_rebuild_dense_operators(self):
+        gamma, max_level = 0.3 + 0.2j, 6
+        ops = assemble(gamma, max_level)
+        report = ReportDocument.from_json(run_assemble(gamma, max_level, "cholesky").to_json())
+        assert not {"A", "B", "N"} & set(report.matrices)
+        dim = (max_level + 1) * (max_level + 2) // 2
+        for name, dense in (("a", ops.A), ("b", ops.B), ("N", ops.N)):
+            rebuilt = np.zeros((dim, dim), dtype=complex)
+            for level, system in enumerate(ops.block_systems):
+                block = report.matrices[f"level{level}:{name}"]
+                assert np.array_equal(bits(block), bits(getattr(system, name)))
+                off = level * (level + 1) // 2
+                rebuilt[off : off + level + 1, off : off + level + 1] = block
+            assert np.array_equal(bits(rebuilt), bits(dense))
+
+    def test_assemble_level_twenty_report_is_small(self, tmp_path):
+        target = tmp_path / "report.json"
+        argv = ["assemble", "--gamma", "0.5", "--max-level", "20", "--out", str(target)]
+        assert main(argv) == 1
+        assert target.stat().st_size < 400_000
+        report = ReportDocument.from_json(target.read_text())
+        assert len(report.checks) == 445
+        assert [c.name for c in report.checks if not c.passed] == [
+            "global_intertwining_on_basis"
+        ]
+        assert sorted(report.matrices) == sorted(
+            [f"level{m}:{k}" for m in range(21) for k in ("a", "b", "N")]
+            + ["s_h_block_norms", "s_e_block_norms", "s_h_block_conditions"]
+        )
+
+    def test_reads_pfl1_text(self):
+        ops = assemble(0.3 + 0.2j, 6)
+        report = SUBCOMMAND_RUNS["assemble"]()
+        report.matrices = {"A": ops.A, "B": ops.B, "N": ops.N, **report.matrices}
+        clone = ReportDocument.from_json(pfl1_text(report))
+        assert clone.version == "pfl-1"
+        assert [c.as_json() for c in clone.checks] == [c.as_json() for c in report.checks]
+        for name, matrix in report.matrices.items():
+            assert np.array_equal(bits(clone.matrices[name]), bits(matrix)), name
+
+
 class TestParseExpression:
     def test_linear(self):
         fn = parse_expression("0.3*x")
@@ -111,7 +206,7 @@ class TestExitCodes:
     def test_success(self, capsys):
         assert main(["gram", "--gamma", "0.5", "--level", "2"]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert payload["version"] == "pfl-1"
+        assert payload["version"] == "pfl-2"
         assert all(item["pass"] for item in payload["checks"])
 
     def test_block_fixture_success(self, capsys):
