@@ -35,7 +35,6 @@ from .blocks import (
     fixture_basis,
     hermitian_sqrt,
     realize_basis_cholesky,
-    realize_level,
     synthesize_ladders,
     verify_block_system,
 )
@@ -90,7 +89,6 @@ __all__ = [
     "overlap",
     "raising_matrix",
     "realize_basis_cholesky",
-    "realize_level",
     "resolution_of_identity",
     "stacked_vacuum_conditions",
     "states_at",

@@ -20,10 +20,11 @@ from .blocks import (
     BlockSystem,
     build_block_system,
     max_abs,
-    realize_level,
+    realize_basis_cholesky,
     relative_residual,
 )
 from .fock import lowering_matrix
+from .overlaps import gram_block
 
 
 @dataclass(frozen=True)
@@ -39,7 +40,6 @@ class GlobalOperators:
 
     max_level: int
     gamma: complex
-    mode: str
     block_systems: tuple[BlockSystem, ...]
     offsets: tuple[int, ...]
     action_residual: float
@@ -103,23 +103,20 @@ class ResolutionReport:
     s_h_block_conditions: tuple[float, ...]
 
 
-def assemble(gamma: complex, max_level: int, mode: str = "cholesky") -> GlobalOperators:
+def assemble(gamma: complex, max_level: int) -> GlobalOperators:
     """Build and certify the direct-sum system up to ``max_level``.
 
-    ``mode`` selects the per-level realization of `blocks.realize_level`:
-    ``cholesky`` takes the Cholesky gauge of the overlap Gram matrix at
-    every level, ``fixture`` uses the closed-form level-1/level-2
-    realizations (so it requires ``max_level <= 2`` and real positive
-    ``gamma``); level 0 is always the trivial block.  The square-root
-    ladder action of ``A, B, A^+, B^+`` on every basis vector is verified
-    before returning, block by block but scaled by the global ``max|A|``
-    and ``max|B|``.
+    Every level is realized in the Cholesky gauge of its overlap Gram
+    matrix, `blocks.realize_basis_cholesky`.  The square-root ladder
+    action of ``A, B, A^+, B^+`` on every basis vector is verified before
+    returning, block by block but scaled by the global ``max|A|`` and
+    ``max|B|``.
     """
     gamma = complex(gamma)
     if max_level < 0:
         raise ValueError(f"max_level must be >= 0, got {max_level}")
     systems = [
-        build_block_system(realize_level(level, gamma, mode))
+        build_block_system(realize_basis_cholesky(gram_block(level, gamma)))
         for level in range(max_level + 1)
     ]
 
@@ -145,7 +142,6 @@ def assemble(gamma: complex, max_level: int, mode: str = "cholesky") -> GlobalOp
     return GlobalOperators(
         max_level=max_level,
         gamma=gamma,
-        mode=mode,
         block_systems=tuple(systems),
         offsets=tuple(m * (m + 1) // 2 for m in range(max_level + 1)),
         action_residual=action,

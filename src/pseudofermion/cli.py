@@ -41,12 +41,11 @@ from .bicoherent import (
 from .blocks import (
     EQUALITY_TOL,
     POSITIVITY_TOL,
-    REALIZATION_MODES,
     build_block_system,
     dual_basis_by_kernel,
     fixture_basis,
     max_abs,
-    realize_level,
+    realize_basis_cholesky,
     relative_residual,
     verify_block_system,
 )
@@ -250,8 +249,8 @@ def run_gram(gamma: complex, level: int) -> ReportDocument:
     )
 
 
-def run_block(gamma: complex, level: int, mode: str) -> ReportDocument:
-    basis = realize_level(level, gamma, mode)
+def run_block(gamma: complex, level: int) -> ReportDocument:
+    basis = realize_basis_cholesky(gram_block(level, gamma))
     system = build_block_system(basis)
     checks = [
         Check(name, residual, EQUALITY_TOL)
@@ -259,7 +258,7 @@ def run_block(gamma: complex, level: int, mode: str) -> ReportDocument:
     ]
     return ReportDocument(
         command="block",
-        parameters={"gamma": _complex_param(gamma), "level": level, "mode": mode},
+        parameters={"gamma": _complex_param(gamma), "level": level},
         matrices={
             "h": basis.h_matrix,
             "e": basis.e_matrix,
@@ -309,8 +308,8 @@ def run_nogo(theta: float, cutoffs: Sequence[int], kernel_tol: float) -> ReportD
     )
 
 
-def run_assemble(gamma: complex, max_level: int, mode: str) -> ReportDocument:
-    ops = assemble(gamma, max_level, mode)
+def run_assemble(gamma: complex, max_level: int) -> ReportDocument:
+    ops = assemble(gamma, max_level)
     resolution = global_resolution_check(ops)
     checks = [
         Check("ladder_actions", ops.action_residual, EQUALITY_TOL),
@@ -334,11 +333,7 @@ def run_assemble(gamma: complex, max_level: int, mode: str) -> ReportDocument:
             checks.append(Check(f"level{system.level}:{name}", residual, EQUALITY_TOL))
     return ReportDocument(
         command="assemble",
-        parameters={
-            "gamma": _complex_param(gamma),
-            "max_level": max_level,
-            "mode": mode,
-        },
+        parameters={"gamma": _complex_param(gamma), "max_level": max_level},
         matrices={
             **matrices,
             "s_h_block_norms": norms,
@@ -406,6 +401,8 @@ def run_verify_fixtures(gamma: float) -> ReportDocument:
         basis = fixture_basis(level, gamma)
         system = build_block_system(basis)
         produced = {
+            "h": basis.h_matrix,
+            "e": basis.e_matrix,
             "a": system.a,
             "b": system.b,
             "N": system.N,
@@ -414,24 +411,19 @@ def run_verify_fixtures(gamma: float) -> ReportDocument:
             "sqrt_S_e": system.sqrt_S_e,
             "n": system.n_selfadjoint,
             "c": system.c_matrix,
+            "anticommutator_diagonal": system.anticommutator_diagonal,
         }
-        matrices[f"{tag}:h"] = basis.h_matrix
-        matrices[f"{tag}:e"] = basis.e_matrix
+        matrices.update({f"{tag}:{key}": matrix for key, matrix in produced.items()})
         for key, expected in closed.items():
-            matrices[f"{tag}:{key}"] = produced[key]
             defect = relative_residual(produced[key] - expected, expected)
             checks.append(Check(f"{tag}:{key}_matches", defect, FIXTURE_TOL))
-        # Scaled like verify_block_system's nilpotency: the rounding in a
-        # power grows with the product of its factors' norms.
-        nilpotency = sum(
-            relative_residual(np.linalg.matrix_power(m, level + 1), *([m] * (level + 1)))
-            for m in (system.a, system.b)
-        )
+        residuals = verify_block_system(system)
+        nilpotency = residuals["nilpotency_a"] + residuals["nilpotency_b"]
         checks.append(Check(f"{tag}:nilpotency_order", nilpotency, FIXTURE_TOL))
         e_kernel = dual_basis_by_kernel(basis.h_matrix, system.a, system.b)
         kernel_dual = relative_residual(e_kernel - basis.e_matrix, basis.e_matrix)
         checks.append(Check(f"{tag}:kernel_dual", kernel_dual, EQUALITY_TOL))
-        for name, residual in verify_block_system(system).items():
+        for name, residual in residuals.items():
             checks.append(Check(f"{tag}:{name}", residual, EQUALITY_TOL))
         anti = system.a @ system.b + system.b @ system.a
         distance = max_abs(anti - np.eye(level + 1))
@@ -466,7 +458,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("block", help="full per-level operator system")
     p.add_argument("--gamma", type=_parse_complex, required=True)
     p.add_argument("--level", type=int, required=True)
-    p.add_argument("--mode", choices=REALIZATION_MODES, default="cholesky")
     p.add_argument("--out", type=Path)
 
     p = sub.add_parser("nogo", help="joint-kernel singular value sweep")
@@ -478,7 +469,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("assemble", help="direct-sum assembly up to a level cutoff")
     p.add_argument("--gamma", type=_parse_complex, required=True)
     p.add_argument("--max-level", type=int, required=True)
-    p.add_argument("--mode", choices=REALIZATION_MODES, default="cholesky")
     p.add_argument("--out", type=Path)
 
     p = sub.add_parser("bicoherent", help="dressed state family on an interval")
@@ -504,11 +494,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "gram":
             report = run_gram(args.gamma, args.level)
         elif args.command == "block":
-            report = run_block(args.gamma, args.level, args.mode)
+            report = run_block(args.gamma, args.level)
         elif args.command == "nogo":
             report = run_nogo(args.theta, args.cutoffs, args.kernel_tol)
         elif args.command == "assemble":
-            report = run_assemble(args.gamma, args.max_level, args.mode)
+            report = run_assemble(args.gamma, args.max_level)
         elif args.command == "bicoherent":
             report = run_bicoherent(args.n, args.alpha, args.quad, args.symbol)
         else:

@@ -4,9 +4,10 @@ A level-``M`` basis realization is any choice of ``M + 1`` vectors
 reproducing the prescribed overlaps; these fixtures are one such concrete
 (highly non-unique) choice for ``M = 1`` and ``M = 2`` with real
 ``gamma > 0``, kept as data so every derived operator can be checked
-entrywise against its expected closed form.  Note their vector norms
-differ from the algebraic excitation norms, so fixture mode and the
-Cholesky realization of the algebraic Gram are intentionally distinct.
+entrywise against its expected closed form by ``pfl verify-fixtures``.
+Their vector norms differ from the algebraic excitation norms, so they
+are a reference only: the levels of ``pfl block`` and ``assemble`` are
+always the Cholesky realization of the algebraic Gram matrix.
 
 All functions take ``gamma`` and return freshly evaluated arrays.
 """

@@ -141,21 +141,6 @@ class TestAssemble:
             np.testing.assert_allclose(system.S_e, eye, atol=1e-12, rtol=0)
         np.testing.assert_allclose(ops.B, ops.A.conj().T, atol=1e-12, rtol=0)
 
-    def test_fixture_mode(self):
-        ops = assemble(0.5, 2, mode="fixture")
-        assert ops.mode == "fixture"
-        assert ops.action_residual <= 1e-10
-        report = global_resolution_check(ops)
-        assert report.resolution_residual <= 1e-10
-
-    def test_fixture_mode_limits(self):
-        with pytest.raises(ValueError):
-            assemble(0.5, 3, mode="fixture")
-        with pytest.raises(ValueError):
-            assemble(0.5 + 0.1j, 2, mode="fixture")
-        with pytest.raises(ValueError):
-            assemble(0.5, 2, mode="qr")
-
     def test_vector_range_checks(self):
         ops = assemble(0.5, 2)
         with pytest.raises(ValueError):
@@ -191,14 +176,16 @@ class TestResolutionReport:
         np.testing.assert_allclose(conds, 19.0 ** np.arange(5.0), atol=0, rtol=1e-8)
 
 
+DENSE_GRID = [(g, m) for g in (0.5, 0.3 + 0.2j, 0.9) for m in (0, 4, 12)]
+
+
 class TestDenseOracle:
+    # The ids name the realization: every level is in the Cholesky gauge.
     @pytest.mark.parametrize(
-        "gamma, max_level, mode",
-        [(g, m, "cholesky") for g in (0.5, 0.3 + 0.2j, 0.9) for m in (0, 4, 12)]
-        + [(0.5, 2, "fixture")],
+        "gamma, max_level", DENSE_GRID, ids=[f"{g}-{m}-cholesky" for g, m in DENSE_GRID]
     )
-    def test_matches_dense_construction(self, gamma, max_level, mode):
-        ops = assemble(gamma, max_level, mode)
+    def test_matches_dense_construction(self, gamma, max_level):
+        ops = assemble(gamma, max_level)
         report = global_resolution_check(ops)
         big_a, big_b, big_n, action, resolution, intertwining = dense_assembly(ops)
         assert np.array_equal(ops.A, big_a)

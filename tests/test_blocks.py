@@ -17,7 +17,6 @@ from pseudofermion.blocks import (
     fixture_basis,
     hermitian_sqrt,
     realize_basis_cholesky,
-    realize_level,
     synthesize_ladders,
     verify_block_system,
 )
@@ -57,20 +56,6 @@ class TestRealizations:
         basis = realize_basis_cholesky(gram_block(4, 0.0))
         np.testing.assert_allclose(basis.h_matrix, np.eye(5), atol=1e-15, rtol=0)
         np.testing.assert_allclose(basis.e_matrix, np.eye(5), atol=1e-15, rtol=0)
-
-    def test_realize_level_modes(self):
-        for level, gamma in ((0, 0.4), (3, 0.3 + 0.2j)):
-            chosen = realize_level(level, gamma)
-            expected = realize_basis_cholesky(gram_block(level, gamma))
-            np.testing.assert_array_equal(chosen.h_matrix, expected.h_matrix)
-        np.testing.assert_array_equal(realize_level(0, 0.4, "fixture").h_matrix, [[1.0]])
-        for level in (1, 2):
-            chosen = realize_level(level, 0.4, "fixture")
-            np.testing.assert_array_equal(chosen.h_matrix, fixture_basis(level, 0.4).h_matrix)
-        refused = ((1, 0.4, "qr"), (1, 0.4j, "fixture"), (0, -0.4, "fixture"), (3, 0.4, "fixture"))
-        for args in refused:
-            with pytest.raises(ValueError):
-                realize_level(*args)
 
     def test_cholesky_positivity_error(self):
         with pytest.raises(PositivityError):
@@ -286,6 +271,17 @@ class TestBlockSystem:
                 atol=1e-10,
                 rtol=0,
             )
+
+    def test_failed_certificate_is_reported_by_name(self):
+        # A dual perturbed within DUAL_TOL is accepted as a basis; the
+        # system is still built, and the suite names what breaks.
+        cholesky = realize_basis_cholesky(gram_block(3, 0.4))
+        e = np.array(cholesky.e_matrix)
+        e[0, 1] += 3e-9
+        system = build_block_system(BlockBasis(3, cholesky.h_matrix, e))
+        residuals = verify_block_system(system)
+        failing = {name for name, value in residuals.items() if not value <= EQUALITY_TOL}
+        assert {"biorthonormality", "anticommutator_offdiag"} <= failing
 
     def test_identity_anticommutator_only_at_level_one(self):
         one = cholesky_system(1, 0.5)

@@ -10,7 +10,12 @@ import pytest
 import pseudofermion
 from pseudofermion import fixtures
 from pseudofermion.assembly import assemble
-from pseudofermion.blocks import build_block_system, dual_basis_by_kernel, fixture_basis
+from pseudofermion.blocks import (
+    build_block_system,
+    dual_basis_by_kernel,
+    fixture_basis,
+    relative_residual,
+)
 from pseudofermion.cli import (
     FIXTURE_TOL,
     Check,
@@ -88,9 +93,7 @@ class TestReportDocument:
             ReportDocument.from_json(json.dumps(payload))
 
     def test_deterministic_output(self):
-        assert run_block(0.7, 3, "cholesky").to_json() == run_block(
-            0.7, 3, "cholesky"
-        ).to_json()
+        assert run_block(0.7, 3).to_json() == run_block(0.7, 3).to_json()
 
     def test_gram_identity_block(self):
         report = run_gram(0.0, 4)
@@ -103,9 +106,9 @@ class TestReportDocument:
 # One small invocation of each subcommand.
 SUBCOMMAND_RUNS = {
     "gram": lambda: run_gram(0.3 + 0.2j, 3),
-    "block": lambda: run_block(0.3 + 0.2j, 4, "cholesky"),
+    "block": lambda: run_block(0.3 + 0.2j, 4),
     "nogo": lambda: run_nogo(0.5, [4, 8], DEFAULT_KERNEL_TOL),
-    "assemble": lambda: run_assemble(0.3 + 0.2j, 6, "cholesky"),
+    "assemble": lambda: run_assemble(0.3 + 0.2j, 6),
     "bicoherent": lambda: run_bicoherent(6, "0.3*x", 64, "x^2"),
     "verify-fixtures": lambda: run_verify_fixtures(0.4),
 }
@@ -140,7 +143,7 @@ class TestSchemaPfl2:
     def test_assemble_level_blocks_rebuild_dense_operators(self):
         gamma, max_level = 0.3 + 0.2j, 6
         ops = assemble(gamma, max_level)
-        report = ReportDocument.from_json(run_assemble(gamma, max_level, "cholesky").to_json())
+        report = ReportDocument.from_json(run_assemble(gamma, max_level).to_json())
         assert not {"A", "B", "N"} & set(report.matrices)
         dim = (max_level + 1) * (max_level + 2) // 2
         for name, dense in (("a", ops.A), ("b", ops.B), ("N", ops.N)):
@@ -210,12 +213,23 @@ class TestExitCodes:
         assert all(item["pass"] for item in payload["checks"])
 
     def test_block_fixture_success(self, capsys):
-        assert (
-            main(["block", "--gamma", "0.4", "--level", "1", "--mode", "fixture"])
-            == 0
-        )
-        payload = json.loads(capsys.readouterr().out)
-        assert {"a", "b", "N", "S_h", "S_e"} <= set(payload["matrices"])
+        # The fixture bases are reported by verify-fixtures, with every
+        # matrix of their block systems at both levels.
+        assert main(["verify-fixtures", "--gamma", "0.4"]) == 0
+        report = ReportDocument.from_json(capsys.readouterr().out)
+        assert len(report.matrices) == 22
+        for level in (1, 2):
+            basis = fixture_basis(level, 0.4)
+            system = build_block_system(basis)
+            for key, matrix in (
+                ("h", basis.h_matrix), ("e", basis.e_matrix),
+                ("a", system.a), ("b", system.b), ("N", system.N),
+                ("S_h", system.S_h), ("S_e", system.S_e), ("sqrt_S_e", system.sqrt_S_e),
+                ("n", system.n_selfadjoint), ("c", system.c_matrix),
+                ("anticommutator_diagonal", system.anticommutator_diagonal),
+            ):
+                reported = report.matrices[f"m{level}:{key}"]
+                assert np.array_equal(bits(reported), bits(matrix)), (level, key)
 
     def test_verify_fixtures_success(self, capsys):
         assert main(["verify-fixtures", "--gamma", "0.4"]) == 0
@@ -229,16 +243,11 @@ class TestExitCodes:
         assert main(["block", "--gamma", "0.5", "--level", "-1"]) == 2
         assert main(["nogo", "--theta", "0.3", "--cutoffs", "1"]) == 2
         assert main(["nogo", "--theta", "0.3", "--cutoffs", "8", "4"]) == 2
-        assert (
-            main(["block", "--gamma", "0.5i", "--level", "1", "--mode", "fixture"])
-            == 2
-        )
         capsys.readouterr()
         # refused by the library's own validation
         for argv in (
             ["gram", "--gamma", "0.5", "--level", "31"],
             ["assemble", "--gamma", "0.5", "--max-level", "-1"],
-            ["assemble", "--gamma", "0.5", "--mode", "fixture", "--max-level", "3"],
             ["assemble", "--gamma", "1.2", "--max-level", "2"],
             ["bicoherent", "--n", "0"],
             ["bicoherent", "--n", "3", "--quad", "0"],
@@ -287,6 +296,17 @@ class TestExitCodes:
         document = ReportDocument.from_json(target.read_text())
         assert document.command == "gram"
 
+    def test_mode_option_refused(self, capsys):
+        # Every level is realized in the Cholesky gauge; there is no mode.
+        for argv in (
+            ["block", "--gamma", "0.4", "--level", "1", "--mode", "fixture"],
+            ["assemble", "--gamma", "0.4", "--max-level", "2", "--mode", "cholesky"],
+        ):
+            with pytest.raises(SystemExit) as info:
+                main(argv)
+            assert info.value.code == 2, argv
+        capsys.readouterr()
+
     def test_usage_error_from_argparse(self, capsys):
         with pytest.raises(SystemExit) as info:
             main(["gram", "--level", "2"])
@@ -314,6 +334,23 @@ def mpmath_fixture_m2(mp, gamma):
     a = h * d * h_inv
     b = h * d.T * h_inv
     return {"a": a, "b": b, "N": b * a, "S_h": h * h.H, "S_e": e * e.H, "e": e}
+
+
+class TestVerifyFixturesNilpotency:
+    @pytest.mark.parametrize("gamma", [0.01, 0.08, 0.4, 0.77])
+    def test_order_is_sum_of_suite_residuals(self, gamma):
+        # m{L}:nilpotency_order is taken from the suite's two residuals; it
+        # equals the sum of the scaled matrix powers it replaced, bitwise.
+        checks = {c.name: c.residual for c in run_verify_fixtures(gamma).checks}
+        for level in (1, 2):
+            system = build_block_system(fixture_basis(level, gamma))
+            powers = sum(
+                relative_residual(np.linalg.matrix_power(m, level + 1), *([m] * (level + 1)))
+                for m in (system.a, system.b)
+            )
+            tag = f"m{level}"
+            summed = checks[f"{tag}:nilpotency_a"] + checks[f"{tag}:nilpotency_b"]
+            assert checks[f"{tag}:nilpotency_order"] == summed == powers
 
 
 class TestVerifyFixturesSmallGamma:

@@ -1,0 +1,46 @@
+"""The README's `pfl` command lines and Library example run as written."""
+
+import re
+import shlex
+from pathlib import Path
+
+import pytest
+
+from pseudofermion.cli import main
+
+README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+
+
+def fenced(language, text=README):
+    """Bodies of the code blocks fenced as ``language``, in order."""
+    return re.findall(rf"^```{language}\n(.*?)^```", text, re.MULTILINE | re.DOTALL)
+
+
+PFL_LINES = [
+    line
+    for block in fenced("sh")
+    for line in block.splitlines()
+    if line.startswith("pfl ")
+]
+LIBRARY = fenced("python", README.split("\n## Library\n", 1)[1])[0]
+
+
+def test_examples_found():
+    assert len(PFL_LINES) == 8
+    assert "build_block_system" in LIBRARY
+
+
+@pytest.mark.parametrize("line", PFL_LINES, ids=PFL_LINES)
+def test_command_line_exits_zero(line, tmp_path):
+    argv = shlex.split(line, comments=True)[1:]
+    if "--out" in argv:
+        at = argv.index("--out")
+        del argv[at : at + 2]
+    target = tmp_path / "report.json"
+    assert main([*argv, "--out", str(target)]) == 0
+    assert target.exists()
+
+
+def test_library_example_runs(capsys):
+    exec(compile(LIBRARY, "README.md", "exec"), {})
+    capsys.readouterr()
