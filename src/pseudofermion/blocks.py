@@ -52,19 +52,21 @@ class PositivityError(ValueError):
 def max_abs(matrix: np.ndarray) -> float:
     """Largest entry magnitude; zero for empty arrays."""
     arr = np.asarray(matrix)
-    return float(np.max(np.abs(arr))) if arr.size else 0.0
+    return float(np.abs(arr).max()) if arr.size else 0.0
 
 
-def relative_residual(defect: np.ndarray, *references: np.ndarray) -> float:
+def relative_residual(defect: np.ndarray, *references: np.ndarray | float) -> float:
     """Max-norm of ``defect`` scaled by the product of reference norms.
 
-    The scale is floored at 1, so well-conditioned checks reduce to the
-    absolute max-norm while ill-conditioned factor products relax the
-    comparison the way backward-stable algebra actually behaves.
+    Each reference is an array, whose max-norm is taken, or a float norm
+    already taken, which enters as its magnitude.  The scale is floored at
+    1, so well-conditioned checks reduce to the absolute max-norm while
+    ill-conditioned factor products relax the comparison the way
+    backward-stable algebra actually behaves.
     """
     scale = 1.0
     for ref in references:
-        scale *= max_abs(ref)
+        scale *= abs(ref) if isinstance(ref, float) else max_abs(ref)
     return max_abs(defect) / max(1.0, scale)
 
 
@@ -329,40 +331,43 @@ def verify_block_system(system: BlockSystem) -> dict[str, float]:
     nil_b = np.linalg.matrix_power(b, dim)
     eig_n = np.sort(np.linalg.eigvalsh(herm))
 
+    # Each factor's max-norm is taken once and passed on as a float.
+    na, nb, nh, ne, nn = (max_abs(m) for m in (a, b, h, e, n_op))
+    ns_h, ns_e, nroot, ninv = (max_abs(m) for m in (s_h, s_e, root, inv_root))
+    nherm, nc, nanti = (max_abs(m) for m in (herm, c, anti))
+
     return {
-        "nilpotency_a": relative_residual(nil_a, *([a] * dim)),
-        "nilpotency_b": relative_residual(nil_b, *([b] * dim)),
-        "biorthonormality": relative_residual(e.conj().T @ h - eye, e, h),
-        "ladder_action_a": relative_residual(a @ h - h @ d_down, a, h),
-        "ladder_action_b": relative_residual(b @ h - h @ d_down.conj().T, b, h),
-        "spectrum_N": relative_residual(n_op @ h - h @ ladder, n_op, h),
+        "nilpotency_a": relative_residual(nil_a, *([na] * dim)),
+        "nilpotency_b": relative_residual(nil_b, *([nb] * dim)),
+        "biorthonormality": relative_residual(e.conj().T @ h - eye, ne, nh),
+        "ladder_action_a": relative_residual(a @ h - h @ d_down, na, nh),
+        "ladder_action_b": relative_residual(b @ h - h @ d_down.conj().T, nb, nh),
+        "spectrum_N": relative_residual(n_op @ h - h @ ladder, nn, nh),
         "spectrum_N_adjoint": relative_residual(
-            n_op.conj().T @ e - e @ ladder, n_op, e
+            n_op.conj().T @ e - e @ ladder, nn, ne
         ),
-        "inverse_pair": relative_residual(s_h @ s_e - eye, s_h, s_e),
-        "intertwining_e": relative_residual(s_e @ n_op - n_op.conj().T @ s_e, s_e, n_op),
-        "intertwining_h": relative_residual(n_op @ s_h - s_h @ n_op.conj().T, s_h, n_op),
-        "map_h_to_e": relative_residual(s_e @ h - e, s_e, h),
-        "map_e_to_h": relative_residual(s_h @ e - h, s_h, e),
-        "resolution_eh": relative_residual(e @ h.conj().T - eye, e, h),
-        "resolution_he": relative_residual(h @ e.conj().T - eye, h, e),
-        "sqrt_consistency": relative_residual(root @ root - s_e, root, root),
-        "n_hermiticity": relative_residual(
-            herm - herm.conj().T, root, n_op, inv_root
-        ),
+        "inverse_pair": relative_residual(s_h @ s_e - eye, ns_h, ns_e),
+        "intertwining_e": relative_residual(s_e @ n_op - n_op.conj().T @ s_e, ns_e, nn),
+        "intertwining_h": relative_residual(n_op @ s_h - s_h @ n_op.conj().T, ns_h, nn),
+        "map_h_to_e": relative_residual(s_e @ h - e, ns_e, nh),
+        "map_e_to_h": relative_residual(s_h @ e - h, ns_h, ne),
+        "resolution_eh": relative_residual(e @ h.conj().T - eye, ne, nh),
+        "resolution_he": relative_residual(h @ e.conj().T - eye, nh, ne),
+        "sqrt_consistency": relative_residual(root @ root - s_e, nroot, nroot),
+        "n_hermiticity": relative_residual(herm - herm.conj().T, nroot, nn, ninv),
         "n_spectrum": relative_residual(
-            eig_n - np.arange(dim, dtype=float), root, n_op, inv_root
+            eig_n - np.arange(dim, dtype=float), nroot, nn, ninv
         ),
-        "n_eigenbasis": relative_residual(herm @ c - c @ ladder, herm, c),
+        "n_eigenbasis": relative_residual(herm @ c - c @ ladder, nherm, nc),
         # c is formed as sqrt_S_e @ h, so its backward error scales with
         # that factor product, not with the O(1) entries of c itself.
-        "c_orthonormality": relative_residual(c.conj().T @ c - eye, root, h, root, h),
+        "c_orthonormality": relative_residual(c.conj().T @ c - eye, nroot, nh, nroot, nh),
         "anticommutator_offdiag": relative_residual(
-            mixed - np.diag(np.real(np.diag(mixed))), e, anti, h
+            mixed - np.diag(np.real(np.diag(mixed))), ne, nanti, nh
         ),
         "anticommutator_values": relative_residual(
             system.anticommutator_diagonal - anticommutator_reference(basis.level),
-            e, anti, h,
+            ne, nanti, nh,
         ),
     }
 
@@ -433,13 +438,14 @@ def deformed_number_operators(params: NCBosonParams, level: int) -> DeformedLeve
         )
         h = m1 + m2
         vecs = sym_power(t, total)
+        norm_1, norm_2, norm_v = max_abs(m1), max_abs(m2), max_abs(vecs)
         action = max(
             action,
-            relative_residual(m1 @ vecs - vecs * (total - j), m1, vecs),
-            relative_residual(m2 @ vecs - vecs * j, m2, vecs),
-            relative_residual(h @ vecs - total * vecs, h, vecs),
+            relative_residual(m1 @ vecs - vecs * (total - j), norm_1, norm_v),
+            relative_residual(m2 @ vecs - vecs * j, norm_2, norm_v),
+            relative_residual(h @ vecs - total * vecs, h, norm_v),
         )
-        commutator = max(commutator, relative_residual(m1 @ m2 - m2 @ m1, m1, m2))
+        commutator = max(commutator, relative_residual(m1 @ m2 - m2 @ m1, norm_1, norm_2))
     if not action <= EQUALITY_TOL:
         raise ValueError(f"deformed number operator action defect {action:.3e}")
     if not commutator <= EQUALITY_TOL:

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from pseudofermion import fixtures
+from pseudofermion import blocks, fixtures
 from pseudofermion.blocks import (
     EQUALITY_TOL,
     BlockBasis,
@@ -17,6 +17,7 @@ from pseudofermion.blocks import (
     fixture_basis,
     hermitian_sqrt,
     realize_basis_cholesky,
+    relative_residual,
     synthesize_ladders,
     verify_block_system,
 )
@@ -340,6 +341,95 @@ class TestBlockSystem:
             atol=1e-10,
             rtol=0,
         )
+
+
+def reference_suite(system):
+    """The invariant suite with every factor norm taken anew, per check."""
+
+    def residual(defect, *refs):
+        scale = 1.0
+        for ref in refs:
+            scale *= float(np.max(np.abs(ref)))
+        return float(np.max(np.abs(defect))) / max(1.0, scale)
+
+    h, e = system.basis.h_matrix, system.basis.e_matrix
+    dim = system.basis.dim
+    eye = np.eye(dim)
+    ladder = np.diag(np.arange(dim, dtype=float))
+    a, b, n_op, s_h, s_e = system.a, system.b, system.N, system.S_h, system.S_e
+    root, herm, c = system.sqrt_S_e, system.n_selfadjoint, system.c_matrix
+    inv_root = np.linalg.inv(root)
+    d_down = lowering_matrix(dim)
+    anti = a @ b + b @ a
+    mixed = e.conj().T @ anti @ h
+    eig_n = np.sort(np.linalg.eigvalsh(herm))
+    return {
+        "nilpotency_a": residual(np.linalg.matrix_power(a, dim), *([a] * dim)),
+        "nilpotency_b": residual(np.linalg.matrix_power(b, dim), *([b] * dim)),
+        "biorthonormality": residual(e.conj().T @ h - eye, e, h),
+        "ladder_action_a": residual(a @ h - h @ d_down, a, h),
+        "ladder_action_b": residual(b @ h - h @ d_down.conj().T, b, h),
+        "spectrum_N": residual(n_op @ h - h @ ladder, n_op, h),
+        "spectrum_N_adjoint": residual(n_op.conj().T @ e - e @ ladder, n_op, e),
+        "inverse_pair": residual(s_h @ s_e - eye, s_h, s_e),
+        "intertwining_e": residual(s_e @ n_op - n_op.conj().T @ s_e, s_e, n_op),
+        "intertwining_h": residual(n_op @ s_h - s_h @ n_op.conj().T, s_h, n_op),
+        "map_h_to_e": residual(s_e @ h - e, s_e, h),
+        "map_e_to_h": residual(s_h @ e - h, s_h, e),
+        "resolution_eh": residual(e @ h.conj().T - eye, e, h),
+        "resolution_he": residual(h @ e.conj().T - eye, h, e),
+        "sqrt_consistency": residual(root @ root - s_e, root, root),
+        "n_hermiticity": residual(herm - herm.conj().T, root, n_op, inv_root),
+        "n_spectrum": residual(eig_n - np.arange(dim, dtype=float), root, n_op, inv_root),
+        "n_eigenbasis": residual(herm @ c - c @ ladder, herm, c),
+        "c_orthonormality": residual(c.conj().T @ c - eye, root, h, root, h),
+        "anticommutator_offdiag": residual(
+            mixed - np.diag(np.real(np.diag(mixed))), e, anti, h
+        ),
+        "anticommutator_values": residual(
+            system.anticommutator_diagonal - anticommutator_reference(system.level),
+            e, anti, h,
+        ),
+    }
+
+
+class TestSuiteNormsTakenOnce:
+    # (0.7, 20) and (0.5, 26) fail some checks: failing residuals must
+    # keep their exact values too.
+    @pytest.mark.parametrize(
+        "gamma, level",
+        [(0.5, 0), (0.3 + 0.4j, 1), (0.5, 7), (0.2 + 0.1j, 20), (0.05, 30),
+         (0.7, 20), (0.5, 26)],
+    )
+    def test_matches_per_check_norms_bitwise(self, gamma, level):
+        system = cholesky_system(level, gamma)
+        assert verify_block_system(system) == reference_suite(system)
+
+    @pytest.mark.parametrize("level", [1, 20, 30])
+    def test_one_norm_per_factor(self, level, monkeypatch):
+        # 12 factor norms and 21 defect norms, whatever the level.
+        system = cholesky_system(level, 0.05)
+        calls = []
+        max_abs = blocks.max_abs
+
+        def counted(matrix):
+            calls.append(matrix)
+            return max_abs(matrix)
+
+        monkeypatch.setattr(blocks, "max_abs", counted)
+        verify_block_system(system)
+        assert len(calls) <= 33
+
+    def test_float_reference_equals_array_reference(self):
+        rng = np.random.default_rng(3)
+        defect = rng.normal(size=(4, 4)) * 1e-12
+        refs = [rng.normal(size=(4, 4)) * s + 1j * rng.normal(size=(4, 4)) for s in (3.0, 0.2, 40.0)]
+        norms = [blocks.max_abs(r) for r in refs]
+        for picks in ([0], [0, 1], [2, 0, 2, 2], [1, 1, 1, 1, 1, 1]):
+            by_array = relative_residual(defect, *(refs[i] for i in picks))
+            assert relative_residual(defect, *(norms[i] for i in picks)) == by_array
+            mixed = [refs[i] if k % 2 else norms[i] for k, i in enumerate(picks)]
+            assert relative_residual(defect, *mixed) == by_array
 
 
 class TestHermitianSqrt:

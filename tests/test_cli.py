@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,9 +9,10 @@ import numpy as np
 import pytest
 
 import pseudofermion
-from pseudofermion import fixtures
+from pseudofermion import assembly, fixtures
 from pseudofermion.assembly import assemble
 from pseudofermion.blocks import (
+    EQUALITY_TOL,
     build_block_system,
     dual_basis_by_kernel,
     fixture_basis,
@@ -285,6 +287,20 @@ class TestExitCodes:
         assert main(["assemble", "--gamma", "0.5", "--max-level", "3"]) == 0
         payload = json.loads(capsys.readouterr().out)
         assert "s_h_block_norms" in payload["matrices"]
+
+    def test_failed_ladder_action_exits_one(self, monkeypatch, capsys):
+        # A defect in the assembled ladders is a failing check, not a
+        # usage error.
+        def perturbed(basis):
+            system = build_block_system(basis)
+            return dataclasses.replace(system, a=system.a + 1e-6)
+
+        monkeypatch.setattr(assembly, "build_block_system", perturbed)
+        assert assemble(0.4, 2).action_residual > EQUALITY_TOL
+        assert main(["assemble", "--gamma", "0.4", "--max-level", "2"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        failing = {item["name"] for item in payload["checks"] if not item["pass"]}
+        assert "ladder_actions" in failing
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

@@ -4,8 +4,10 @@ import re
 import shlex
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from pseudofermion.assembly import assemble
 from pseudofermion.cli import main
 
 README = (Path(__file__).resolve().parents[1] / "README.md").read_text()
@@ -23,6 +25,8 @@ PFL_LINES = [
     if line.startswith("pfl ")
 ]
 LIBRARY = fenced("python", README.split("\n## Library\n", 1)[1])[0]
+# The Command line section's snippet that rebuilds the dense ``A`` from a report.
+REBUILD = fenced("python", README.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0])[0]
 
 
 def test_examples_found():
@@ -44,3 +48,13 @@ def test_command_line_exits_zero(line, tmp_path):
 def test_library_example_runs(capsys):
     exec(compile(LIBRARY, "README.md", "exec"), {})
     capsys.readouterr()
+
+
+def test_rebuild_snippet_reads_written_report(tmp_path, monkeypatch):
+    # The snippet reads the report.json written by the README's --out line.
+    (line,) = [line for line in PFL_LINES if "--out report.json" in line]
+    monkeypatch.chdir(tmp_path)
+    assert main(shlex.split(line, comments=True)[1:]) == 0
+    scope = {}
+    exec(compile(REBUILD, "README.md", "exec"), scope)
+    np.testing.assert_array_equal(scope["A"], assemble(0.5, 4).A)
