@@ -160,7 +160,8 @@ def global_resolution_check(ops: GlobalOperators) -> ResolutionReport:
     norms_h, norms_e, conds_h = [], [], []
     for system in ops.block_systems:
         h, e = system.basis.h_matrix, system.basis.e_matrix
-        s_e, n_op = system.S_e, system.N
+        # N as b a from the ladders at gamma, the product the dense B A forms.
+        s_e, n_op = system.S_e, system.b @ system.a
         resolution = max(resolution, max_abs(e @ h.conj().T - np.eye(system.basis.dim)))
         intertwining = max(
             intertwining, max_abs((s_e @ n_op - n_op.conj().T @ s_e) @ h)

@@ -17,18 +17,25 @@ user-supplied families (`basis_from_h`) are reference realizations.  All
 yield the same spectra and the same mixed-dyad anticommutator diagonal
 ``(1, 3, 5, ..., 2M-1, M)``; only level 1 gives ``{a, b} = 1``.  No
 function here takes a tolerance argument.
+
+Error model: a Cholesky level at ``gamma = |gamma| e^(i phi)`` is built and
+certified once, at ``|gamma|``.  Every check of `verify_block_system` runs
+on that core, in float64 from ``N = b a`` on, so the level's residuals and
+verdicts depend on ``(|gamma|, M)`` alone.  The matrices read at ``gamma``
+are the core conjugated by ``P = diag(e^(i k phi))`` (`overlaps.phase_gauge`),
+to 2 eps per entry beyond the phases' own rounding of about ``k |phi| eps``.
 """
 
 from __future__ import annotations
 
+import cmath
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from . import fixtures
-from .fock import lowering_matrix
-from .overlaps import GramBlock, NCBosonParams, sym_power
+from .overlaps import GramBlock, NCBosonParams, phase_gauge, sym_power
 
 # Relative residual ceiling for equality checks; positivity is an absolute
 # eigenvalue floor.  Dense double-precision algebra at dimension <= 10.
@@ -90,23 +97,59 @@ def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
     return _positive_sqrt_pair(matrix, "matrix")[0]
 
 
+class _AtGamma:
+    # A matrix field read at gamma: each read derives it from the |gamma|
+    # ``core`` through `phase_gauge`, so a view is formed only when read;
+    # a value given at construction (`dataclasses.replace`) is kept.
+
+    def __init__(self, shift: int = 0):
+        self.shift = shift
+
+    def __set_name__(self, owner, name):
+        self.name = name
+
+    def __get__(self, obj, owner=None):
+        if obj is None:
+            return None
+        given = obj.__dict__.get(self.name)
+        return phase_gauge(obj.core[self.name], obj.phase, self.shift) if given is None else given
+
+    def __set__(self, obj, value):
+        if value is not None:
+            obj.__dict__[self.name] = _read_only(value)
+
+
+def _read_only(matrix) -> np.ndarray:
+    arr = np.asarray(matrix)
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class BlockBasis:
     """A biorthogonal pair of vector families at one level.
 
     Column ``k`` of ``h_matrix`` is the primal vector ``h_k``; column ``k``
     of ``e_matrix`` is its dual ``e_k``, normalized so that
-    ``e_matrix^+ h_matrix = 1``.
+    ``e_matrix^+ h_matrix = 1``.  Both are read from ``core`` at ``phase``
+    (`overlaps.phase_gauge`): given matrices are their own core at phase 0;
+    `realize_basis_cholesky` keeps its pair at ``|gamma|``.
     """
 
     level: int
-    h_matrix: np.ndarray
-    e_matrix: np.ndarray
+    h_matrix: np.ndarray = _AtGamma()
+    e_matrix: np.ndarray = _AtGamma()
+    core: dict | None = None
+    phase: float = 0.0
 
     def __post_init__(self):
         dim = self.level + 1
-        h = np.array(self.h_matrix, dtype=complex)
-        e = np.array(self.e_matrix, dtype=complex)
+        pair = self.__dict__.pop("h_matrix", None), self.__dict__.pop("e_matrix", None)
+        if pair[0] is None and pair[1] is None:
+            pair = self.core["h_matrix"], self.core["e_matrix"]
+        else:
+            object.__setattr__(self, "phase", 0.0)
+        h, e = (np.array(m, dtype=complex) for m in pair)
         if h.shape != (dim, dim) or e.shape != (dim, dim):
             raise ValueError(
                 f"level {self.level} needs {dim}x{dim} matrices, "
@@ -118,10 +161,7 @@ class BlockBasis:
                 "families are not biorthonormal: "
                 f"max |<e_j, h_k> - delta_jk| = {max_abs(defect):.3e}"
             )
-        h.setflags(write=False)
-        e.setflags(write=False)
-        object.__setattr__(self, "h_matrix", h)
-        object.__setattr__(self, "e_matrix", e)
+        object.__setattr__(self, "core", {"h_matrix": _read_only(h), "e_matrix": _read_only(e)})
 
     @property
     def dim(self) -> int:
@@ -137,28 +177,26 @@ class BlockSystem:
     with ``N^+``; ``n_selfadjoint`` is the Hermitian form of ``N`` and
     ``c_matrix`` holds its orthonormal eigenvectors.
     ``anticommutator_diagonal`` lists the coefficients of ``{a, b}`` in
-    the mixed dyad expansion over ``|e_k><h_k|``.
+    the mixed dyad expansion over ``|e_k><h_k|``.  Each matrix is read from
+    ``core`` at the basis phase; ``core`` also holds the basis pair,
+    ``inv_sqrt_S_e``, ``{a, b}`` and ``e^+ {a, b} h`` for the checks.
     """
 
     basis: BlockBasis
-    a: np.ndarray
-    b: np.ndarray
-    N: np.ndarray
-    S_h: np.ndarray
-    S_e: np.ndarray
-    sqrt_S_e: np.ndarray
-    n_selfadjoint: np.ndarray
-    c_matrix: np.ndarray
+    core: dict
     anticommutator_diagonal: np.ndarray
+    a: np.ndarray = _AtGamma(-1)
+    b: np.ndarray = _AtGamma(1)
+    N: np.ndarray = _AtGamma()
+    S_h: np.ndarray = _AtGamma()
+    S_e: np.ndarray = _AtGamma()
+    sqrt_S_e: np.ndarray = _AtGamma()
+    n_selfadjoint: np.ndarray = _AtGamma()
+    c_matrix: np.ndarray = _AtGamma()
 
-    def __post_init__(self):
-        for name in (
-            "a", "b", "N", "S_h", "S_e", "sqrt_S_e",
-            "n_selfadjoint", "c_matrix", "anticommutator_diagonal",
-        ):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    @property
+    def phase(self) -> float:
+        return self.basis.phase
 
     @property
     def level(self) -> int:
@@ -171,7 +209,8 @@ def realize_basis_cholesky(gram: GramBlock) -> BlockBasis:
     ``h_matrix`` is the Cholesky factor ``gram.factor``, taken from its
     closed form rather than by factoring the Gram matrix: upper triangular
     with positive diagonal and ``h_matrix^+ h_matrix`` equal to the Gram
-    matrix.  The dual family is the inverse adjoint.  Raises
+    matrix.  The dual family is the inverse adjoint.  Both are formed at
+    ``|gamma|`` and read at ``gamma`` through the phase gauge.  Raises
     `PositivityError` when the Gram matrix is not positive definite within
     `POSITIVITY_TOL`.
     """
@@ -182,26 +221,19 @@ def realize_basis_cholesky(gram: GramBlock) -> BlockBasis:
             f"within tolerance: min eigenvalue {min_eig:.3e} "
             "(deformation magnitude too close to 1)"
         )
-    h = gram.factor
-    e = np.linalg.inv(h).conj().T
-    return BlockBasis(level=gram.level, h_matrix=h, e_matrix=e)
+    h = gram.core_factor
+    core = {"h_matrix": h, "e_matrix": np.linalg.inv(h).conj().T}
+    return BlockBasis(gram.level, core=core, phase=cmath.phase(gram.gamma))
 
 
 def fixture_basis(level: int, gamma: float) -> BlockBasis:
     """The closed-form level-1 or level-2 realization at real ``gamma > 0``."""
-    if level == 1:
-        return BlockBasis(
-            level=1,
-            h_matrix=fixtures.fixture_h_m1(gamma),
-            e_matrix=fixtures.fixture_e_m1(gamma),
-        )
-    if level == 2:
-        return BlockBasis(
-            level=2,
-            h_matrix=fixtures.fixture_h_m2(gamma),
-            e_matrix=fixtures.fixture_e_m2(gamma),
-        )
-    raise ValueError(f"closed-form realizations exist only for levels 1 and 2, got {level}")
+    pairs = {1: (fixtures.fixture_h_m1, fixtures.fixture_e_m1),
+             2: (fixtures.fixture_h_m2, fixtures.fixture_e_m2)}
+    if level not in pairs:
+        raise ValueError(f"closed-form realizations exist only for levels 1 and 2, got {level}")
+    h, e = pairs[level]
+    return BlockBasis(level, h(gamma), e(gamma))
 
 
 def basis_from_h(level: int, h_matrix: np.ndarray) -> BlockBasis:
@@ -211,21 +243,26 @@ def basis_from_h(level: int, h_matrix: np.ndarray) -> BlockBasis:
     return BlockBasis(level=level, h_matrix=h, e_matrix=e)
 
 
+def _ladders(h: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # a = (H D) E^+ and b = (H D^+) E^+, the mixed dyads sum sqrt(k)
+    # |h_(k-1)><e_k| and sum sqrt(k+1) |h_(k+1)><e_k|: H D is H with its
+    # columns shifted right by one and scaled by sqrt(k), H D^+ shifted left.
+    root = np.sqrt(np.arange(1, len(h)))
+    shifted = np.zeros((2, *h.shape), dtype=h.dtype)
+    shifted[0, :, 1:], shifted[1, :, :-1] = h[:, :-1] * root, h[:, 1:] * root
+    return tuple(shifted @ e.conj().T)
+
+
 def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:
     """Lowering/raising matrices acting on the basis by the square-root rule.
 
     ``a = H D_down H^-1`` and ``b = H D_up H^-1`` where ``D_down`` carries
     ``sqrt(k)`` on the superdiagonal, so ``a h_k = sqrt(k) h_{k-1}`` and
-    ``b h_k = sqrt(k+1) h_{k+1}`` with ``a h_0 = b h_M = 0``.
+    ``b h_k = sqrt(k+1) h_{k+1}`` with ``a h_0 = b h_M = 0``.  ``H^-1`` is
+    read as ``E^+``, which `BlockBasis` holds to be the inverse.
     """
-    h = basis.h_matrix
-    d_down = lowering_matrix(basis.dim)
-    h_inv = np.linalg.inv(h)
-    if not np.all(np.isfinite(h_inv)):
-        raise np.linalg.LinAlgError("basis matrix is numerically singular")
-    a = h @ d_down @ h_inv
-    b = h @ d_down.conj().T @ h_inv
-    return a, b
+    a, b = _ladders(basis.core["h_matrix"], basis.core["e_matrix"])
+    return phase_gauge(a, basis.phase, -1), phase_gauge(b, basis.phase, 1)
 
 
 def dual_basis_by_kernel(h_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -271,61 +308,47 @@ def anticommutator_reference(level: int) -> np.ndarray:
 
 
 def build_block_system(basis: BlockBasis) -> BlockSystem:
-    """Derive every level operator from a basis realization.
+    """Derive every level operator from the basis core.
 
-    ``anticommutator_diagonal`` is the real diagonal of the mixed-dyad
-    expansion ``e^+ {a, b} h``; its off-diagonal part is not checked here
-    but reported by `verify_block_system` as ``anticommutator_offdiag``.
+    The ladders are complex products; from ``N = b a`` on, a real core (the
+    Cholesky gauge at ``|gamma|``) runs in float64 on the real parts, which
+    is exact.  ``anticommutator_diagonal`` is the real diagonal of the
+    mixed-dyad expansion ``e^+ {a, b} h``; its off-diagonal part is
+    reported by `verify_block_system` as ``anticommutator_offdiag``.
     Raises `PositivityError` if the dual frame operator fails positive
     definiteness.
     """
-    h, e = basis.h_matrix, basis.e_matrix
-    a, b = synthesize_ladders(basis)
-    n_op = b @ a
-    s_h = h @ h.conj().T
-    s_e = e @ e.conj().T
-
-    sqrt_s_e, inv_sqrt_s_e = _positive_sqrt_pair(s_e, "dual frame operator")
-
-    n_selfadjoint = sqrt_s_e @ n_op @ inv_sqrt_s_e
-    c_matrix = sqrt_s_e @ h
-
-    mixed = e.conj().T @ (a @ b + b @ a) @ h
-    diagonal = np.real(np.diag(mixed)).copy()
-
-    return BlockSystem(
-        basis=basis,
-        a=a,
-        b=b,
-        N=n_op,
-        S_h=s_h,
-        S_e=s_e,
-        sqrt_S_e=sqrt_s_e,
-        n_selfadjoint=n_selfadjoint,
-        c_matrix=c_matrix,
-        anticommutator_diagonal=diagonal,
+    h, e = basis.core["h_matrix"], basis.core["e_matrix"]
+    a, b = _ladders(h, e)
+    if not (h.imag.any() or e.imag.any()):
+        h, e, a, b = (np.ascontiguousarray(m.real) for m in (h, e, a, b))
+    n_op, s_e = b @ a, e @ e.conj().T
+    root, inv_root = _positive_sqrt_pair(s_e, "dual frame operator")
+    anti = a @ b + b @ a
+    core = dict(
+        h_matrix=h, e_matrix=e, a=a, b=b, N=n_op, S_h=h @ h.conj().T, S_e=s_e,
+        sqrt_S_e=root, inv_sqrt_S_e=inv_root, n_selfadjoint=root @ n_op @ inv_root,
+        c_matrix=root @ h, anticommutator=anti, mixed=e.conj().T @ anti @ h,
     )
+    for m in core.values():
+        m.setflags(write=False)
+    diagonal = _read_only(np.real(np.diag(core["mixed"])).copy())
+    return BlockSystem(basis=basis, core=core, anticommutator_diagonal=diagonal)
 
 
 def verify_block_system(system: BlockSystem) -> dict[str, float]:
     """Relative residuals of every per-level identity, keyed by name.
 
-    All entries are dimensionless; compare against `EQUALITY_TOL`.
+    All entries are dimensionless; compare against `EQUALITY_TOL`.  Only
+    ``system.core`` is read, by the keys `build_block_system` gives it.
     """
-    basis = system.basis
-    h, e = basis.h_matrix, basis.e_matrix
-    dim = basis.dim
+    h, e, a, b, n_op, s_h, s_e, root, inv_root, herm, c, anti, mixed = (
+        system.core[k] for k in ("h_matrix", "e_matrix", "a", "b", "N", "S_h", "S_e",
+        "sqrt_S_e", "inv_sqrt_S_e", "n_selfadjoint", "c_matrix", "anticommutator", "mixed"))
+    dim = system.basis.dim
     eye = np.eye(dim)
     ladder = np.diag(np.arange(dim, dtype=float))
-    a, b, n_op = system.a, system.b, system.N
-    s_h, s_e = system.S_h, system.S_e
-    root = system.sqrt_S_e
-    herm = system.n_selfadjoint
-    c = system.c_matrix
-    inv_root = np.linalg.inv(root)
-    d_down = lowering_matrix(dim)
-    anti = a @ b + b @ a
-    mixed = e.conj().T @ anti @ h
+    d_down = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
 
     nil_a = np.linalg.matrix_power(a, dim)
     nil_b = np.linalg.matrix_power(b, dim)
@@ -341,7 +364,7 @@ def verify_block_system(system: BlockSystem) -> dict[str, float]:
         "nilpotency_b": relative_residual(nil_b, *([nb] * dim)),
         "biorthonormality": relative_residual(e.conj().T @ h - eye, ne, nh),
         "ladder_action_a": relative_residual(a @ h - h @ d_down, na, nh),
-        "ladder_action_b": relative_residual(b @ h - h @ d_down.conj().T, nb, nh),
+        "ladder_action_b": relative_residual(b @ h - h @ d_down.T, nb, nh),
         "spectrum_N": relative_residual(n_op @ h - h @ ladder, nn, nh),
         "spectrum_N_adjoint": relative_residual(
             n_op.conj().T @ e - e @ ladder, nn, ne
@@ -366,7 +389,7 @@ def verify_block_system(system: BlockSystem) -> dict[str, float]:
             mixed - np.diag(np.real(np.diag(mixed))), ne, nanti, nh
         ),
         "anticommutator_values": relative_residual(
-            system.anticommutator_diagonal - anticommutator_reference(basis.level),
+            system.anticommutator_diagonal - anticommutator_reference(system.level),
             ne, nanti, nh,
         ),
     }
@@ -392,9 +415,7 @@ class DeformedLevelOperators:
 
     def __post_init__(self):
         for name in ("m1", "m2", "h_total"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _read_only(getattr(self, name)))
 
 
 def deformed_number_operators(params: NCBosonParams, level: int) -> DeformedLevelOperators:

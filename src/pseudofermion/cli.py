@@ -41,6 +41,7 @@ from .bicoherent import (
 from .blocks import (
     EQUALITY_TOL,
     POSITIVITY_TOL,
+    BlockSystem,
     build_block_system,
     dual_basis_by_kernel,
     fixture_basis,
@@ -250,8 +251,7 @@ def run_gram(gamma: complex, level: int) -> ReportDocument:
 
 
 def run_block(gamma: complex, level: int) -> ReportDocument:
-    basis = realize_basis_cholesky(gram_block(level, gamma))
-    system = build_block_system(basis)
+    system = build_block_system(realize_basis_cholesky(gram_block(level, gamma)))
     checks = [
         Check(name, residual, EQUALITY_TOL)
         for name, residual in verify_block_system(system).items()
@@ -259,21 +259,21 @@ def run_block(gamma: complex, level: int) -> ReportDocument:
     return ReportDocument(
         command="block",
         parameters={"gamma": _complex_param(gamma), "level": level},
-        matrices={
-            "h": basis.h_matrix,
-            "e": basis.e_matrix,
-            "a": system.a,
-            "b": system.b,
-            "N": system.N,
-            "S_h": system.S_h,
-            "S_e": system.S_e,
-            "sqrt_S_e": system.sqrt_S_e,
-            "n_selfadjoint": system.n_selfadjoint,
-            "c_matrix": system.c_matrix,
-            "anticommutator_diagonal": system.anticommutator_diagonal,
-        },
+        matrices=_level_matrices(system),
         checks=checks,
     )
+
+
+def _level_matrices(system: BlockSystem, n: str = "n_selfadjoint", c: str = "c_matrix") -> dict:
+    # Every matrix of a level system, in report order; ``n`` and ``c`` key
+    # the symmetrized pair.
+    basis = system.basis
+    return {
+        "h": basis.h_matrix, "e": basis.e_matrix, "a": system.a, "b": system.b,
+        "N": system.N, "S_h": system.S_h, "S_e": system.S_e, "sqrt_S_e": system.sqrt_S_e,
+        n: system.n_selfadjoint, c: system.c_matrix,
+        "anticommutator_diagonal": system.anticommutator_diagonal,
+    }
 
 
 def run_nogo(theta: float, cutoffs: Sequence[int], kernel_tol: float) -> ReportDocument:
@@ -400,19 +400,7 @@ def run_verify_fixtures(gamma: float) -> ReportDocument:
         tag = f"m{level}"
         basis = fixture_basis(level, gamma)
         system = build_block_system(basis)
-        produced = {
-            "h": basis.h_matrix,
-            "e": basis.e_matrix,
-            "a": system.a,
-            "b": system.b,
-            "N": system.N,
-            "S_h": system.S_h,
-            "S_e": system.S_e,
-            "sqrt_S_e": system.sqrt_S_e,
-            "n": system.n_selfadjoint,
-            "c": system.c_matrix,
-            "anticommutator_diagonal": system.anticommutator_diagonal,
-        }
+        produced = _level_matrices(system, "n", "c")
         matrices.update({f"{tag}:{key}": matrix for key, matrix in produced.items()})
         for key, expected in closed.items():
             defect = relative_residual(produced[key] - expected, expected)
@@ -425,8 +413,7 @@ def run_verify_fixtures(gamma: float) -> ReportDocument:
         checks.append(Check(f"{tag}:kernel_dual", kernel_dual, EQUALITY_TOL))
         for name, residual in residuals.items():
             checks.append(Check(f"{tag}:{name}", residual, EQUALITY_TOL))
-        anti = system.a @ system.b + system.b @ system.a
-        distance = max_abs(anti - np.eye(level + 1))
+        distance = max_abs(system.core["anticommutator"] - np.eye(level + 1))
         if level == 1:
             checks.append(Check("m1:anticommutator_identity", distance, FIXTURE_TOL))
         else:

@@ -32,8 +32,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Factorials are evaluated in double precision; beyond this total level the
-# recursion is refused rather than silently losing accuracy.
+# Highest total level served: the envelope checked so far.  Only the test
+# oracles take factorials; production reads exact binomials (`_BINOMIAL`).
 LEVEL_CAP = 30
 
 # Tolerance on the unit-norm constraints of the combination coefficients.
@@ -112,15 +112,39 @@ class GramBlock:
     coefficients of ``Phi_{M-j, j}`` over the product basis ``|M-i, i>``:
     upper triangular with diagonal ``s^j``, ``s = sqrt(1 - |gamma|^2)``, and
     ``factor^+ factor = matrix``, so it is the Cholesky factor of ``matrix``.
+    ``core_matrix`` and ``core_factor`` are the same pair at ``|gamma|``,
+    from which the level is built (`phase_gauge`).
     """
 
     level: int
     gamma: complex
     matrix: np.ndarray
     factor: np.ndarray
+    core_matrix: np.ndarray
+    core_factor: np.ndarray
 
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.matrix)[0])
+        return float(np.linalg.eigvalsh(self.core_matrix)[0])
+
+
+def phase_gauge(matrix: np.ndarray, phase: float, shift: int = 0) -> np.ndarray:
+    """A level matrix ``X`` at ``|gamma|`` read at ``gamma = |gamma| e^(i phase)``.
+
+    Entry ``(j, k)`` becomes ``X_jk conj(p_j) p_k``, ``p_k = e^(i k phase)``:
+    the conjugation by ``P = diag(p) = Sym^M(diag(1, e^(i phase)))``.
+    ``shift = -1`` (``+1``) moves the row (column) index of ``p`` by one,
+    the lowering (raising) ladder's own factor ``e^(-/+ i phase)``.  Entries
+    move by 2 eps relative to the rounded phases; at phase 0, ``X`` is kept.
+    """
+    if not phase:
+        return matrix
+    dim = len(matrix)
+    p = np.exp(1j * phase * np.arange(dim + 1))
+    rows = p[1:] if shift < 0 else p[:dim]
+    cols = p[1:] if shift > 0 else p[:dim]
+    view = matrix * np.outer(rows.conj(), cols)
+    view.setflags(write=False)
+    return view
 
 
 def _raw_overlap(
@@ -258,7 +282,8 @@ def gram_block(level: int, gamma: complex) -> GramBlock:
     expansion of `fock_expand_oracle`, column by column.  The matrix is
     ``factor^+ factor`` with its upper triangle mirrored conjugate and its
     diagonal taken as the real column norms, so it is Hermitian by
-    construction.  Requires ``|gamma| < 1``.
+    construction.  The closed form is evaluated at ``gamma`` and, for the
+    core, at ``|gamma|``.  Requires ``|gamma| < 1``.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -266,18 +291,24 @@ def gram_block(level: int, gamma: complex) -> GramBlock:
         raise ValueError(f"total level exceeds cap {LEVEL_CAP}")
     gamma = complex(gamma)
     s = NCBosonParams.from_gamma(gamma).beta_y.real
+    r = complex(abs(gamma))
     k = np.arange(level + 1)
     rows, cols = k[:, None], k[None, :]
     # C(j, i) vanishes below the diagonal, which zeroes the lower triangle;
     # the clipped offset only keeps the other indices in range there.
     offset = np.maximum(cols - rows, 0)
-    factor = (
-        np.sqrt(_BINOMIAL[cols, rows] * _BINOMIAL[level - rows, offset])
-        * gamma ** offset
-        * s ** rows
-    )
+    root = np.sqrt(_BINOMIAL[cols, rows] * _BINOMIAL[level - rows, offset])
+    # One power per exponent, gathered over the offsets: the entrywise values.
+    scale = (s ** k)[:, None]
+    core = _gram_pair(root * (r ** k)[offset] * scale)
+    pair = core if gamma == r else _gram_pair(root * (gamma ** k)[offset] * scale)
+    return GramBlock(level, gamma, *pair, *core)
+
+
+def _gram_pair(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    # The Gram matrix of a factor and the factor, both read-only.
     upper = np.triu(factor.conj().T @ factor, 1)
     g = upper + upper.conj().T + np.diag(np.sum(np.abs(factor) ** 2, axis=0))
     factor.setflags(write=False)
     g.setflags(write=False)
-    return GramBlock(level=level, gamma=gamma, matrix=g, factor=factor)
+    return g, factor

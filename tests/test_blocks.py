@@ -343,8 +343,13 @@ class TestBlockSystem:
         )
 
 
-def reference_suite(system):
-    """The invariant suite with every factor norm taken anew, per check."""
+def reference_suite(core, diagonal, level):
+    """The invariant suite with every factor norm taken anew, per check.
+
+    ``core`` holds the matrices `verify_block_system` reads, keyed as
+    `build_block_system` keys them; ``diagonal`` is the system's
+    ``anticommutator_diagonal``.
+    """
 
     def residual(defect, *refs):
         scale = 1.0
@@ -352,16 +357,15 @@ def reference_suite(system):
             scale *= float(np.max(np.abs(ref)))
         return float(np.max(np.abs(defect))) / max(1.0, scale)
 
-    h, e = system.basis.h_matrix, system.basis.e_matrix
-    dim = system.basis.dim
+    h, e = core["h_matrix"], core["e_matrix"]
+    dim = level + 1
     eye = np.eye(dim)
     ladder = np.diag(np.arange(dim, dtype=float))
-    a, b, n_op, s_h, s_e = system.a, system.b, system.N, system.S_h, system.S_e
-    root, herm, c = system.sqrt_S_e, system.n_selfadjoint, system.c_matrix
-    inv_root = np.linalg.inv(root)
-    d_down = lowering_matrix(dim)
-    anti = a @ b + b @ a
-    mixed = e.conj().T @ anti @ h
+    a, b, n_op, s_h, s_e = (core[k] for k in ("a", "b", "N", "S_h", "S_e"))
+    root, inv_root = core["sqrt_S_e"], core["inv_sqrt_S_e"]
+    herm, c = core["n_selfadjoint"], core["c_matrix"]
+    anti, mixed = core["anticommutator"], core["mixed"]
+    d_down = lowering_matrix(dim).real
     eig_n = np.sort(np.linalg.eigvalsh(herm))
     return {
         "nilpotency_a": residual(np.linalg.matrix_power(a, dim), *([a] * dim)),
@@ -387,8 +391,7 @@ def reference_suite(system):
             mixed - np.diag(np.real(np.diag(mixed))), e, anti, h
         ),
         "anticommutator_values": residual(
-            system.anticommutator_diagonal - anticommutator_reference(system.level),
-            e, anti, h,
+            diagonal - anticommutator_reference(level), e, anti, h,
         ),
     }
 
@@ -403,7 +406,8 @@ class TestSuiteNormsTakenOnce:
     )
     def test_matches_per_check_norms_bitwise(self, gamma, level):
         system = cholesky_system(level, gamma)
-        assert verify_block_system(system) == reference_suite(system)
+        reference = reference_suite(system.core, system.anticommutator_diagonal, level)
+        assert verify_block_system(system) == reference
 
     @pytest.mark.parametrize("level", [1, 20, 30])
     def test_one_norm_per_factor(self, level, monkeypatch):

@@ -1,0 +1,218 @@
+"""Metamorphic relations of the Cholesky-gauge level systems, without mpmath.
+
+A level at ``gamma = |gamma| e^(i phi)`` is built and certified once at
+``|gamma|`` and read at ``gamma`` through the phase gauge ``P = diag(p_k)``,
+``p_k = e^(i k phi)``.  These tests hold that design to exact relations over
+drawn points of the envelope: the residuals depend on ``|gamma|`` alone,
+every matrix is its ``|gamma|`` value conjugated by ``P`` (with the ladders'
+own phase on ``a`` and ``b``), conjugating ``gamma`` conjugates the system,
+and at real ``gamma`` the Gram block and the basis and ladders keep the
+complex-arithmetic values bit for bit.  On ``FORWARD_GRID`` the outputs are
+compared with the complex-arithmetic route at ``gamma``.
+"""
+
+import cmath
+import math
+
+import numpy as np
+import pytest
+
+from pseudofermion.blocks import (
+    BlockBasis,
+    PositivityError,
+    build_block_system,
+    realize_basis_cholesky,
+    verify_block_system,
+)
+from pseudofermion.fock import lowering_matrix
+from pseudofermion.overlaps import LEVEL_CAP, gram_block
+from test_blocks import FORWARD_GRID, forward_error, mpmath_reference
+
+EPS = np.finfo(float).eps
+
+# (|gamma|, phi, M) drawn uniformly over the envelope from one seeded generator.
+_RNG = np.random.default_rng(1809)
+DRAWS = list(
+    zip(
+        _RNG.uniform(0.05, 0.9, 500),
+        _RNG.uniform(0.0, 2.0 * math.pi, 500),
+        (int(m) for m in _RNG.integers(1, LEVEL_CAP + 1, 500)),
+    )
+)
+
+# Matrix fields read through the gauge, with the row (-1) or column (+1)
+# shift of p that carries the ladders' own phase.
+GAUGED = (
+    ("a", -1), ("b", 1), ("N", 0), ("S_h", 0), ("S_e", 0),
+    ("sqrt_S_e", 0), ("n_selfadjoint", 0), ("c_matrix", 0),
+)
+
+
+def level(gamma, m):
+    """The Cholesky-gauge system at ``(gamma, m)``, or the refusal's message."""
+    try:
+        return build_block_system(realize_basis_cholesky(gram_block(m, gamma)))
+    except PositivityError as exc:
+        return str(exc)
+
+
+def residuals(gamma, m):
+    """The residuals at ``(gamma, m)``, or the refusal's message."""
+    system = level(gamma, m)
+    return system if isinstance(system, str) else verify_block_system(system)
+
+
+def gauge_weights(phase, dim, shift=0):
+    """``conj(p_j) p_k`` with the row or column index of ``p`` shifted."""
+    p = np.exp(1j * phase * np.arange(dim + 1))
+    rows = p[1:] if shift < 0 else p[:dim]
+    cols = p[1:] if shift > 0 else p[:dim]
+    return np.outer(rows.conj(), cols)
+
+
+def at(r, phi):
+    return complex(r * math.cos(phi), r * math.sin(phi))
+
+
+def test_draws_cover_the_envelope():
+    assert len(set(DRAWS)) >= 500
+    assert {m for _, _, m in DRAWS} == set(range(1, LEVEL_CAP + 1))
+
+
+def test_residuals_depend_on_modulus_only():
+    for r, phi, m in DRAWS:
+        gamma = at(r, phi)
+        assert residuals(gamma, m) == residuals(abs(gamma), m), (gamma, m)
+
+
+def test_matrices_are_the_modulus_level_in_the_phase_gauge():
+    built = 0
+    for r, phi, m in DRAWS:
+        gamma = at(r, phi)
+        system = level(gamma, m)
+        if isinstance(system, str):
+            continue
+        built += 1
+        core = level(abs(gamma), m)
+        phase, dim = cmath.phase(gamma), m + 1
+        pairs = [(getattr(system, n), getattr(core, n), s) for n, s in GAUGED]
+        pairs += [
+            (system.basis.h_matrix, core.basis.h_matrix, 0),
+            (system.basis.e_matrix, core.basis.e_matrix, 0),
+        ]
+        for got, modulus, shift in pairs:
+            expected = modulus * gauge_weights(phase, dim, shift)
+            assert np.all(np.abs(got - expected) <= 4 * EPS * np.abs(expected)), (gamma, m)
+        assert np.array_equal(system.anticommutator_diagonal, core.anticommutator_diagonal)
+    assert built >= 400
+
+
+def test_conjugate_deformation_conjugates_the_system():
+    for r, phi, m in DRAWS:
+        gamma = at(r, phi)
+        system, mirror = level(gamma, m), level(gamma.conjugate(), m)
+        assert isinstance(system, str) == isinstance(mirror, str)
+        if isinstance(system, str):
+            continue
+        for name, _ in GAUGED:
+            assert np.array_equal(getattr(mirror, name), getattr(system, name).conj()), name
+        for name in ("h_matrix", "e_matrix"):
+            got, mine = getattr(mirror.basis, name), getattr(system.basis, name)
+            assert np.array_equal(got, mine.conj()), name
+
+
+def complex_route(gamma, m):
+    """Gram block, basis and ladders in complex arithmetic at ``gamma``.
+
+    The closed-form factor with complex powers, its Gram matrix mirrored
+    Hermitian, the dual as the inverse adjoint from `numpy.linalg.inv`, and
+    ``a = h D h^-1``, ``b = h D^+ h^-1`` as complex matrix products.
+    """
+    gamma = complex(gamma)
+    s = math.sqrt(1.0 - abs(gamma) ** 2)
+    binomial = np.array(
+        [[math.comb(n, k) for k in range(LEVEL_CAP + 1)] for n in range(LEVEL_CAP + 1)],
+        dtype=float,
+    )
+    k = np.arange(m + 1)
+    rows, cols = k[:, None], k[None, :]
+    offset = np.maximum(cols - rows, 0)
+    factor = (
+        np.sqrt(binomial[cols, rows] * binomial[m - rows, offset])
+        * gamma ** offset
+        * s ** rows
+    )
+    upper = np.triu(factor.conj().T @ factor, 1)
+    matrix = upper + upper.conj().T + np.diag(np.sum(np.abs(factor) ** 2, axis=0))
+    h_inv = np.linalg.inv(factor)
+    d_down = lowering_matrix(m + 1)
+    return {
+        "matrix": matrix,
+        "factor": factor,
+        "h_matrix": factor,
+        "e_matrix": h_inv.conj().T,
+        "a": factor @ d_down @ h_inv,
+        "b": factor @ d_down.conj().T @ h_inv,
+    }
+
+
+def test_real_deformation_keeps_complex_route_bits():
+    # fwd_err of `a` is measured at real gamma; it must not move.
+    moduli = sorted({(round(r, 12), m) for r, _, m in DRAWS})[::5] + [(0.5, 20), (0.5, 25)]
+    for r, m in moduli:
+        gram = gram_block(m, r)
+        reference = complex_route(r, m)
+        assert np.array_equal(gram.matrix, reference["matrix"])
+        assert np.array_equal(gram.factor, reference["factor"])
+        system = level(r, m)
+        if isinstance(system, str):
+            continue
+        # The generic route: the public constructor on the given pair.
+        generic = build_block_system(BlockBasis(m, reference["h_matrix"], reference["e_matrix"]))
+        for name in ("h_matrix", "e_matrix"):
+            assert np.array_equal(getattr(system.basis, name), reference[name]), (r, m, name)
+            assert np.array_equal(getattr(generic.basis, name), reference[name]), (r, m, name)
+        for name in ("a", "b"):
+            assert np.array_equal(getattr(system, name), reference[name]), (r, m, name)
+            assert np.array_equal(getattr(generic, name), reference[name]), (r, m, name)
+
+
+def complex_level(gamma, m):
+    """Every level matrix by the complex-arithmetic route at ``gamma``."""
+    ref = complex_route(gamma, m)
+    h, e, a, b = ref["h_matrix"], ref["e_matrix"], ref["a"], ref["b"]
+    n_op = b @ a
+    s_e = e @ e.conj().T
+    vals, vecs = np.linalg.eigh(s_e)
+    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
+    inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
+    return {
+        **ref,
+        "N": n_op,
+        "S_h": h @ h.conj().T,
+        "S_e": s_e,
+        "sqrt_S_e": root,
+        "n_selfadjoint": root @ n_op @ inv_root,
+        "c_matrix": root @ h,
+    }
+
+
+@pytest.mark.parametrize("gamma, m", FORWARD_GRID)
+def test_agrees_with_complex_route(gamma, m):
+    system = level(complex(gamma), m)
+    reference = complex_level(gamma, m)
+    produced = {name: getattr(system, name) for name, _ in GAUGED}
+    produced.update(h_matrix=system.basis.h_matrix, e_matrix=system.basis.e_matrix)
+    exact = None
+    for name, got in produced.items():
+        ref = reference[name]
+        gap = np.max(np.abs(got - ref)) / max(1.0, np.max(np.abs(ref)))
+        if gap <= 1e-12:
+            continue
+        # Agreement is owed only where the complex route is accurate: the
+        # eigendecomposition behind sqrt_S_e, n and c may disagree where the
+        # 50-digit values show the complex route off by more than 1e-12.
+        assert name in ("sqrt_S_e", "n_selfadjoint", "c_matrix"), (name, gap)
+        exact = exact or mpmath_reference(complex(gamma), m)
+        theirs = np.max(np.abs(ref - exact[name])) / max(1.0, np.max(np.abs(exact[name])))
+        assert theirs > 1e-12, (name, gap, theirs, forward_error(system, exact, name))
