@@ -28,31 +28,23 @@ from .blocks import (
     DeformedLevelOperators,
     PositivityError,
     anticommutator_reference,
-    basis_from_h,
     build_block_system,
     deformed_number_operators,
     dual_basis_by_kernel,
     fixture_basis,
-    hermitian_sqrt,
     realize_basis_cholesky,
     synthesize_ladders,
     verify_block_system,
 )
 from .fock import (
-    FockRep,
     NoGoReport,
-    build_fock_rep,
     lowering_matrix,
     nogo_joint_kernel,
-    raising_matrix,
-    stacked_vacuum_conditions,
 )
 from .overlaps import (
     GramBlock,
     NCBosonParams,
-    fock_expand_oracle,
     gram_block,
-    overlap,
     sym_power,
 )
 
@@ -63,7 +55,6 @@ __all__ = [
     "BlockBasis",
     "BlockSystem",
     "DeformedLevelOperators",
-    "FockRep",
     "GlobalOperators",
     "GramBlock",
     "NCBosonParams",
@@ -72,25 +63,18 @@ __all__ = [
     "ResolutionReport",
     "anticommutator_reference",
     "assemble",
-    "basis_from_h",
     "build_block_system",
     "build_family",
-    "build_fock_rep",
     "deformed_number_operators",
     "dual_basis_by_kernel",
     "fixture_basis",
-    "fock_expand_oracle",
     "global_resolution_check",
     "gram_block",
-    "hermitian_sqrt",
     "lowering_matrix",
     "nogo_joint_kernel",
     "normalized_legendre",
-    "overlap",
-    "raising_matrix",
     "realize_basis_cholesky",
     "resolution_of_identity",
-    "stacked_vacuum_conditions",
     "states_at",
     "sym_power",
     "synthesize_ladders",

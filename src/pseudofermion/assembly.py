@@ -2,11 +2,12 @@
 
 Every global operator on the direct sum of the levels ``0 .. L`` is block
 diagonal, so an assembly keeps only the per-level systems of module
-`blocks` and where each starts; the ladder action, the resolution of
-identity and the intertwining ``S_e N = N^+ S_e`` are certified block by
-block.  The frame operators' per-block norms grow with the level for any
-nonzero deformation, which is the finite-size witness that the global
-frame operators need not stay bounded.
+`blocks` and where each starts, and forms no dense global matrix; the
+ladder action, the resolution of identity and the intertwining
+``S_e N = N^+ S_e`` are certified block by block.  The frame operators'
+per-block norms grow with the level for any nonzero deformation, which is
+the finite-size witness that the global frame operators need not stay
+bounded.
 """
 
 from __future__ import annotations
@@ -32,9 +33,8 @@ class GlobalOperators:
 
     ``block_systems[M]`` holds the level-``M`` operators; they act on the
     global coordinates ``offsets[M] : offsets[M] + M + 1``, which is the
-    range of the level-``M`` projection.  ``A``, ``B`` and ``N`` are the
-    dense direct sums of the blocks' ``a``, ``b`` and ``N``, formed anew
-    and read-only on every access.
+    range of the level-``M`` projection.  A dense global operator is the
+    direct sum of one block matrix over the levels; nothing here forms it.
     """
 
     max_level: int
@@ -42,49 +42,6 @@ class GlobalOperators:
     block_systems: tuple[BlockSystem, ...]
     offsets: tuple[int, ...]
     action_residual: float
-
-    @property
-    def total_dim(self) -> int:
-        return self.offsets[-1] + self.max_level + 1
-
-    @property
-    def A(self) -> np.ndarray:
-        return self._direct_sum("a")
-
-    @property
-    def B(self) -> np.ndarray:
-        return self._direct_sum("b")
-
-    @property
-    def N(self) -> np.ndarray:
-        return self._direct_sum("N")
-
-    def _direct_sum(self, name: str) -> np.ndarray:
-        out = np.zeros((self.total_dim, self.total_dim), dtype=complex)
-        for system, off in zip(self.block_systems, self.offsets):
-            dim = system.basis.dim
-            out[off : off + dim, off : off + dim] = getattr(system, name)
-        out.setflags(write=False)
-        return out
-
-    def h_vector(self, level: int, k: int) -> np.ndarray:
-        """Embedded primal vector ``h_k`` of the given level."""
-        return self._embedded(level, k, dual=False)
-
-    def e_vector(self, level: int, k: int) -> np.ndarray:
-        """Embedded dual vector ``e_k`` of the given level."""
-        return self._embedded(level, k, dual=True)
-
-    def _embedded(self, level: int, k: int, dual: bool) -> np.ndarray:
-        if not 0 <= level <= self.max_level:
-            raise ValueError(f"level out of range: {level}")
-        if not 0 <= k <= level:
-            raise ValueError(f"index {k} out of range at level {level}")
-        system = self.block_systems[level]
-        column = (system.basis.e_matrix if dual else system.basis.h_matrix)[:, k]
-        vec = np.zeros(self.total_dim, dtype=complex)
-        vec[self.offsets[level] : self.offsets[level] + level + 1] = column
-        return vec
 
 
 @dataclass(frozen=True)

@@ -13,7 +13,7 @@ The production realization is the Cholesky gauge,
 `realize_basis_cholesky`, whose upper triangular factor
 `overlaps.gram_block` supplies in closed form.  The closed-form
 level-1/level-2 choices of module `fixtures` (`fixture_basis`) and
-user-supplied families (`basis_from_h`) are reference realizations.  All
+pairs given to `BlockBasis` directly are reference realizations.  All
 yield the same spectra and the same mixed-dyad anticommutator diagonal
 ``(1, 3, 5, ..., 2M-1, M)``; only level 1 gives ``{a, b} = 1``.  No
 function here takes a tolerance argument.
@@ -42,9 +42,8 @@ from .overlaps import GramBlock, NCBosonParams, phase_gauge, sym_power
 EQUALITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-12
 
-# Relative ceiling on the defect of a dual family: the biorthonormality
-# e^+ h = 1 of a supplied pair, and the agreement of the kernel-built dual
-# with the inverse adjoint of h.  A guard on inputs, not a certification.
+# Relative ceiling on the biorthonormality defect e^+ h - 1 of a supplied
+# pair.  A guard on inputs, not a certification.
 DUAL_TOL = 1e-8
 
 # A kernel is accepted as one-dimensional when the smallest singular value
@@ -92,15 +91,11 @@ def _positive_sqrt_pair(matrix: np.ndarray, subject: str) -> tuple[np.ndarray, n
     return root, inv_root
 
 
-def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Unique positive square root of a Hermitian positive-definite matrix."""
-    return _positive_sqrt_pair(matrix, "matrix")[0]
-
-
 class _AtGamma:
-    # A matrix field read at gamma: each read derives it from the |gamma|
-    # ``core`` through `phase_gauge`, so a view is formed only when read;
-    # a value given at construction (`dataclasses.replace`) is kept.
+    # A level matrix read at gamma: every read derives it from the |gamma|
+    # ``core`` through `phase_gauge`, so a view is formed only when read.
+    # `BlockBasis` keywords land in the instance dict until its
+    # ``__post_init__`` moves them into the core.
 
     def __init__(self, shift: int = 0):
         self.shift = shift
@@ -111,12 +106,7 @@ class _AtGamma:
     def __get__(self, obj, owner=None):
         if obj is None:
             return None
-        given = obj.__dict__.get(self.name)
-        return phase_gauge(obj.core[self.name], obj.phase, self.shift) if given is None else given
-
-    def __set__(self, obj, value):
-        if value is not None:
-            obj.__dict__[self.name] = _read_only(value)
+        return phase_gauge(obj.core[self.name], obj.phase, self.shift)
 
 
 def _read_only(matrix) -> np.ndarray:
@@ -180,19 +170,21 @@ class BlockSystem:
     the mixed dyad expansion over ``|e_k><h_k|``.  Each matrix is read from
     ``core`` at the basis phase; ``core`` also holds the basis pair,
     ``inv_sqrt_S_e``, ``{a, b}`` and ``e^+ {a, b} h`` for the checks.
+    The matrices are not constructor fields: what is reported is always
+    the core that `verify_block_system` certifies.
     """
 
     basis: BlockBasis
     core: dict
     anticommutator_diagonal: np.ndarray
-    a: np.ndarray = _AtGamma(-1)
-    b: np.ndarray = _AtGamma(1)
-    N: np.ndarray = _AtGamma()
-    S_h: np.ndarray = _AtGamma()
-    S_e: np.ndarray = _AtGamma()
-    sqrt_S_e: np.ndarray = _AtGamma()
-    n_selfadjoint: np.ndarray = _AtGamma()
-    c_matrix: np.ndarray = _AtGamma()
+    a = _AtGamma(-1)
+    b = _AtGamma(1)
+    N = _AtGamma()
+    S_h = _AtGamma()
+    S_e = _AtGamma()
+    sqrt_S_e = _AtGamma()
+    n_selfadjoint = _AtGamma()
+    c_matrix = _AtGamma()
 
     @property
     def phase(self) -> float:
@@ -236,13 +228,6 @@ def fixture_basis(level: int, gamma: float) -> BlockBasis:
     return BlockBasis(level, h(gamma), e(gamma))
 
 
-def basis_from_h(level: int, h_matrix: np.ndarray) -> BlockBasis:
-    """User-supplied primal family; the dual is taken as the inverse adjoint."""
-    h = np.asarray(h_matrix, dtype=complex)
-    e = np.linalg.inv(h).conj().T
-    return BlockBasis(level=level, h_matrix=h, e_matrix=e)
-
-
 def _ladders(h: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     # a = (H D) E^+ and b = (H D^+) E^+, the mixed dyads sum sqrt(k)
     # |h_(k-1)><e_k| and sum sqrt(k+1) |h_(k+1)><e_k|: H D is H with its
@@ -270,8 +255,10 @@ def dual_basis_by_kernel(h_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> 
 
     ``e_0`` spans the null space of ``b^+`` (required one-dimensional),
     normalized against ``h_0``; then ``e_{k+1} = a^+ e_k / sqrt(k+1)``.
-    The result is checked against the inverse adjoint of ``h_matrix``
-    before being returned.
+    Raises ValueError when that kernel is not one-dimensional or is
+    orthogonal to ``h_0``.  The result is not compared with the inverse
+    adjoint of ``h_matrix`` here; `pfl verify-fixtures` reports that
+    defect as ``m{L}:kernel_dual``.
     """
     h = np.asarray(h_matrix, dtype=complex)
     dim = h.shape[0]
@@ -292,14 +279,7 @@ def dual_basis_by_kernel(h_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> 
     a_dag = a.conj().T
     for k in range(dim - 1):
         cols.append(a_dag @ cols[-1] / math.sqrt(k + 1))
-    e_kernel = np.column_stack(cols)
-
-    e_expected = np.linalg.inv(h).conj().T
-    if not relative_residual(e_kernel - e_expected, e_expected) <= DUAL_TOL:
-        raise ValueError(
-            "kernel-built dual family disagrees with the inverse-adjoint dual"
-        )
-    return e_kernel
+    return np.column_stack(cols)
 
 
 def anticommutator_reference(level: int) -> np.ndarray:

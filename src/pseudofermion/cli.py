@@ -164,7 +164,7 @@ _BINARY_OPS = {
 }
 
 # Every node type the grammar admits; the walk in `parse_expression` also
-# requires constants to be numbers and names to be ``x``.
+# requires constants to be int or float (not bool) and names to be ``x``.
 _ALLOWED_NODES = {
     ast.Expression, ast.Constant, ast.Name, ast.Load, ast.BinOp, ast.UnaryOp,
     ast.USub, ast.UAdd, *_BINARY_OPS,
@@ -185,7 +185,7 @@ def parse_expression(text: str) -> Callable:
     for node in ast.walk(tree):
         if (
             type(node) not in _ALLOWED_NODES
-            or (isinstance(node, ast.Constant) and not isinstance(node.value, (int, float)))
+            or (isinstance(node, ast.Constant) and type(node.value) not in (int, float))
             or (isinstance(node, ast.Name) and node.id != "x")
         ):
             raise ValueError(

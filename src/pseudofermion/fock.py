@@ -36,7 +36,9 @@ columns ``(e_c + eps s_c e_swap(c)) / sqrt2`` for each pair ``c, swap(c)``,
 ``s_c`` the sign of ``U`` at ``c``, and ``e_c`` for each fixed point ``nx =
 ny``, which occurs only in the even block and lies in the eigenspace of its
 sign ``(-1)^nx``.  A block of ``n`` columns and ``h`` outputs thus costs
-two ``h x n/2`` SVDs instead of one ``2h x n``.
+two ``h x n/2`` SVDs instead of one ``2h x n``.  The dense complex stack on
+the two-mode product space is formed only by the tests, as the oracle of
+this reduction.
 """
 
 from __future__ import annotations
@@ -62,36 +64,6 @@ def lowering_matrix(dim: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
-def raising_matrix(dim: int) -> np.ndarray:
-    """Adjoint of `lowering_matrix`."""
-    return lowering_matrix(dim).conj().T
-
-
-@dataclass(frozen=True)
-class FockRep:
-    """Two-mode truncated Fock representation.
-
-    ``a_x`` and ``a_y`` are the per-mode lowering matrices tensored with
-    the identity on the other mode, on the product space of dimension
-    ``(cutoff + 1)**2``, enumerated with the first-mode occupation major.
-    """
-
-    cutoff: int
-    a_x: np.ndarray
-    a_y: np.ndarray
-
-    @property
-    def dim(self) -> int:
-        return (self.cutoff + 1) ** 2
-
-    def basis_index(self, nx: int, ny: int) -> int:
-        """Flat index of the product state with the given occupations."""
-        if not (0 <= nx <= self.cutoff and 0 <= ny <= self.cutoff):
-            raise ValueError(f"occupation out of range: {(nx, ny)}")
-        d = self.cutoff + 1
-        return nx * d + ny
-
-
 @dataclass(frozen=True)
 class NoGoReport:
     """Singular-value sweep of the stacked vacuum conditions."""
@@ -100,33 +72,6 @@ class NoGoReport:
     cutoffs: tuple[int, ...]
     min_singular_values: tuple[float, ...]
     kernel_dimension_estimate: int
-
-
-def build_fock_rep(cutoff: int) -> FockRep:
-    """Build the two-mode representation with per-mode occupation cap ``cutoff``."""
-    if cutoff < 1:
-        raise ValueError(f"cutoff must be >= 1, got {cutoff}")
-    single = lowering_matrix(cutoff + 1)
-    eye = np.eye(cutoff + 1, dtype=complex)
-    a_x = np.kron(single, eye)
-    a_y = np.kron(eye, single)
-    a_x.setflags(write=False)
-    a_y.setflags(write=False)
-    return FockRep(cutoff=cutoff, a_x=a_x, a_y=a_y)
-
-
-def stacked_vacuum_conditions(theta: float, rep: FockRep) -> np.ndarray:
-    """The two vacuum-condition operators stacked vertically.
-
-    Uses ``x + d/dx = sqrt(2) a_x`` and ``d/dy = (a_y - a_y^+)/sqrt(2)``
-    (and symmetrically for the second condition).  Test oracle of the scan.
-    """
-    ax, ay = rep.a_x, rep.a_y
-    dx = (ax - ax.conj().T) / _SQRT2
-    dy = (ay - ay.conj().T) / _SQRT2
-    l1 = _SQRT2 * ax + 1j * (theta / 2.0) * dy
-    l2 = _SQRT2 * ay - 1j * (theta / 2.0) * dx
-    return np.vstack([l1, l2])
 
 
 def _parity_singular_values(theta: float, cutoff: int) -> np.ndarray:

@@ -18,11 +18,9 @@ For arbitrary combination coefficients, `sym_power` expands every
 excitation of a level onto the orthonormal product Fock basis at once: the
 level-``M`` columns are ``Sym^M(T)`` of the 2x2 coefficient matrix ``T``.
 
-Two independent routes to the same inner products serve as oracles:
-
-* the paper's commutator-driven recursion (`overlap`), and
-* the scalar binomial expansion of one excitation (`fock_expand_oracle`),
-  the reference for `sym_power`.
+The paper derives the overlaps by a commutator recursion instead.  That
+recursion and the scalar binomial expansion of one excitation are kept in
+the test suite as the oracles of `gram_block` and `sym_power`.
 """
 
 from __future__ import annotations
@@ -32,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-# Highest total level served: the envelope checked so far.  Only the test
-# oracles take factorials; production reads exact binomials (`_BINOMIAL`).
+# Highest total level served: the envelope checked so far.  Production reads
+# exact binomials (`_BINOMIAL`); the factorial oracles of the tests share it.
 LEVEL_CAP = 30
 
 # Tolerance on the unit-norm constraints of the combination coefficients.
@@ -147,96 +145,6 @@ def phase_gauge(matrix: np.ndarray, phase: float, shift: int = 0) -> np.ndarray:
     return view
 
 
-def _raw_overlap(
-    n1: int, n2: int, k1: int, k2: int, gamma: complex, memo: dict
-) -> complex:
-    # Unnormalized overlap of (A1^+)^n1 (A2^+)^n2 vac with the (k1, k2)
-    # excitation.  Peeling one A1 (or, once n1 = 0, one A2) off the left
-    # vector and commuting it through the right-hand creation string gives
-    # the two-term recursion; the conjugated deformation appears when the
-    # peeled operator is A2.  ``memo`` lives for one top-level call.
-    if n1 + n2 != k1 + k2:
-        return 0.0
-    if n1 == 0 and n2 == 0:
-        return 1.0 if k1 == 0 and k2 == 0 else 0.0
-    key = (n1, n2, k1, k2)
-    if key in memo:
-        return memo[key]
-    acc = 0.0 + 0.0j
-    if n1 >= 1:
-        if k1 >= 1:
-            acc += k1 * _raw_overlap(n1 - 1, n2, k1 - 1, k2, gamma, memo)
-        if k2 >= 1:
-            acc += gamma * k2 * _raw_overlap(n1 - 1, n2, k1, k2 - 1, gamma, memo)
-    else:
-        if k1 >= 1:
-            acc += gamma.conjugate() * k1 * _raw_overlap(n1, n2 - 1, k1 - 1, k2, gamma, memo)
-        if k2 >= 1:
-            acc += k2 * _raw_overlap(n1, n2 - 1, k1, k2 - 1, gamma, memo)
-    memo[key] = acc
-    return acc
-
-
-def overlap(n1: int, n2: int, k1: int, k2: int, gamma: complex) -> complex:
-    """Inner product of the normalized excitations ``Phi_{n1,n2}, Phi_{k1,k2}``.
-
-    Exactly zero across different total levels.  Within a level the value is
-    produced by the commutator recursion with normalization
-    ``1/sqrt(n1! n2! k1! k2!)``.  This is the paper's derivation, kept as an
-    oracle for `gram_block`; no production path calls it.
-    """
-    for idx in (n1, n2, k1, k2):
-        if idx < 0:
-            raise ValueError(f"negative excitation index: {(n1, n2, k1, k2)}")
-    if n1 + n2 > LEVEL_CAP or k1 + k2 > LEVEL_CAP:
-        raise ValueError(f"total level exceeds cap {LEVEL_CAP}")
-    if n1 + n2 != k1 + k2:
-        return 0.0
-    raw = _raw_overlap(n1, n2, k1, k2, complex(gamma), {})
-    norm = math.sqrt(
-        math.factorial(n1) * math.factorial(n2) * math.factorial(k1) * math.factorial(k2)
-    )
-    return raw / norm
-
-
-def fock_expand_oracle(n1: int, n2: int, params: NCBosonParams) -> np.ndarray:
-    """Coefficients of ``Phi_{n1,n2}`` over the orthonormal product basis.
-
-    Expands the creation-operator binomials directly; entry ``i`` of the
-    returned vector multiplies the orthonormal state with ``M - i`` quanta
-    in mode x and ``i`` in mode y, ``M = n1 + n2``.  Inner products of
-    these coefficient vectors are the independent check on `overlap`, and
-    the vectors themselves are the scalar reference for `sym_power`; only
-    tests call it.
-    """
-    if n1 < 0 or n2 < 0:
-        raise ValueError(f"negative excitation index: {(n1, n2)}")
-    if n1 + n2 > LEVEL_CAP:
-        raise ValueError(f"total level exceeds cap {LEVEL_CAP}")
-    level = n1 + n2
-    cax = params.alpha_x.conjugate()
-    cay = params.alpha_y.conjugate()
-    cbx = params.beta_x.conjugate()
-    cby = params.beta_y.conjugate()
-    coeff = np.zeros(level + 1, dtype=complex)
-    for pos in range(level + 1):
-        m1 = level - pos  # quanta in mode x
-        m2 = pos
-        acc = 0.0 + 0.0j
-        for i in range(max(0, m1 - n2), min(n1, m1) + 1):
-            j = m1 - i
-            acc += (
-                math.comb(n1, i)
-                * math.comb(n2, j)
-                * cax**i
-                * cay ** (n1 - i)
-                * cbx**j
-                * cby ** (n2 - j)
-            )
-        coeff[pos] = acc * math.sqrt(math.factorial(m1) * math.factorial(m2))
-    return coeff / math.sqrt(math.factorial(n1) * math.factorial(n2))
-
-
 def sym_power(t: np.ndarray, level: int) -> np.ndarray:
     """Every column of ``Sym^M(T)`` at once, ``M = level``.
 
@@ -244,8 +152,8 @@ def sym_power(t: np.ndarray, level: int) -> np.ndarray:
     ``q``-th creation operator, so for the deformed pair ``t = [[conj
     alpha_x, conj beta_x], [conj alpha_y, conj beta_y]]``.  Column ``n2``
     of the result holds the coefficients of ``Phi_{M-n2,n2}`` over the
-    product basis ``|M-i, i>``: the binomial double sum of
-    `fock_expand_oracle`, evaluated for every row, column and summation
+    product basis ``|M-i, i>``: the binomial double sum of the expanded
+    creation-operator powers, evaluated for every row, column and summation
     index in one array and normalized by ``sqrt(C(M, n2) / C(M, i))``.
     """
     if not 0 <= level <= LEVEL_CAP:
@@ -278,8 +186,8 @@ def gram_block(level: int, gamma: complex) -> GramBlock:
     """Assemble the level-``M`` overlap Gram matrix from its closed-form factor.
 
     ``factor[i, j] = sqrt(C(j, i) C(M-i, j-i)) gamma^(j-i) s^i`` for
-    ``i <= j`` and zero below the diagonal: the canonical-coefficient
-    expansion of `fock_expand_oracle`, column by column.  The matrix is
+    ``i <= j`` and zero below the diagonal: `sym_power` of the canonical
+    coefficients, column by column.  The matrix is
     ``factor^+ factor`` with its upper triangle mirrored conjugate and its
     diagonal taken as the real column norms, so it is Hermitian by
     construction.  The closed form is evaluated at ``gamma`` and, for the

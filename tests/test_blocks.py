@@ -10,18 +10,17 @@ from pseudofermion.blocks import (
     BlockBasis,
     PositivityError,
     anticommutator_reference,
-    basis_from_h,
     build_block_system,
     deformed_number_operators,
     dual_basis_by_kernel,
     fixture_basis,
-    hermitian_sqrt,
     realize_basis_cholesky,
     relative_residual,
     synthesize_ladders,
     verify_block_system,
 )
-from pseudofermion.fock import build_fock_rep, lowering_matrix
+from oracles import basis_from_h, build_fock_rep, hermitian_sqrt
+from pseudofermion.fock import lowering_matrix
 from pseudofermion.overlaps import NCBosonParams, gram_block
 
 GAMMA_GRID = [0.0, 0.1, 0.5, 0.9, 0.5 + 0.3j]

@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 import pseudofermion
-from pseudofermion import assembly, fixtures
+from oracles import direct_sum
+from pseudofermion import assembly, cli, fixtures
 from pseudofermion.assembly import assemble
 from pseudofermion.blocks import (
     EQUALITY_TOL,
@@ -148,7 +149,8 @@ class TestSchemaPfl2:
         report = ReportDocument.from_json(run_assemble(gamma, max_level).to_json())
         assert not {"A", "B", "N"} & set(report.matrices)
         dim = (max_level + 1) * (max_level + 2) // 2
-        for name, dense in (("a", ops.A), ("b", ops.B), ("N", ops.N)):
+        for name in ("a", "b", "N"):
+            dense = direct_sum(ops, name)
             rebuilt = np.zeros((dim, dim), dtype=complex)
             for level, system in enumerate(ops.block_systems):
                 block = report.matrices[f"level{level}:{name}"]
@@ -175,7 +177,10 @@ class TestSchemaPfl2:
     def test_reads_pfl1_text(self):
         ops = assemble(0.3 + 0.2j, 6)
         report = SUBCOMMAND_RUNS["assemble"]()
-        report.matrices = {"A": ops.A, "B": ops.B, "N": ops.N, **report.matrices}
+        report.matrices = {
+            "A": direct_sum(ops, "a"), "B": direct_sum(ops, "b"), "N": direct_sum(ops, "N"),
+            **report.matrices,
+        }
         clone = ReportDocument.from_json(pfl1_text(report))
         assert clone.version == "pfl-1"
         assert [c.as_json() for c in clone.checks] == [c.as_json() for c in report.checks]
@@ -201,7 +206,9 @@ class TestParseExpression:
         assert values.shape == (7,)
         np.testing.assert_allclose(values, 2.5)
 
-    @pytest.mark.parametrize("text", ["sin(x)", "__import__('os')", "y", "x @ x"])
+    @pytest.mark.parametrize(
+        "text", ["sin(x)", "__import__('os')", "y", "x @ x", "True", "x**False"]
+    )
     def test_rejects_non_arithmetic(self, text):
         with pytest.raises(ValueError):
             parse_expression(text)
@@ -293,7 +300,8 @@ class TestExitCodes:
         # usage error.
         def perturbed(basis):
             system = build_block_system(basis)
-            return dataclasses.replace(system, a=system.a + 1e-6)
+            core = {**system.core, "a": system.core["a"] + 1e-6}
+            return dataclasses.replace(system, core=core)
 
         monkeypatch.setattr(assembly, "build_block_system", perturbed)
         assert assemble(0.4, 2).action_residual > EQUALITY_TOL
@@ -301,6 +309,22 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         failing = {item["name"] for item in payload["checks"] if not item["pass"]}
         assert "ladder_actions" in failing
+
+    @pytest.mark.parametrize("where", ["returned", "climbing"])
+    def test_failed_kernel_dual_exits_one(self, where, monkeypatch, capsys):
+        # A defect in the kernel-built dual is a failing check, whether it
+        # is added to the result or enters through the a^+ climb.
+        def perturbed(h_matrix, a, b):
+            if where == "climbing":
+                return dual_basis_by_kernel(h_matrix, a + 1e-6, b)
+            return dual_basis_by_kernel(h_matrix, a, b) + 1e-6
+
+        monkeypatch.setattr(cli, "dual_basis_by_kernel", perturbed)
+        assert main(["verify-fixtures", "--gamma", "0.4"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        failing = {item["name"] for item in payload["checks"] if not item["pass"]}
+        assert "m2:kernel_dual" in failing
+        assert failing <= {"m1:kernel_dual", "m2:kernel_dual"}
 
     def test_out_file(self, tmp_path, capsys):
         target = tmp_path / "report.json"

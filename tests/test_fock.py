@@ -1,14 +1,12 @@
 import numpy as np
 import pytest
 
+from oracles import build_fock_rep, raising_matrix, stacked_vacuum_conditions
 from pseudofermion.fock import (
     DEFAULT_KERNEL_TOL,
     _parity_singular_values,
-    build_fock_rep,
     lowering_matrix,
     nogo_joint_kernel,
-    raising_matrix,
-    stacked_vacuum_conditions,
 )
 
 

@@ -3,12 +3,11 @@ import math
 import numpy as np
 import pytest
 
+from oracles import fock_expand_oracle, overlap
 from pseudofermion.overlaps import (
     LEVEL_CAP,
     NCBosonParams,
-    fock_expand_oracle,
     gram_block,
-    overlap,
     sym_power,
 )
 

@@ -7,6 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from oracles import direct_sum
 from pseudofermion.assembly import assemble
 from pseudofermion.cli import main
 
@@ -47,7 +48,8 @@ def test_command_line_exits_zero(line, tmp_path):
 
 def test_library_example_runs(capsys):
     exec(compile(LIBRARY, "README.md", "exec"), {})
-    capsys.readouterr()
+    # The printed lines whose comments state an exact value.
+    assert capsys.readouterr().out.splitlines()[:3] == ["0.5", "0.0", "[1. 3. 5. 3.]"]
 
 
 def test_rebuild_snippet_reads_written_report(tmp_path, monkeypatch):
@@ -57,4 +59,4 @@ def test_rebuild_snippet_reads_written_report(tmp_path, monkeypatch):
     assert main(shlex.split(line, comments=True)[1:]) == 0
     scope = {}
     exec(compile(REBUILD, "README.md", "exec"), scope)
-    np.testing.assert_array_equal(scope["A"], assemble(0.5, 4).A)
+    np.testing.assert_array_equal(scope["A"], direct_sum(assemble(0.5, 4), "a"))
