@@ -35,7 +35,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from .overlaps import GramBlock, NCBosonParams, phase_gauge, sym_power
+from .overlaps import GramBlock, NCBosonParams, dsym, phase_gauge, sym_powers
 
 # Relative residual ceiling for equality checks; positivity is an absolute
 # eigenvalue floor.  Dense double-precision algebra at dimension <= 10.
@@ -74,6 +74,12 @@ def relative_residual(defect: np.ndarray, *references: np.ndarray | float) -> fl
     for ref in references:
         scale *= abs(ref) if isinstance(ref, float) else max_abs(ref)
     return max_abs(defect) / max(1.0, scale)
+
+
+def _worst_level(defect: np.ndarray, scale: np.ndarray) -> float:
+    # `relative_residual` of every level slice of a stack, each against its
+    # own scale (the product of that level's norms); the worst level.
+    return float((np.abs(defect).max(axis=(1, 2)) / np.maximum(1.0, scale)).max())
 
 
 def _positive_sqrt_pair(matrix: np.ndarray, subject: str) -> tuple[np.ndarray, np.ndarray]:
@@ -403,14 +409,15 @@ def deformed_number_operators(params: NCBosonParams, level: int) -> DeformedLeve
 
     The pair ``M1 = (N1 - gamma A1^+ A2) / (1 - |gamma|^2)`` and its
     mirror ``M2`` are forms ``Sum_pq K_pq a_p^+ a_q`` that keep the total
-    level.  On level ``n`` each is the derived representation of its 2x2
-    ``K``: tridiagonal on ``|n - j, j>``, diagonal ``K_xx (n - j) + K_yy j``,
-    off-diagonals ``sqrt((n - j + 1) j)`` times ``K_xy`` (above) and
-    ``K_yx`` (below).  On every level up to ``level`` the Fock expansion
-    of each excitation, one `sym_power` call per level, is checked to be
-    an eigenvector with the per-mode count as eigenvalue, and ``[M1, M2]``
-    is checked to vanish on each whole level, untruncated.  Raises
-    ValueError if either certification fails.
+    level: on level ``n`` each is ``dSym^n(K)`` of its 2x2 ``K``, tridiagonal
+    on ``|n - j, j>``, built for every ``n <= level`` by `overlaps.dsym`.  In
+    one batched pass over these zero-padded stacks, the Fock expansions of
+    every level's excitations (`overlaps.sym_powers`, by the creation-operator
+    recurrence) are checked to be eigenvectors with the per-mode counts as
+    eigenvalues, and ``[M1, M2]`` to vanish on each whole level; each level's
+    residuals are scaled by its own norms.  Raises ValueError for a level
+    outside ``[0, LEVEL_CAP]``, before any level is built, or if either
+    certification fails.
     """
     if level < 0:
         raise ValueError(f"level must be >= 0, got {level}")
@@ -425,28 +432,19 @@ def deformed_number_operators(params: NCBosonParams, level: int) -> DeformedLeve
     beta = np.array([params.beta_x, params.beta_y])
     k1 = np.outer(alpha.conj(), alpha - gamma * beta) / denom
     k2 = np.outer(beta.conj(), beta - gamma.conjugate() * alpha) / denom
-    t = np.column_stack([alpha, beta]).conj()
+    m1, m2 = dsym(np.stack([k1, k2]), level)
+    h = m1 + m2
+    vecs = sym_powers(np.column_stack([alpha, beta]).conj(), level)
 
-    action = commutator = 0.0
-    for total in range(level + 1):
-        j = np.arange(total + 1)
-        hop = np.sqrt((total - j[1:] + 1) * j[1:])
-        m1, m2 = (
-            np.diag(k[0, 0] * (total - j) + k[1, 1] * j)
-            + np.diag(k[0, 1] * hop, 1)
-            + np.diag(k[1, 0] * hop, -1)
-            for k in (k1, k2)
-        )
-        h = m1 + m2
-        vecs = sym_power(t, total)
-        norm_1, norm_2, norm_v = max_abs(m1), max_abs(m2), max_abs(vecs)
-        action = max(
-            action,
-            relative_residual(m1 @ vecs - vecs * (total - j), norm_1, norm_v),
-            relative_residual(m2 @ vecs - vecs * j, norm_2, norm_v),
-            relative_residual(h @ vecs - total * vecs, h, norm_v),
-        )
-        commutator = max(commutator, relative_residual(m1 @ m2 - m2 @ m1, norm_1, norm_2))
+    total = np.arange(level + 1)[:, None, None]
+    j = np.arange(level + 1)
+    norm_1, norm_2, norm_h, norm_v = (np.abs(x).max(axis=(1, 2)) for x in (m1, m2, h, vecs))
+    action = max(
+        _worst_level(m1 @ vecs - vecs * (total - j), norm_1 * norm_v),
+        _worst_level(m2 @ vecs - vecs * j, norm_2 * norm_v),
+        _worst_level(h @ vecs - total * vecs, norm_h * norm_v),
+    )
+    commutator = _worst_level(m1 @ m2 - m2 @ m1, norm_1 * norm_2)
     if not action <= EQUALITY_TOL:
         raise ValueError(f"deformed number operator action defect {action:.3e}")
     if not commutator <= EQUALITY_TOL:
@@ -455,9 +453,9 @@ def deformed_number_operators(params: NCBosonParams, level: int) -> DeformedLeve
     return DeformedLevelOperators(
         level=level,
         gamma=gamma,
-        m1=m1,
-        m2=m2,
-        h_total=h,
+        m1=m1[level].copy(),
+        m2=m2[level].copy(),
+        h_total=h[level].copy(),
         action_residual=action,
         commutator_residual=commutator,
     )

@@ -17,6 +17,9 @@ to be computed from the (ill-conditioned) Gram matrix itself.
 For arbitrary combination coefficients, `sym_power` expands every
 excitation of a level onto the orthonormal product Fock basis at once: the
 level-``M`` columns are ``Sym^M(T)`` of the 2x2 coefficient matrix ``T``.
+`sym_powers` builds them on every level at once by the creation-operator
+recurrence, with `sym_power` as its reference; `dsym` gives the derived
+representation ``dSym^n(K)``, each level's block of ``Sum_pq K_pq a_p^+ a_q``.
 
 The paper derives the overlaps by a commutator recursion instead.  That
 recursion and the scalar binomial expansion of one excitation are kept in
@@ -180,6 +183,52 @@ def sym_power(t: np.ndarray, level: int) -> np.ndarray:
     )
     norm = np.sqrt(_BINOMIAL[level, k][None, :] / _BINOMIAL[level, k][:, None])
     return terms.sum(axis=2) * norm
+
+
+def sym_powers(t: np.ndarray, level: int) -> np.ndarray:
+    """`sym_power` ``(t, n)`` for every ``n <= level``, zero-padded into one stack.
+
+    Built by the creation-operator recurrence ``Phi_{n1,n2} = A1^+
+    Phi_{n1-1,n2} / sqrt(n1)``, and ``A2^+ Phi_{0,n2-1} / sqrt(n2)`` for the
+    last column, ``A_q^+ = t[0, q] a_x^+ + t[1, q] a_y^+``: O(n^2) per level.
+    """
+    if not 0 <= level <= LEVEL_CAP:
+        raise ValueError(f"level must lie in [0, {LEVEL_CAP}], got {level}")
+    t = np.asarray(t, dtype=complex)
+    stack = np.zeros((level + 1,) * 3, dtype=complex)
+    stack[0, 0, 0] = 1.0
+    root = np.sqrt(np.arange(level + 1))
+    for n in range(1, level + 1):
+        j = np.arange(n + 1)
+        last = j == n
+        # Column j < n raises column j of level n - 1 by A1^+ over sqrt(n - j),
+        # column n raises column n - 1 by A2^+ over sqrt(n); every row is scaled.
+        src = stack[n - 1][:n, np.minimum(j, n - 1)]
+        weight = t[:, last.astype(int)] / root[np.where(last, n, n - j)]
+        stack[n, :n, : n + 1] = weight[0] * root[n:0:-1, None] * src
+        stack[n, 1 : n + 1, : n + 1] += weight[1] * root[1 : n + 1, None] * src
+    return stack
+
+
+def dsym(k: np.ndarray, level: int) -> np.ndarray:
+    """``dSym^n(K)`` for every ``n <= level``, zero-padded into one stack.
+
+    The derived representation of a 2x2 ``K`` on ``|n - j, j>`` is
+    tridiagonal: diagonal ``K_xx (n - j) + K_yy j``, off-diagonals
+    ``sqrt((n - j + 1) j)`` times ``K_xy`` (above) and ``K_yx`` (below).
+    Leading axes of ``k`` lead the result.
+    """
+    if not 0 <= level <= LEVEL_CAP:
+        raise ValueError(f"level must lie in [0, {LEVEL_CAP}], got {level}")
+    k = np.asarray(k, dtype=complex)[..., None, None]
+    n, j = np.ogrid[: level + 1, : level + 1]
+    hop = np.sqrt((n - j + 1) * j * (j <= n))[:, 1:]
+    i = np.arange(level + 1)
+    stack = np.zeros(k.shape[:-4] + (level + 1,) * 3, dtype=complex)
+    stack[..., i, i] = np.where(j <= n, k[..., 0, 0, :, :] * (n - j) + k[..., 1, 1, :, :] * j, 0)
+    stack[..., i[:-1], i[1:]] = k[..., 0, 1, :, :] * hop
+    stack[..., i[1:], i[:-1]] = k[..., 1, 0, :, :] * hop
+    return stack
 
 
 def gram_block(level: int, gamma: complex) -> GramBlock:

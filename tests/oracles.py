@@ -8,6 +8,9 @@ production routes against them:
   references for `overlaps.gram_block` and `overlaps.sym_power`;
 * the dense two-mode Fock representation and the stacked vacuum conditions,
   the reference for `fock.nogo_joint_kernel`'s parity-block scan;
+* the level-by-level construction of the deformed number operators
+  (`deformed_number_operators_by_level`), one `sym_power` call per level,
+  the reference for `blocks.deformed_number_operators`' batched pass;
 * the positive square root of a Hermitian matrix and a basis from a primal
   family alone;
 * dense views of a `GlobalOperators` assembly: the direct sum of one block
@@ -25,9 +28,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from pseudofermion.blocks import BlockBasis, _positive_sqrt_pair
+from pseudofermion.blocks import (
+    EQUALITY_TOL,
+    POSITIVITY_TOL,
+    BlockBasis,
+    DeformedLevelOperators,
+    _positive_sqrt_pair,
+    max_abs,
+    relative_residual,
+)
 from pseudofermion.fock import _SQRT2, lowering_matrix
-from pseudofermion.overlaps import LEVEL_CAP, NCBosonParams
+from pseudofermion.overlaps import LEVEL_CAP, NCBosonParams, sym_power
 
 
 def _raw_overlap(
@@ -118,6 +129,68 @@ def fock_expand_oracle(n1: int, n2: int, params: NCBosonParams) -> np.ndarray:
             )
         coeff[pos] = acc * math.sqrt(math.factorial(m1) * math.factorial(m2))
     return coeff / math.sqrt(math.factorial(n1) * math.factorial(n2))
+
+
+def deformed_number_operators_by_level(
+    params: NCBosonParams, level: int
+) -> DeformedLevelOperators:
+    """The deformed number operators built and certified one level at a time.
+
+    The loop `blocks.deformed_number_operators` ran before it certified
+    every level in one batched pass: on each level ``0..level`` the
+    tridiagonal ``M1``, ``M2`` and ``H = M1 + M2`` are formed with
+    ``np.diag``, the excitations' Fock expansions come from one `sym_power`
+    call, and the action and commutator residuals are taken level by level.
+    """
+    if level < 0:
+        raise ValueError(f"level must be >= 0, got {level}")
+    gamma = params.gamma
+    denom = 1.0 - abs(gamma) ** 2
+    if denom <= POSITIVITY_TOL:
+        raise ValueError(
+            f"deformation magnitude {abs(gamma)} leaves no room to invert 1 - |gamma|^2"
+        )
+
+    alpha = np.array([params.alpha_x, params.alpha_y])
+    beta = np.array([params.beta_x, params.beta_y])
+    k1 = np.outer(alpha.conj(), alpha - gamma * beta) / denom
+    k2 = np.outer(beta.conj(), beta - gamma.conjugate() * alpha) / denom
+    t = np.column_stack([alpha, beta]).conj()
+
+    action = commutator = 0.0
+    for total in range(level + 1):
+        j = np.arange(total + 1)
+        hop = np.sqrt((total - j[1:] + 1) * j[1:])
+        m1, m2 = (
+            np.diag(k[0, 0] * (total - j) + k[1, 1] * j)
+            + np.diag(k[0, 1] * hop, 1)
+            + np.diag(k[1, 0] * hop, -1)
+            for k in (k1, k2)
+        )
+        h = m1 + m2
+        vecs = sym_power(t, total)
+        norm_1, norm_2, norm_v = max_abs(m1), max_abs(m2), max_abs(vecs)
+        action = max(
+            action,
+            relative_residual(m1 @ vecs - vecs * (total - j), norm_1, norm_v),
+            relative_residual(m2 @ vecs - vecs * j, norm_2, norm_v),
+            relative_residual(h @ vecs - total * vecs, h, norm_v),
+        )
+        commutator = max(commutator, relative_residual(m1 @ m2 - m2 @ m1, norm_1, norm_2))
+    if not action <= EQUALITY_TOL:
+        raise ValueError(f"deformed number operator action defect {action:.3e}")
+    if not commutator <= EQUALITY_TOL:
+        raise ValueError(f"deformed number operators do not commute: {commutator:.3e}")
+
+    return DeformedLevelOperators(
+        level=level,
+        gamma=gamma,
+        m1=m1,
+        m2=m2,
+        h_total=h,
+        action_residual=action,
+        commutator_residual=commutator,
+    )
 
 
 def raising_matrix(dim: int) -> np.ndarray:

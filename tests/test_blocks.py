@@ -19,9 +19,15 @@ from pseudofermion.blocks import (
     synthesize_ladders,
     verify_block_system,
 )
-from oracles import basis_from_h, build_fock_rep, hermitian_sqrt
+from oracles import (
+    basis_from_h,
+    build_fock_rep,
+    deformed_number_operators_by_level,
+    hermitian_sqrt,
+)
 from pseudofermion.fock import lowering_matrix
-from pseudofermion.overlaps import NCBosonParams, gram_block
+from pseudofermion.overlaps import LEVEL_CAP, NCBosonParams, gram_block, sym_power, sym_powers
+from test_overlaps import coefficient_matrix
 
 GAMMA_GRID = [0.0, 0.1, 0.5, 0.9, 0.5 + 0.3j]
 
@@ -526,3 +532,74 @@ class TestDeformedNumberOperators:
     def test_rejects_negative_level(self):
         with pytest.raises(ValueError):
             deformed_number_operators(NCBosonParams.from_gamma(0.2), -1)
+
+    @pytest.mark.parametrize("level", [LEVEL_CAP + 1, LEVEL_CAP + 2])
+    def test_rejects_level_above_cap(self, level):
+        with pytest.raises(ValueError, match=rf"\[0, {LEVEL_CAP}\], got {level}$"):
+            deformed_number_operators(NCBosonParams.from_gamma(0.2), level)
+
+
+class TestBatchedLevels:
+    """The batched pass against the level-by-level loop it replaced."""
+
+    @pytest.mark.parametrize("level", [0, 1, 2, 7, 20, 30])
+    @pytest.mark.parametrize(
+        "params",
+        [NCBosonParams.from_gamma(0.5), NCBosonParams.from_gamma(0.3 + 0.2j), NON_CANONICAL],
+        ids=["real", "complex", "non_canonical"],
+    )
+    def test_matches_level_by_level_oracle(self, params, level):
+        ops = deformed_number_operators(params, level)
+        ref = deformed_number_operators_by_level(params, level)
+        for name in ("m1", "m2", "h_total"):
+            assert np.array_equal(getattr(ops, name), getattr(ref, name)), name
+        assert ops.action_residual <= EQUALITY_TOL
+        assert ops.commutator_residual <= EQUALITY_TOL
+        t = coefficient_matrix(params)
+        stack = sym_powers(t, level)
+        for n in range(level + 1):
+            expected = sym_power(t, n)
+            defect = np.max(np.abs(stack[n, : n + 1, : n + 1] - expected))
+            assert defect <= 1e-14 * max(1.0, np.max(np.abs(expected))), n
+            assert not stack[n, n + 1 :].any() and not stack[n, :, n + 1 :].any(), n
+
+    @pytest.mark.parametrize("level", [2, 7, 20])
+    @pytest.mark.parametrize(
+        "params", [NCBosonParams.from_gamma(0.5), NON_CANONICAL], ids=["real", "non_canonical"]
+    )
+    def test_inner_level_action_defect_is_caught(self, monkeypatch, params, level):
+        inner = level // 2
+
+        def perturbed(t, top):
+            stack = sym_powers(t, top)
+            stack[inner, 0, inner] += 1e-6
+            return stack
+
+        monkeypatch.setattr(blocks, "sym_powers", perturbed)
+        with pytest.raises(ValueError, match="deformed number operator action defect"):
+            deformed_number_operators(params, level)
+
+    @pytest.mark.parametrize("level", [2, 7, 20])
+    @pytest.mark.parametrize(
+        "params", [NCBosonParams.from_gamma(0.5), NON_CANONICAL], ids=["real", "non_canonical"]
+    )
+    def test_inner_level_commutator_defect_is_caught(self, monkeypatch, params, level):
+        inner = level // 2
+        dsym = blocks.dsym
+
+        def perturbed_k2(k, top):
+            stack = dsym(k, top)
+            stack[1, inner, 0, inner] += 1e-6
+            return stack
+
+        def blank_inner(t, top):
+            # The action check reads the same K2 slice; with that level's
+            # expansions blanked, only the commutator can see the defect.
+            stack = sym_powers(t, top)
+            stack[inner] = 0.0
+            return stack
+
+        monkeypatch.setattr(blocks, "dsym", perturbed_k2)
+        monkeypatch.setattr(blocks, "sym_powers", blank_inner)
+        with pytest.raises(ValueError, match="deformed number operators do not commute"):
+            deformed_number_operators(params, level)

@@ -7,8 +7,10 @@ from oracles import fock_expand_oracle, overlap
 from pseudofermion.overlaps import (
     LEVEL_CAP,
     NCBosonParams,
+    dsym,
     gram_block,
     sym_power,
+    sym_powers,
 )
 
 GAMMA_GRID = [0.2, 0.4, 0.8]
@@ -250,3 +252,51 @@ class TestSymPower:
     def test_rejects_level_out_of_range(self, level):
         with pytest.raises(ValueError, match="level"):
             sym_power(np.eye(2), level)
+
+
+def tridiagonal(k, n):
+    """``dSym^n(K)`` entry by entry, from its three diagonals."""
+    j = np.arange(n + 1)
+    hop = np.sqrt((n - j[1:] + 1) * j[1:])
+    return (
+        np.diag(k[0, 0] * (n - j) + k[1, 1] * j)
+        + np.diag(k[0, 1] * hop, 1)
+        + np.diag(k[1, 0] * hop, -1)
+    )
+
+
+class TestLevelStacks:
+    LEVEL = 20
+
+    def test_dsym_slices_are_the_tridiagonal_blocks(self):
+        rng = np.random.default_rng(7)
+        ks = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        stack = dsym(ks, self.LEVEL)
+        assert stack.shape == (2,) + (self.LEVEL + 1,) * 3
+        for k, levels in zip(ks, stack):
+            for n, block in enumerate(levels):
+                assert np.array_equal(block[: n + 1, : n + 1], tridiagonal(k, n)), n
+                assert not block[n + 1 :].any() and not block[:, n + 1 :].any(), n
+
+    def test_dsym_keeps_commutators(self):
+        # A Lie algebra map: dSym([K, L]) = [dSym K, dSym L] on every level.
+        rng = np.random.default_rng(8)
+        k, l = rng.normal(size=(2, 2, 2)) + 1j * rng.normal(size=(2, 2, 2))
+        dk, dl, dkl = dsym(np.stack([k, l, k @ l - l @ k]), self.LEVEL)
+        defect = np.abs(dk @ dl - dl @ dk - dkl).max(axis=(1, 2))
+        assert np.all(defect <= 1e-13 * np.maximum(1.0, np.abs(dkl).max(axis=(1, 2))))
+
+    @pytest.mark.parametrize("params", [NCBosonParams.from_gamma(0.3 + 0.2j), NON_CANONICAL])
+    def test_sym_powers_are_multiplicative(self, params):
+        # A group map: Sym^n(T U) = Sym^n(T) Sym^n(U) on every level.
+        t = coefficient_matrix(params)
+        u = coefficient_matrix(NON_CANONICAL).T
+        st, su, stu = (sym_powers(x, self.LEVEL) for x in (t, u, t @ u))
+        defect = np.abs(st @ su - stu).max(axis=(1, 2))
+        assert np.all(defect <= 1e-13 * np.maximum(1.0, np.abs(stu).max(axis=(1, 2))))
+
+    @pytest.mark.parametrize("level", [-1, LEVEL_CAP + 1])
+    def test_reject_level_out_of_range(self, level):
+        for build in (dsym, sym_powers):
+            with pytest.raises(ValueError, match=rf"got {level}$"):
+                build(np.eye(2), level)
