@@ -33,7 +33,6 @@ from .blocks import (
     dual_basis_by_kernel,
     fixture_basis,
     realize_basis_cholesky,
-    synthesize_ladders,
     verify_block_system,
 )
 from .fock import (
@@ -45,7 +44,6 @@ from .overlaps import (
     GramBlock,
     NCBosonParams,
     gram_block,
-    sym_power,
 )
 
 __version__ = "0.1.0"
@@ -76,8 +74,6 @@ __all__ = [
     "realize_basis_cholesky",
     "resolution_of_identity",
     "states_at",
-    "sym_power",
-    "synthesize_ladders",
     "upper_symbol",
     "verify_block_system",
     "__version__",

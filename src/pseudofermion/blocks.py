@@ -19,9 +19,10 @@ yield the same spectra and the same mixed-dyad anticommutator diagonal
 function here takes a tolerance argument.
 
 Error model: a Cholesky level at ``gamma = |gamma| e^(i phi)`` is built and
-certified once, at ``|gamma|``.  Every check of `verify_block_system` runs
-on that core, in float64 from ``N = b a`` on, so the level's residuals and
-verdicts depend on ``(|gamma|, M)`` alone.  The matrices read at ``gamma``
+certified once, at ``|gamma|``.  The positivity gate reads the exact least
+Gram eigenvalue ``(1 - |gamma|)^M``, and every check of `verify_block_system`
+runs on that core, in float64 from ``N = b a`` on, so the level's residuals
+and verdicts depend on ``(|gamma|, M)`` alone.  The matrices read at ``gamma``
 are the core conjugated by ``P = diag(e^(i k phi))`` (`overlaps.phase_gauge`),
 to 2 eps per entry beyond the phases' own rounding of about ``k |phi| eps``.
 """
@@ -207,10 +208,12 @@ def realize_basis_cholesky(gram: GramBlock) -> BlockBasis:
     ``h_matrix`` is the Cholesky factor ``gram.factor``, taken from its
     closed form rather than by factoring the Gram matrix: upper triangular
     with positive diagonal and ``h_matrix^+ h_matrix`` equal to the Gram
-    matrix.  The dual family is the inverse adjoint.  Both are formed at
-    ``|gamma|`` and read at ``gamma`` through the phase gauge.  Raises
-    `PositivityError` when the Gram matrix is not positive definite within
-    `POSITIVITY_TOL`.
+    matrix.  The dual family is the inverse adjoint.  Both are formed from
+    ``gram.core_factor`` at ``|gamma|`` and read at ``gamma`` through the
+    phase gauge.  The Gram matrix itself is never formed: the gate reads
+    its exact least eigenvalue ``(1 - |gamma|)^M`` and raises
+    `PositivityError` when that is not above `POSITIVITY_TOL`, so the
+    verdict depends on ``(|gamma|, M)`` alone.
     """
     min_eig = gram.min_eigenvalue()
     if min_eig <= POSITIVITY_TOL:
@@ -242,18 +245,6 @@ def _ladders(h: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     shifted = np.zeros((2, *h.shape), dtype=h.dtype)
     shifted[0, :, 1:], shifted[1, :, :-1] = h[:, :-1] * root, h[:, 1:] * root
     return tuple(shifted @ e.conj().T)
-
-
-def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:
-    """Lowering/raising matrices acting on the basis by the square-root rule.
-
-    ``a = H D_down H^-1`` and ``b = H D_up H^-1`` where ``D_down`` carries
-    ``sqrt(k)`` on the superdiagonal, so ``a h_k = sqrt(k) h_{k-1}`` and
-    ``b h_k = sqrt(k+1) h_{k+1}`` with ``a h_0 = b h_M = 0``.  ``H^-1`` is
-    read as ``E^+``, which `BlockBasis` holds to be the inverse.
-    """
-    a, b = _ladders(basis.core["h_matrix"], basis.core["e_matrix"])
-    return phase_gauge(a, basis.phase, -1), phase_gauge(b, basis.phase, 1)
 
 
 def dual_basis_by_kernel(h_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -12,18 +12,20 @@ a_x^+ + s a_y^+``, ``s = sqrt(1 - |gamma|^2)``, the coefficients of the
 level-``M`` excitations over the product basis ``|M-i, i>`` form an upper
 triangular matrix ``R`` with positive diagonal ``s^j``.  The Gram matrix is
 ``R^+ R`` and ``R`` is its Cholesky factor, so the factorization never has
-to be computed from the (ill-conditioned) Gram matrix itself.
+to be computed from the (ill-conditioned) Gram matrix itself.  As ``R =
+Sym^M([[1, gamma], [0, s]])``, the spectrum is ``(1 + |gamma|)^(M-k) (1 -
+|gamma|)^k``: the positivity gate reads ``(1 - |gamma|)^M`` unformed.
 
-For arbitrary combination coefficients, `sym_power` expands every
-excitation of a level onto the orthonormal product Fock basis at once: the
-level-``M`` columns are ``Sym^M(T)`` of the 2x2 coefficient matrix ``T``.
-`sym_powers` builds them on every level at once by the creation-operator
-recurrence, with `sym_power` as its reference; `dsym` gives the derived
-representation ``dSym^n(K)``, each level's block of ``Sum_pq K_pq a_p^+ a_q``.
+For arbitrary combination coefficients, `sym_powers` expands the
+excitations of every level onto the orthonormal product Fock basis at once
+(the columns of ``Sym^n(T)`` for the 2x2 coefficient matrix ``T``), by the
+creation-operator recurrence; `dsym` gives the derived representation
+``dSym^n(K)``, each level's block of ``Sum_pq K_pq a_p^+ a_q``.
 
 The paper derives the overlaps by a commutator recursion instead.  That
-recursion and the scalar binomial expansion of one excitation are kept in
-the test suite as the oracles of `gram_block` and `sym_power`.
+recursion, the scalar binomial expansion of one excitation and the one-level
+``Sym^M(T)`` double sum are kept in the test suite as the oracles of
+`gram_block` and `sym_powers`.
 """
 
 from __future__ import annotations
@@ -105,27 +107,39 @@ class NCBosonParams:
 
 @dataclass(frozen=True)
 class GramBlock:
-    """Overlap matrix of the level-``M`` excitation vectors and its factor.
+    """Overlap matrix of the level-``M`` excitation vectors, held as one factor.
 
-    Entry ``(j, k)`` of ``matrix`` is the inner product of ``Phi_{M-j, j}``
-    with ``Phi_{M-k, k}``; Hermitian by construction, positive definite
-    exactly when ``|gamma| < 1``.  Column ``j`` of ``factor`` holds the
-    coefficients of ``Phi_{M-j, j}`` over the product basis ``|M-i, i>``:
+    ``core_factor``, the closed-form factor at ``|gamma|``, is the only array
+    stored; the level is built from it (`phase_gauge`).  ``factor`` and
+    ``matrix`` are evaluated at ``gamma`` on each read.  Column ``j`` of
+    ``factor`` holds the coefficients of ``Phi_{M-j, j}`` over ``|M-i, i>``:
     upper triangular with diagonal ``s^j``, ``s = sqrt(1 - |gamma|^2)``, and
-    ``factor^+ factor = matrix``, so it is the Cholesky factor of ``matrix``.
-    ``core_matrix`` and ``core_factor`` are the same pair at ``|gamma|``,
-    from which the level is built (`phase_gauge`).
+    ``factor^+ factor = matrix``, the Cholesky factor.  Entry ``(j, k)`` of
+    ``matrix`` is ``<Phi_{M-j, j}, Phi_{M-k, k}>``, Hermitian by construction.
     """
 
     level: int
     gamma: complex
-    matrix: np.ndarray
-    factor: np.ndarray
-    core_matrix: np.ndarray
     core_factor: np.ndarray
 
+    @property
+    def factor(self) -> np.ndarray:
+        if self.gamma == abs(self.gamma):
+            return self.core_factor
+        return _factor(self.level, self.gamma)
+
+    @property
+    def matrix(self) -> np.ndarray:
+        # factor^+ factor: the upper triangle mirrored, real column norms on the diagonal.
+        factor = self.factor
+        upper = np.triu(factor.conj().T @ factor, 1)
+        g = upper + upper.conj().T + np.diag(np.sum(np.abs(factor) ** 2, axis=0))
+        g.setflags(write=False)
+        return g
+
     def min_eigenvalue(self) -> float:
-        return float(np.linalg.eigvalsh(self.core_matrix)[0])
+        """The exact least eigenvalue ``(1 - |gamma|)^M`` of ``matrix``."""
+        return (1.0 - abs(self.gamma)) ** self.level
 
 
 def phase_gauge(matrix: np.ndarray, phase: float, shift: int = 0) -> np.ndarray:
@@ -148,52 +162,19 @@ def phase_gauge(matrix: np.ndarray, phase: float, shift: int = 0) -> np.ndarray:
     return view
 
 
-def sym_power(t: np.ndarray, level: int) -> np.ndarray:
-    """Every column of ``Sym^M(T)`` at once, ``M = level``.
+def sym_powers(t: np.ndarray, level: int) -> np.ndarray:
+    """``Sym^n(T)`` for every ``n <= level``, zero-padded into one stack.
 
     ``t[p, q]`` is the coefficient of ``a_p^+`` (``p`` = x, y) in the
     ``q``-th creation operator, so for the deformed pair ``t = [[conj
-    alpha_x, conj beta_x], [conj alpha_y, conj beta_y]]``.  Column ``n2``
-    of the result holds the coefficients of ``Phi_{M-n2,n2}`` over the
-    product basis ``|M-i, i>``: the binomial double sum of the expanded
-    creation-operator powers, evaluated for every row, column and summation
-    index in one array and normalized by ``sqrt(C(M, n2) / C(M, i))``.
+    alpha_x, conj beta_x], [conj alpha_y, conj beta_y]]``.  Column ``n2`` of
+    level ``n`` holds the coefficients of ``Phi_{n-n2,n2}`` over the product
+    basis ``|n-i, i>``.  Built by the creation-operator recurrence
+    ``Phi_{n1,n2} = A1^+ Phi_{n1-1,n2} / sqrt(n1)``, and ``A2^+ Phi_{0,n2-1}
+    / sqrt(n2)`` for the last column, ``A_q^+ = t[0, q] a_x^+ + t[1, q]
+    a_y^+``: O(n^2) per level.
     """
-    if not 0 <= level <= LEVEL_CAP:
-        raise ValueError(f"level must lie in [0, {LEVEL_CAP}], got {level}")
-    t = np.asarray(t, dtype=complex)
-    k = np.arange(level + 1)
-    # rows: y quanta i of the product state; cols: n2; last axis: the
-    # number of x quanta taken from the first operator.  Out-of-range terms
-    # carry a zero binomial; their exponents are clipped to stay finite.
-    rows, cols, first = k[:, None, None], k[None, :, None], k[None, None, :]
-    n1, m1 = level - cols, level - rows
-    second = m1 - first
-    inside = second >= 0
-    second = np.where(inside, second, 0)
-    power = t[:, :, None] ** k
-    terms = (
-        _BINOMIAL[n1, first]
-        * _BINOMIAL[cols, second]
-        * inside
-        * power[0, 0, first]
-        * power[1, 0, np.maximum(n1 - first, 0)]
-        * power[0, 1, second]
-        * power[1, 1, np.maximum(cols - second, 0)]
-    )
-    norm = np.sqrt(_BINOMIAL[level, k][None, :] / _BINOMIAL[level, k][:, None])
-    return terms.sum(axis=2) * norm
-
-
-def sym_powers(t: np.ndarray, level: int) -> np.ndarray:
-    """`sym_power` ``(t, n)`` for every ``n <= level``, zero-padded into one stack.
-
-    Built by the creation-operator recurrence ``Phi_{n1,n2} = A1^+
-    Phi_{n1-1,n2} / sqrt(n1)``, and ``A2^+ Phi_{0,n2-1} / sqrt(n2)`` for the
-    last column, ``A_q^+ = t[0, q] a_x^+ + t[1, q] a_y^+``: O(n^2) per level.
-    """
-    if not 0 <= level <= LEVEL_CAP:
-        raise ValueError(f"level must lie in [0, {LEVEL_CAP}], got {level}")
+    _check_level(level)
     t = np.asarray(t, dtype=complex)
     stack = np.zeros((level + 1,) * 3, dtype=complex)
     stack[0, 0, 0] = 1.0
@@ -218,8 +199,7 @@ def dsym(k: np.ndarray, level: int) -> np.ndarray:
     ``sqrt((n - j + 1) j)`` times ``K_xy`` (above) and ``K_yx`` (below).
     Leading axes of ``k`` lead the result.
     """
-    if not 0 <= level <= LEVEL_CAP:
-        raise ValueError(f"level must lie in [0, {LEVEL_CAP}], got {level}")
+    _check_level(level)
     k = np.asarray(k, dtype=complex)[..., None, None]
     n, j = np.ogrid[: level + 1, : level + 1]
     hop = np.sqrt((n - j + 1) * j * (j <= n))[:, 1:]
@@ -232,40 +212,36 @@ def dsym(k: np.ndarray, level: int) -> np.ndarray:
 
 
 def gram_block(level: int, gamma: complex) -> GramBlock:
-    """Assemble the level-``M`` overlap Gram matrix from its closed-form factor.
+    """The level-``M`` overlap Gram block, from its closed-form factor at ``|gamma|``.
 
     ``factor[i, j] = sqrt(C(j, i) C(M-i, j-i)) gamma^(j-i) s^i`` for
-    ``i <= j`` and zero below the diagonal: `sym_power` of the canonical
-    coefficients, column by column.  The matrix is
-    ``factor^+ factor`` with its upper triangle mirrored conjugate and its
-    diagonal taken as the real column norms, so it is Hermitian by
-    construction.  The closed form is evaluated at ``gamma`` and, for the
-    core, at ``|gamma|``.  Requires ``|gamma| < 1``.
+    ``i <= j`` and zero below the diagonal: ``Sym^M`` of the canonical
+    coefficients, column by column.  It is evaluated once, at ``|gamma|``;
+    `GramBlock` evaluates it at ``gamma`` and forms the matrix on request.
+    Requires ``0 <= level <= LEVEL_CAP`` and ``|gamma| < 1``.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
-    if level > LEVEL_CAP:
-        raise ValueError(f"total level exceeds cap {LEVEL_CAP}")
+    _check_level(level)
     gamma = complex(gamma)
-    s = NCBosonParams.from_gamma(gamma).beta_y.real
-    r = complex(abs(gamma))
+    NCBosonParams.from_gamma(gamma)  # refuses |gamma| >= 1 and NaN
+    return GramBlock(level, gamma, _factor(level, complex(abs(gamma))))
+
+
+def _factor(level: int, gamma: complex) -> np.ndarray:
+    # The closed-form factor at gamma, read-only.  C(j, i) vanishes below the
+    # diagonal, which zeroes the lower triangle; the clipped offset only keeps
+    # the other indices in range there.  One power per exponent, gathered
+    # over the offsets: the entrywise values.
+    s = math.sqrt(1.0 - abs(gamma) ** 2)
     k = np.arange(level + 1)
     rows, cols = k[:, None], k[None, :]
-    # C(j, i) vanishes below the diagonal, which zeroes the lower triangle;
-    # the clipped offset only keeps the other indices in range there.
     offset = np.maximum(cols - rows, 0)
     root = np.sqrt(_BINOMIAL[cols, rows] * _BINOMIAL[level - rows, offset])
-    # One power per exponent, gathered over the offsets: the entrywise values.
-    scale = (s ** k)[:, None]
-    core = _gram_pair(root * (r ** k)[offset] * scale)
-    pair = core if gamma == r else _gram_pair(root * (gamma ** k)[offset] * scale)
-    return GramBlock(level, gamma, *pair, *core)
-
-
-def _gram_pair(factor: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # The Gram matrix of a factor and the factor, both read-only.
-    upper = np.triu(factor.conj().T @ factor, 1)
-    g = upper + upper.conj().T + np.diag(np.sum(np.abs(factor) ** 2, axis=0))
+    factor = root * (gamma ** k)[offset] * (s ** k)[:, None]
     factor.setflags(write=False)
-    g.setflags(write=False)
-    return g, factor
+    return factor
+
+
+def _check_level(level: int) -> None:
+    # The one range check of a total level, naming the level it refuses.
+    if not 0 <= level <= LEVEL_CAP:
+        raise ValueError(f"level must lie in [0, {LEVEL_CAP}], got {level}")

@@ -5,20 +5,24 @@ production routes against them:
 
 * the paper's commutator recursion for the level overlaps (`overlap`) and
   the scalar Fock expansion of one excitation (`fock_expand_oracle`), the
-  references for `overlaps.gram_block` and `overlaps.sym_power`;
+  references for `overlaps.gram_block` and for `sym_power`;
+* `sym_power`, the binomial double sum of one level's ``Sym^M(T)`` in one
+  vectorized call, the reference for `overlaps.sym_powers` and for the Gram
+  factor;
 * the dense two-mode Fock representation and the stacked vacuum conditions,
   the reference for `fock.nogo_joint_kernel`'s parity-block scan;
 * the level-by-level construction of the deformed number operators
   (`deformed_number_operators_by_level`), one `sym_power` call per level,
   the reference for `blocks.deformed_number_operators`' batched pass;
-* the positive square root of a Hermitian matrix and a basis from a primal
+* `synthesize_ladders`, the ladders of any `BlockBasis` read at its phase,
+  the positive square root of a Hermitian matrix and a basis from a primal
   family alone;
 * dense views of a `GlobalOperators` assembly: the direct sum of one block
   matrix over all levels (`direct_sum(ops, "a")`) and the embedded basis
   vectors (`h_vector`, `e_vector`).
 
-The recursion and the expansion take factorials and refuse levels above
-`overlaps.LEVEL_CAP`.
+The recursion and the expansion take factorials and refuse levels outside
+``[0, overlaps.LEVEL_CAP]`` with the package's message.
 """
 
 from __future__ import annotations
@@ -33,12 +37,19 @@ from pseudofermion.blocks import (
     POSITIVITY_TOL,
     BlockBasis,
     DeformedLevelOperators,
+    _ladders,
     _positive_sqrt_pair,
     max_abs,
     relative_residual,
 )
 from pseudofermion.fock import _SQRT2, lowering_matrix
-from pseudofermion.overlaps import LEVEL_CAP, NCBosonParams, sym_power
+from pseudofermion.overlaps import (
+    _BINOMIAL,
+    LEVEL_CAP,
+    NCBosonParams,
+    _check_level,
+    phase_gauge,
+)
 
 
 def _raw_overlap(
@@ -82,8 +93,7 @@ def overlap(n1: int, n2: int, k1: int, k2: int, gamma: complex) -> complex:
     for idx in (n1, n2, k1, k2):
         if idx < 0:
             raise ValueError(f"negative excitation index: {(n1, n2, k1, k2)}")
-    if n1 + n2 > LEVEL_CAP or k1 + k2 > LEVEL_CAP:
-        raise ValueError(f"total level exceeds cap {LEVEL_CAP}")
+    _check_level(max(n1 + n2, k1 + k2))
     if n1 + n2 != k1 + k2:
         return 0.0
     raw = _raw_overlap(n1, n2, k1, k2, complex(gamma), {})
@@ -105,9 +115,8 @@ def fock_expand_oracle(n1: int, n2: int, params: NCBosonParams) -> np.ndarray:
     """
     if n1 < 0 or n2 < 0:
         raise ValueError(f"negative excitation index: {(n1, n2)}")
-    if n1 + n2 > LEVEL_CAP:
-        raise ValueError(f"total level exceeds cap {LEVEL_CAP}")
     level = n1 + n2
+    _check_level(level)
     cax = params.alpha_x.conjugate()
     cay = params.alpha_y.conjugate()
     cbx = params.beta_x.conjugate()
@@ -129,6 +138,43 @@ def fock_expand_oracle(n1: int, n2: int, params: NCBosonParams) -> np.ndarray:
             )
         coeff[pos] = acc * math.sqrt(math.factorial(m1) * math.factorial(m2))
     return coeff / math.sqrt(math.factorial(n1) * math.factorial(n2))
+
+
+def sym_power(t: np.ndarray, level: int) -> np.ndarray:
+    """Every column of ``Sym^M(T)`` at once, ``M = level``.
+
+    ``t[p, q]`` is the coefficient of ``a_p^+`` (``p`` = x, y) in the
+    ``q``-th creation operator, so for the deformed pair ``t = [[conj
+    alpha_x, conj beta_x], [conj alpha_y, conj beta_y]]``.  Column ``n2``
+    of the result holds the coefficients of ``Phi_{M-n2,n2}`` over the
+    product basis ``|M-i, i>``: the binomial double sum of the expanded
+    creation-operator powers, evaluated for every row, column and summation
+    index in one array and normalized by ``sqrt(C(M, n2) / C(M, i))``.
+    """
+    if not 0 <= level <= LEVEL_CAP:
+        raise ValueError(f"level must lie in [0, {LEVEL_CAP}], got {level}")
+    t = np.asarray(t, dtype=complex)
+    k = np.arange(level + 1)
+    # rows: y quanta i of the product state; cols: n2; last axis: the
+    # number of x quanta taken from the first operator.  Out-of-range terms
+    # carry a zero binomial; their exponents are clipped to stay finite.
+    rows, cols, first = k[:, None, None], k[None, :, None], k[None, None, :]
+    n1, m1 = level - cols, level - rows
+    second = m1 - first
+    inside = second >= 0
+    second = np.where(inside, second, 0)
+    power = t[:, :, None] ** k
+    terms = (
+        _BINOMIAL[n1, first]
+        * _BINOMIAL[cols, second]
+        * inside
+        * power[0, 0, first]
+        * power[1, 0, np.maximum(n1 - first, 0)]
+        * power[0, 1, second]
+        * power[1, 1, np.maximum(cols - second, 0)]
+    )
+    norm = np.sqrt(_BINOMIAL[level, k][None, :] / _BINOMIAL[level, k][:, None])
+    return terms.sum(axis=2) * norm
 
 
 def deformed_number_operators_by_level(
@@ -248,6 +294,18 @@ def stacked_vacuum_conditions(theta: float, rep: FockRep) -> np.ndarray:
     l1 = _SQRT2 * ax + 1j * (theta / 2.0) * dy
     l2 = _SQRT2 * ay - 1j * (theta / 2.0) * dx
     return np.vstack([l1, l2])
+
+
+def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:
+    """Lowering/raising matrices acting on the basis by the square-root rule.
+
+    ``a = H D_down H^-1`` and ``b = H D_up H^-1`` where ``D_down`` carries
+    ``sqrt(k)`` on the superdiagonal, so ``a h_k = sqrt(k) h_{k-1}`` and
+    ``b h_k = sqrt(k+1) h_{k+1}`` with ``a h_0 = b h_M = 0``.  ``H^-1`` is
+    read as ``E^+``, which `BlockBasis` holds to be the inverse.
+    """
+    a, b = _ladders(basis.core["h_matrix"], basis.core["e_matrix"])
+    return phase_gauge(a, basis.phase, -1), phase_gauge(b, basis.phase, 1)
 
 
 def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:

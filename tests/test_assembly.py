@@ -5,7 +5,7 @@ import pytest
 
 from oracles import direct_sum, e_vector, h_vector, total_dim
 from pseudofermion.assembly import assemble, global_resolution_check
-from pseudofermion.blocks import max_abs, relative_residual
+from pseudofermion.blocks import PositivityError, max_abs, relative_residual
 from pseudofermion.fock import lowering_matrix
 
 
@@ -186,10 +186,19 @@ class TestResolutionReport:
         np.testing.assert_allclose(conds, 19.0 ** np.arange(5.0), atol=0, rtol=1e-8)
 
 
-DENSE_GRID = [(g, m) for g in (0.5, 0.3 + 0.2j, 0.9) for m in (0, 4, 12)]
+# |gamma| = 0.9 admits levels up to 11: (1 - 0.9)^12 sits on the gate's floor.
+DENSE_GRID = [(g, m) for g in (0.5, 0.3 + 0.2j) for m in (0, 4, 12)] + [
+    (0.9, m) for m in (0, 4, 11)
+]
 
 
 class TestDenseOracle:
+    def test_refuses_the_level_on_the_positivity_floor(self):
+        # The gate reads the exact least Gram eigenvalue, (1 - 0.9)^12, which
+        # rounds to 9.99999999999997e-13, not above POSITIVITY_TOL = 1e-12.
+        with pytest.raises(PositivityError, match=r"level 12 .* 1\.000e-12"):
+            assemble(0.9, 12)
+
     # The ids name the realization: every level is in the Cholesky gauge.
     @pytest.mark.parametrize(
         "gamma, max_level", DENSE_GRID, ids=[f"{g}-{m}-cholesky" for g, m in DENSE_GRID]

@@ -16,7 +16,6 @@ from pseudofermion.blocks import (
     fixture_basis,
     realize_basis_cholesky,
     relative_residual,
-    synthesize_ladders,
     verify_block_system,
 )
 from oracles import (
@@ -24,9 +23,11 @@ from oracles import (
     build_fock_rep,
     deformed_number_operators_by_level,
     hermitian_sqrt,
+    sym_power,
+    synthesize_ladders,
 )
 from pseudofermion.fock import lowering_matrix
-from pseudofermion.overlaps import LEVEL_CAP, NCBosonParams, gram_block, sym_power, sym_powers
+from pseudofermion.overlaps import LEVEL_CAP, NCBosonParams, gram_block, sym_powers
 from test_overlaps import coefficient_matrix
 
 GAMMA_GRID = [0.0, 0.1, 0.5, 0.9, 0.5 + 0.3j]
@@ -246,6 +247,36 @@ class TestForwardError:
         ref = mpmath_reference(complex(gamma), level)
         assert forward_error(system, ref, "n_selfadjoint") <= 1e-12
         assert forward_error(system, ref, "c_matrix") <= 1e-12
+
+
+def mpmath_least_gram_eigenvalue(gamma: complex, level: int) -> float:
+    """Least eigenvalue of the level Gram matrix ``R^+ R``, in 50 digits.
+
+    ``R`` is the closed-form factor evaluated at the given double ``gamma``;
+    the eigenvalues come from mpmath's Hermitian eigensolver, not from the
+    closed-form spectrum.
+    """
+    import mpmath
+
+    with mpmath.workdps(50):
+        mp = mpmath.mp
+        g = mp.mpc(gamma.real, gamma.imag)
+        s = mp.sqrt(1 - abs(g) ** 2)
+        r = mp.matrix(level + 1, level + 1)
+        for i in range(level + 1):
+            for j in range(i, level + 1):
+                root = mp.sqrt(mp.binomial(j, i) * mp.binomial(level - i, j - i))
+                r[i, j] = root * g ** (j - i) * s**i
+        return float(min(mp.eigh(r.H * r, eigvals_only=True)))
+
+
+class TestPositivityGate:
+    # (0.7, 25): eigvalsh of the formed matrix read -1.9e-12 there.
+    @pytest.mark.parametrize("gamma, level", FORWARD_GRID + [(0.7, 25)])
+    def test_min_eigenvalue_matches_high_precision(self, gamma, level):
+        exact = mpmath_least_gram_eigenvalue(complex(gamma), level)
+        got = gram_block(level, gamma).min_eigenvalue()
+        assert abs(got - exact) <= 1e-13 * exact, (got, exact)
 
 
 class TestBlockSystem:

@@ -6,9 +6,11 @@ A level at ``gamma = |gamma| e^(i phi)`` is built and certified once at
 drawn points of the envelope: the residuals depend on ``|gamma|`` alone,
 every matrix is its ``|gamma|`` value conjugated by ``P`` (with the ladders'
 own phase on ``a`` and ``b``), conjugating ``gamma`` conjugates the system,
-and at real ``gamma`` the Gram block and the basis and ladders keep the
-complex-arithmetic values bit for bit.  On ``FORWARD_GRID`` the outputs are
-compared with the complex-arithmetic route at ``gamma``.
+the positivity gate refuses exactly where ``(1 - |gamma|)^M`` is not above
+its floor, the Gram block keeps the complex-arithmetic values bit for bit at
+every ``gamma``, and at real ``gamma`` so do the basis and ladders.  On
+``FORWARD_GRID`` the outputs are compared with the complex-arithmetic route
+at ``gamma``.
 """
 
 import cmath
@@ -18,6 +20,7 @@ import numpy as np
 import pytest
 
 from pseudofermion.blocks import (
+    POSITIVITY_TOL,
     BlockBasis,
     PositivityError,
     build_block_system,
@@ -175,6 +178,39 @@ def test_real_deformation_keeps_complex_route_bits():
         for name in ("a", "b"):
             assert np.array_equal(getattr(system, name), reference[name]), (r, m, name)
             assert np.array_equal(getattr(generic, name), reference[name]), (r, m, name)
+
+
+def test_complex_deformation_keeps_complex_route_bits():
+    # Away from real gamma >= 0 the Gram block is not read through the phase
+    # gauge: its factor is the closed form evaluated at gamma itself.
+    points = [(at(r, phi), m) for r, phi, m in DRAWS]
+    points += [(-r, m) for r, _, m in DRAWS[::5]]
+    for gamma, m in points:
+        gram = gram_block(m, gamma)
+        reference = complex_route(gamma, m)
+        assert np.array_equal(gram.matrix, reference["matrix"]), (gamma, m)
+        assert np.array_equal(gram.factor, reference["factor"]), (gamma, m)
+
+
+# The envelope: |gamma| in 0.1 .. 0.9 and every level up to the cap.
+ENVELOPE = [(r / 10, m) for r in range(1, 10) for m in range(1, LEVEL_CAP + 1)]
+
+
+@pytest.mark.parametrize("phase", [0.0, 0.7, math.pi])
+def test_gate_depends_on_modulus_and_level_only(phase):
+    # The gate reads the exact least Gram eigenvalue (1 - |gamma|)^M, so it
+    # refuses the same 40 envelope points at every phase.
+    refused = set()
+    for r, m in ENVELOPE:
+        gamma = -r if phase == math.pi else r * cmath.exp(1j * phase)
+        try:
+            realize_basis_cholesky(gram_block(m, gamma))
+        except PositivityError:
+            refused.add((r, m))
+        exact = (1.0 - abs(gamma)) ** m <= POSITIVITY_TOL
+        assert ((r, m) in refused) == exact, (gamma, m)
+    assert refused == {(r, m) for r, m in ENVELOPE if (1.0 - r) ** m <= POSITIVITY_TOL}
+    assert len(refused) == 40
 
 
 def complex_level(gamma, m):
