@@ -10,7 +10,10 @@ production routes against them:
   vectorized call, the reference for `overlaps.sym_powers` and for the Gram
   factor;
 * the dense two-mode Fock representation and the stacked vacuum conditions,
-  the reference for `fock.nogo_joint_kernel`'s parity-block scan;
+  the reference for `fock.nogo_joint_kernel`'s parity-block scan, and the
+  parity blocks' singular values from one dense SVD per tall block
+  (`tall_parity_singular_values`), the reference for its shell-by-shell
+  reduction;
 * the level-by-level construction of the deformed number operators
   (`deformed_number_operators_by_level`), one `sym_power` call per level,
   the reference for `blocks.deformed_number_operators`' batched pass;
@@ -294,6 +297,44 @@ def stacked_vacuum_conditions(theta: float, rep: FockRep) -> np.ndarray:
     l1 = _SQRT2 * ax + 1j * (theta / 2.0) * dy
     l2 = _SQRT2 * ay - 1j * (theta / 2.0) * dx
     return np.vstack([l1, l2])
+
+
+def tall_parity_singular_values(theta: float, cutoff: int) -> np.ndarray:
+    """The swap-reduced parity blocks' singular values, each block one dense SVD.
+
+    The reference for `fock`'s shell-by-shell reduction: the four blocks
+    ``q_eps`` are formed whole, tall and mostly zeros, and each goes to one
+    values-only SVD.
+    """
+    # Real-gauge L1 = sqrt2 a_x - t (a_y + a_y^+) on one input parity; each
+    # term moves one mode by one quantum, amplitude sqrt(larger count).
+    # The swap symmetry (`fock` module docstring) gives the singular values
+    # of the whole [L1; L2] block as those of L1 sqrt2 Q_eps, whose columns
+    # are col_c + eps s_c col_swap(c) per pair and sqrt2 col_c per fixed
+    # point.
+    # At theta = 0 the vacuum column is exactly zero, so its value stays 0.
+    t = theta / (2.0 * _SQRT2)
+    d = cutoff + 1
+    nx, ny = np.divmod(np.arange(d * d), d)
+    odd = (nx + ny) % 2 == 1
+    rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
+    svals = []
+    for cols in (~odd, odd):
+        cx, cy = nx[cols], ny[cols]
+        l1 = np.zeros((d * d - cx.size, cx.size))
+        for dx, dy, coeff in ((-1, 0, _SQRT2), (0, -1, -t), (0, 1, -t)):
+            tx, ty = cx + dx, cy + dy
+            ok = (np.minimum(tx, ty) >= 0) & (np.maximum(tx, ty) <= cutoff)
+            amp = np.sqrt(np.maximum(cx, tx) if dx else np.maximum(cy, ty))
+            l1[rank[tx[ok] * d + ty[ok]], np.flatnonzero(ok)] = coeff * amp[ok]
+        pair = cx < cy
+        own = l1[:, pair]
+        mate = l1[:, rank[cy[pair] * d + cx[pair]]] * (-1.0) ** ((cx[pair] + cy[pair]) // 2)
+        for eps in (1, -1):
+            fixed = (cx == cy) & ((-1) ** cx == eps)
+            q = np.hstack([own + eps * mate, _SQRT2 * l1[:, fixed]])
+            svals.append(np.linalg.svd(q, compute_uv=False))
+    return np.concatenate(svals)
 
 
 def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -1,7 +1,14 @@
+import re
+
 import numpy as np
 import pytest
 
-from oracles import build_fock_rep, raising_matrix, stacked_vacuum_conditions
+from oracles import (
+    build_fock_rep,
+    raising_matrix,
+    stacked_vacuum_conditions,
+    tall_parity_singular_values,
+)
 from pseudofermion.fock import (
     DEFAULT_KERNEL_TOL,
     _parity_singular_values,
@@ -126,6 +133,25 @@ class TestJointKernelScan:
         if theta == 0.0:
             assert report.min_singular_values[0] <= 1e-12
 
+    @pytest.mark.parametrize("cutoff", [20, 32])
+    @pytest.mark.parametrize("theta", [0.0, 1e-3, -1e-3, 0.5, -1.9, 2.5])
+    def test_shell_reduction_matches_tall_svd(self, theta, cutoff):
+        # the shell-by-shell triangular factors against one dense SVD per
+        # tall block, at the cutoffs the scan workload ends on
+        tall = np.sort(tall_parity_singular_values(theta, cutoff))
+        svals = np.sort(_parity_singular_values(theta, cutoff))
+        assert svals.size == tall.size
+        assert np.max(np.abs(svals - tall)) <= 32 * np.finfo(float).eps * tall[-1]
+        assert abs(svals[0] - tall[0]) <= 1e-15
+        assert np.sum(svals < DEFAULT_KERNEL_TOL) == np.sum(tall < DEFAULT_KERNEL_TOL)
+
+    @pytest.mark.parametrize("cutoff", [2, 3, 16, 17, 32])
+    def test_undeformed_minimum_is_exactly_zero(self, cutoff):
+        # the vacuum column is exactly zero, and no reflection fills it in
+        report = nogo_joint_kernel(0.0, [cutoff])
+        assert report.min_singular_values == (0.0,)
+        assert report.kernel_dimension_estimate == 1
+
     @pytest.mark.parametrize("theta", [1e-3, -1e-3, 0.1, -0.1, 0.5, -0.5, 1.9, -1.9])
     def test_floor_matches_closed_form(self, theta):
         # the infinite-cutoff floor |theta| / sqrt(2 (1 + sqrt(1 + theta^2/4)))
@@ -163,6 +189,15 @@ class TestJointKernelScan:
             nogo_joint_kernel(0.3, [1, 4])
         with pytest.raises(ValueError):
             nogo_joint_kernel(0.3, [8, 4])
+
+    @pytest.mark.parametrize("cutoff", [2.9, 4.5, 4.0, True, np.True_, "4"])
+    def test_rejects_non_integer_cutoffs(self, cutoff):
+        # int() would run 2.9 and 4.5 silently at cutoffs 2 and 4
+        with pytest.raises(ValueError, match=re.escape(f"integers, got {cutoff!r}")):
+            nogo_joint_kernel(0.5, [cutoff, 8])
+
+    def test_accepts_numpy_integer_cutoffs(self):
+        assert nogo_joint_kernel(0.5, np.array([4, 8])) == nogo_joint_kernel(0.5, [4, 8])
 
     @pytest.mark.parametrize("theta", [np.nan, np.inf, -np.inf])
     def test_rejects_non_finite_theta(self, theta):
