@@ -8,12 +8,7 @@ direct-sum assembly across levels, dressed state families with
 quadrature resolutions of identity, and a joint-vacuum obstruction scan.
 """
 
-from .assembly import (
-    GlobalOperators,
-    ResolutionReport,
-    assemble,
-    global_resolution_check,
-)
+from .assembly import GlobalOperators, assemble
 from .bicoherent import (
     BicoherentFamily,
     build_family,
@@ -35,11 +30,7 @@ from .blocks import (
     realize_basis_cholesky,
     verify_block_system,
 )
-from .fock import (
-    NoGoReport,
-    lowering_matrix,
-    nogo_joint_kernel,
-)
+from .fock import NoGoReport, nogo_joint_kernel
 from .overlaps import (
     GramBlock,
     NCBosonParams,
@@ -58,7 +49,6 @@ __all__ = [
     "NCBosonParams",
     "NoGoReport",
     "PositivityError",
-    "ResolutionReport",
     "anticommutator_reference",
     "assemble",
     "build_block_system",
@@ -66,9 +56,7 @@ __all__ = [
     "deformed_number_operators",
     "dual_basis_by_kernel",
     "fixture_basis",
-    "global_resolution_check",
     "gram_block",
-    "lowering_matrix",
     "nogo_joint_kernel",
     "normalized_legendre",
     "realize_basis_cholesky",

@@ -2,12 +2,12 @@
 
 Every global operator on the direct sum of the levels ``0 .. L`` is block
 diagonal, so an assembly keeps only the per-level systems of module
-`blocks` and where each starts, and forms no dense global matrix; the
-ladder action, the resolution of identity and the intertwining
-``S_e N = N^+ S_e`` are certified block by block.  The frame operators'
-per-block norms grow with the level for any nonzero deformation, which is
-the finite-size witness that the global frame operators need not stay
-bounded.
+`blocks` and where each starts, and forms no dense global matrix.  The
+same pass certifies the tower block by block: the ladder action, the
+resolution of identity and the intertwining ``S_e N = N^+ S_e``.  The
+frame operators' per-block norms grow with the level for any nonzero
+deformation, which is the finite-size witness that the global frame
+operators need not stay bounded.
 """
 
 from __future__ import annotations
@@ -23,18 +23,22 @@ from .blocks import (
     realize_basis_cholesky,
     relative_residual,
 )
-from .fock import lowering_matrix
-from .overlaps import gram_block
+from .overlaps import _check_level, gram_block
 
 
 @dataclass(frozen=True)
 class GlobalOperators:
-    """Direct-sum ladder system over levels ``0 .. max_level``.
+    """Direct-sum ladder system over levels ``0 .. max_level`` and its certificate.
 
     ``block_systems[M]`` holds the level-``M`` operators; they act on the
     global coordinates ``offsets[M] : offsets[M] + M + 1``, which is the
     range of the level-``M`` projection.  A dense global operator is the
     direct sum of one block matrix over the levels; nothing here forms it.
+
+    ``action_residual`` is scaled by the global ladder norms and each
+    level's basis norm; the other residuals are absolute max-norms; norms
+    and condition numbers are spectral, one per level block of ``S_h`` and
+    ``S_e``.
     """
 
     max_level: int
@@ -42,16 +46,6 @@ class GlobalOperators:
     block_systems: tuple[BlockSystem, ...]
     offsets: tuple[int, ...]
     action_residual: float
-
-
-@dataclass(frozen=True)
-class ResolutionReport:
-    """Global residuals and per-block conditioning of an assembly.
-
-    Residuals are absolute max-norms; norms and condition numbers are
-    spectral.
-    """
-
     resolution_residual: float
     intertwining_residual: float
     s_h_block_norms: tuple[float, ...]
@@ -60,40 +54,63 @@ class ResolutionReport:
 
 
 def assemble(gamma: complex, max_level: int) -> GlobalOperators:
-    """Build the direct-sum system up to ``max_level`` and its action residual.
+    """Build the direct-sum system up to ``max_level`` and certify it.
 
     Every level is realized in the Cholesky gauge of its overlap Gram
-    matrix, `blocks.realize_basis_cholesky`.  The defect of the square-root
-    ladder action of ``A, B, A^+, B^+`` on every basis vector, taken block
-    by block but scaled by the global ``max|A|`` and ``max|B|``, is
-    returned as ``action_residual`` for the caller to compare against
-    `blocks.EQUALITY_TOL`; a failing action does not raise.
+    matrix, `blocks.realize_basis_cholesky`, and its ``a, b, h, e, S_h,
+    S_e`` are read at ``gamma`` once.  From them:
+
+    * ``action_residual``, the defect of the square-root ladder action of
+      ``A, B, A^+, B^+`` on every basis vector, taken block by block but
+      scaled by the global ``max|A|`` and ``max|B|``;
+    * ``resolution_residual``, the sum of every mixed dyad ``|e_k><h_k|``
+      over all levels against the identity;
+    * ``intertwining_residual``, the defect ``(S_e N - N^+ S_e)`` applied
+      to each primal vector, which is the vector-wise form in which the
+      identity actually holds;
+    * the spectral norms of every ``S_h`` and ``S_e`` block and the
+      condition numbers of the ``S_h`` blocks.
+
+    All are block diagonal, so each residual is the largest over the
+    blocks.  A failing residual does not raise: the caller compares it
+    against `blocks.EQUALITY_TOL`.  Raises ValueError for a ``max_level``
+    that is not an integer in ``[0, LEVEL_CAP]``, before any level is built.
     """
     gamma = complex(gamma)
-    if max_level < 0:
-        raise ValueError(f"max_level must be >= 0, got {max_level}")
-    systems = [
-        build_block_system(realize_basis_cholesky(gram_block(level, gamma)))
-        for level in range(max_level + 1)
-    ]
+    _check_level(max_level)
+    systems, reads = [], []
+    for level in range(max_level + 1):
+        system = build_block_system(realize_basis_cholesky(gram_block(level, gamma)))
+        systems.append(system)
+        # Each read at gamma is a phase-gauge product: take every matrix once.
+        reads.append((system.a, system.b, system.basis.h_matrix,
+                      system.basis.e_matrix, system.S_h, system.S_e))
 
     # Global scales max|A|, max|B|: a direct sum's max-norm is its largest block's.
-    norm_a = max(max_abs(s.a) for s in systems)
-    norm_b = max(max_abs(s.b) for s in systems)
-    action = 0.0
-    for system in systems:
-        a, b = system.a, system.b
-        h, e = system.basis.h_matrix, system.basis.e_matrix
+    norm_a = max(max_abs(a) for a, *_ in reads)
+    norm_b = max(max_abs(b) for _, b, *_ in reads)
+    action = resolution = intertwining = 0.0
+    norms_h, norms_e, conds_h = [], [], []
+    for a, b, h, e, s_h, s_e in reads:
+        dim = len(h)
+        down = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
         norm_h, norm_e = max_abs(h), max_abs(e)
-        down = lowering_matrix(system.basis.dim)
-        up = down.conj().T
         action = max(
             action,
             relative_residual(a @ h - h @ down, norm_a, norm_h),
-            relative_residual(b @ h - h @ up, norm_b, norm_h),
-            relative_residual(a.conj().T @ e - e @ up, norm_a, norm_e),
+            relative_residual(b @ h - h @ down.T, norm_b, norm_h),
+            relative_residual(a.conj().T @ e - e @ down.T, norm_a, norm_e),
             relative_residual(b.conj().T @ e - e @ down, norm_b, norm_e),
         )
+        # N as b a from the ladders at gamma, the product the dense B A forms.
+        n_op = b @ a
+        resolution = max(resolution, max_abs(e @ h.conj().T - np.eye(dim)))
+        intertwining = max(
+            intertwining, max_abs((s_e @ n_op - n_op.conj().T @ s_e) @ h)
+        )
+        norms_h.append(float(np.linalg.norm(s_h, 2)))
+        norms_e.append(float(np.linalg.norm(s_e, 2)))
+        conds_h.append(float(np.linalg.cond(s_h)))
 
     return GlobalOperators(
         max_level=max_level,
@@ -101,32 +118,6 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
         block_systems=tuple(systems),
         offsets=tuple(m * (m + 1) // 2 for m in range(max_level + 1)),
         action_residual=action,
-    )
-
-
-def global_resolution_check(ops: GlobalOperators) -> ResolutionReport:
-    """Resolution-of-identity and intertwining residuals of an assembly.
-
-    The resolution sums every mixed dyad ``|e_k><h_k|`` over all levels;
-    the intertwining defect ``(S_e N - N^+ S_e)`` is applied to each
-    primal vector, which is the vector-wise form in which the identity
-    actually holds.  Both are block diagonal, so each residual is the
-    largest over the blocks.
-    """
-    resolution = intertwining = 0.0
-    norms_h, norms_e, conds_h = [], [], []
-    for system in ops.block_systems:
-        h, e = system.basis.h_matrix, system.basis.e_matrix
-        # N as b a from the ladders at gamma, the product the dense B A forms.
-        s_e, n_op = system.S_e, system.b @ system.a
-        resolution = max(resolution, max_abs(e @ h.conj().T - np.eye(system.basis.dim)))
-        intertwining = max(
-            intertwining, max_abs((s_e @ n_op - n_op.conj().T @ s_e) @ h)
-        )
-        norms_h.append(float(np.linalg.norm(system.S_h, 2)))
-        norms_e.append(float(np.linalg.norm(s_e, 2)))
-        conds_h.append(float(np.linalg.cond(system.S_h)))
-    return ResolutionReport(
         resolution_residual=resolution,
         intertwining_residual=intertwining,
         s_h_block_norms=tuple(norms_h),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fixtures
-from .overlaps import GramBlock, NCBosonParams, dsym, phase_gauge, sym_powers
+from .overlaps import GramBlock, NCBosonParams, _check_level, dsym, phase_gauge, sym_powers
 
 # Relative residual ceiling for equality checks; positivity is an absolute
 # eigenvalue floor.  Dense double-precision algebra at dimension <= 10.
@@ -407,11 +407,10 @@ def deformed_number_operators(params: NCBosonParams, level: int) -> DeformedLeve
     recurrence) are checked to be eigenvectors with the per-mode counts as
     eigenvalues, and ``[M1, M2]`` to vanish on each whole level; each level's
     residuals are scaled by its own norms.  Raises ValueError for a level
-    outside ``[0, LEVEL_CAP]``, before any level is built, or if either
-    certification fails.
+    that is not an integer in ``[0, LEVEL_CAP]``, before any level is built,
+    or if either certification fails.
     """
-    if level < 0:
-        raise ValueError(f"level must be >= 0, got {level}")
+    _check_level(level)
     gamma = params.gamma
     denom = 1.0 - abs(gamma) ** 2
     if denom <= POSITIVITY_TOL:

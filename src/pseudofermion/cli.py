@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from . import fixtures
-from .assembly import assemble, global_resolution_check
+from .assembly import assemble
 from .bicoherent import (
     DEFAULT_QUAD_ORDER,
     build_family,
@@ -303,17 +303,12 @@ def run_nogo(theta: float, cutoffs: Sequence[int], kernel_tol: float) -> ReportD
 
 def run_assemble(gamma: complex, max_level: int) -> ReportDocument:
     ops = assemble(gamma, max_level)
-    resolution = global_resolution_check(ops)
     checks = [
         Check("ladder_actions", ops.action_residual, EQUALITY_TOL),
-        Check("global_resolution", resolution.resolution_residual, EQUALITY_TOL),
-        Check(
-            "global_intertwining_on_basis",
-            resolution.intertwining_residual,
-            EQUALITY_TOL,
-        ),
+        Check("global_resolution", ops.resolution_residual, EQUALITY_TOL),
+        Check("global_intertwining_on_basis", ops.intertwining_residual, EQUALITY_TOL),
     ]
-    norms = np.asarray(resolution.s_h_block_norms)
+    norms = np.asarray(ops.s_h_block_norms)
     if abs(ops.gamma) > 0.0 and max_level >= 1:
         checks.append(
             Check("s_h_norm_growth", max(0.0, float(np.max(-np.diff(norms)))), 0.0)
@@ -330,8 +325,8 @@ def run_assemble(gamma: complex, max_level: int) -> ReportDocument:
         matrices={
             **matrices,
             "s_h_block_norms": norms,
-            "s_e_block_norms": np.array(resolution.s_e_block_norms),
-            "s_h_block_conditions": np.array(resolution.s_h_block_conditions),
+            "s_e_block_norms": np.array(ops.s_e_block_norms),
+            "s_h_block_conditions": np.array(ops.s_h_block_conditions),
         },
         checks=checks,
     )

@@ -1,4 +1,4 @@
-"""Truncated two-mode boson matrices and the joint-vacuum obstruction scan.
+"""The joint-vacuum obstruction scan of two deformed boson modes.
 
 Position-like noncommutativity ``[X, Y] = i theta`` turns the two vacuum
 conditions for the transformed annihilation operators into a pair of
@@ -70,16 +70,6 @@ import numpy as np
 DEFAULT_KERNEL_TOL = 1e-8
 
 _SQRT2 = np.sqrt(2.0)
-
-
-def lowering_matrix(dim: int) -> np.ndarray:
-    """Standard truncated single-mode lowering matrix of size ``dim``.
-
-    Superdiagonal entries are ``sqrt(1), ..., sqrt(dim - 1)``.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be >= 1, got {dim}")
-    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
 @dataclass(frozen=True)

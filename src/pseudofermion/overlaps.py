@@ -31,6 +31,7 @@ recursion, the scalar binomial expansion of one excitation and the one-level
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -242,6 +243,10 @@ def _factor(level: int, gamma: complex) -> np.ndarray:
 
 
 def _check_level(level: int) -> None:
-    # The one range check of a total level, naming the level it refuses.
+    # The one check of a total level, naming the level it refuses: an int or
+    # numpy integer in [0, LEVEL_CAP].  A bool or a float (also 2.0) is
+    # refused, not truncated or used as an index.
+    if isinstance(level, bool) or not isinstance(level, numbers.Integral):
+        raise ValueError(f"level must be an integer, got {level!r}")
     if not 0 <= level <= LEVEL_CAP:
         raise ValueError(f"level must lie in [0, {LEVEL_CAP}], got {level}")

@@ -9,9 +9,11 @@ production routes against them:
 * `sym_power`, the binomial double sum of one level's ``Sym^M(T)`` in one
   vectorized call, the reference for `overlaps.sym_powers` and for the Gram
   factor;
-* the dense two-mode Fock representation and the stacked vacuum conditions,
-  the reference for `fock.nogo_joint_kernel`'s parity-block scan, and the
-  parity blocks' singular values from one dense SVD per tall block
+* the truncated single-mode ladder matrices (`lowering_matrix`,
+  `raising_matrix`), the dense two-mode Fock representation built from them
+  and the stacked vacuum conditions, the reference for
+  `fock.nogo_joint_kernel`'s parity-block scan, and the parity blocks'
+  singular values from one dense SVD per tall block
   (`tall_parity_singular_values`), the reference for its shell-by-shell
   reduction;
 * the level-by-level construction of the deformed number operators
@@ -45,7 +47,7 @@ from pseudofermion.blocks import (
     max_abs,
     relative_residual,
 )
-from pseudofermion.fock import _SQRT2, lowering_matrix
+from pseudofermion.fock import _SQRT2
 from pseudofermion.overlaps import (
     _BINOMIAL,
     LEVEL_CAP,
@@ -240,6 +242,16 @@ def deformed_number_operators_by_level(
         action_residual=action,
         commutator_residual=commutator,
     )
+
+
+def lowering_matrix(dim: int) -> np.ndarray:
+    """Standard truncated single-mode lowering matrix of size ``dim``.
+
+    Superdiagonal entries are ``sqrt(1), ..., sqrt(dim - 1)``.
+    """
+    if dim < 1:
+        raise ValueError(f"dim must be >= 1, got {dim}")
+    return np.diag(np.sqrt(np.arange(1, dim)), 1).astype(complex)
 
 
 def raising_matrix(dim: int) -> np.ndarray:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 
 from pseudofermion import fixtures
-from pseudofermion.assembly import assemble, global_resolution_check
+from pseudofermion.assembly import assemble
 from pseudofermion.bicoherent import (
     build_family,
     resolution_of_identity,
@@ -253,14 +253,13 @@ def test_criterion_8_tower_assembly():
                 np.max(np.abs(direct_sum(ops, "a").conj().T @ e - up_e)),
                 np.max(np.abs(direct_sum(ops, "b").conj().T @ e - down_e)),
             )
-    report = global_resolution_check(ops)
-    norms = np.asarray(report.s_h_block_norms)
+    norms = np.asarray(ops.s_h_block_norms)
     growth_ok = bool(np.all(np.diff(norms) > 0))
-    ok = worst <= 1e-10 and report.resolution_residual <= 1e-10 and growth_ok
+    ok = worst <= 1e-10 and ops.resolution_residual <= 1e-10 and growth_ok
     assert _verdict(
         "criterion 8 (assembly actions, resolution, metric growth)",
         ok,
-        f"worst action {worst:.3e}, resolution {report.resolution_residual:.3e}, "
+        f"worst action {worst:.3e}, resolution {ops.resolution_residual:.3e}, "
         f"norms strictly increasing: {growth_ok}",
     )
 

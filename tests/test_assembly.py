@@ -3,10 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from oracles import direct_sum, e_vector, h_vector, total_dim
-from pseudofermion.assembly import assemble, global_resolution_check
+from oracles import direct_sum, e_vector, h_vector, lowering_matrix, total_dim
+from pseudofermion import assembly
+from pseudofermion.assembly import assemble
 from pseudofermion.blocks import PositivityError, max_abs, relative_residual
-from pseudofermion.fock import lowering_matrix
+from pseudofermion.overlaps import LEVEL_CAP
 
 
 def _block_diag(mats, total):
@@ -65,8 +66,7 @@ class TestAssemble:
         assert total_dim(ops) == 1
         np.testing.assert_allclose(direct_sum(ops, "a"), [[0.0]], atol=1e-15, rtol=0)
         np.testing.assert_allclose(direct_sum(ops, "b"), [[0.0]], atol=1e-15, rtol=0)
-        report = global_resolution_check(ops)
-        assert report.resolution_residual <= 1e-12
+        assert ops.resolution_residual <= 1e-12
 
     def test_block_sizes_and_offsets(self):
         ops = assemble(0.5, 4)
@@ -151,6 +151,19 @@ class TestAssemble:
             direct_sum(ops, "b"), direct_sum(ops, "a").conj().T, atol=1e-12, rtol=0
         )
 
+    @pytest.mark.parametrize("max_level", [True, 2.0, 2.5])
+    def test_rejects_non_integer_level(self, max_level):
+        with pytest.raises(ValueError, match=f"level must be an integer, got {max_level!r}$"):
+            assemble(0.5, max_level)
+
+    @pytest.mark.parametrize("max_level", [-1, LEVEL_CAP + 1])
+    def test_rejects_level_out_of_range_before_building(self, max_level, monkeypatch):
+        built, real = [], assembly.gram_block
+        monkeypatch.setattr(assembly, "gram_block", lambda *args: built.append(args) or real(*args))
+        with pytest.raises(ValueError, match=rf"\[0, {LEVEL_CAP}\], got {max_level}$"):
+            assemble(0.5, max_level)
+        assert built == []
+
     def test_vector_range_checks(self):
         ops = assemble(0.5, 2)
         with pytest.raises(ValueError):
@@ -162,28 +175,34 @@ class TestAssemble:
 
 
 class TestResolutionReport:
+    """The resolution, intertwining and metric fields of an assembly."""
+
     @pytest.mark.parametrize("gamma", [0.3, 0.9])
     def test_resolution_of_identity(self, gamma):
-        report = global_resolution_check(assemble(gamma, 4))
-        assert report.resolution_residual <= 1e-10
+        assert assemble(gamma, 4).resolution_residual <= 1e-10
 
     def test_intertwining_on_basis(self):
-        report = global_resolution_check(assemble(0.9, 4))
-        assert report.intertwining_residual <= 1e-8
+        assert assemble(0.9, 4).intertwining_residual <= 1e-8
 
-    def test_metric_norm_growth(self):
-        report = global_resolution_check(assemble(0.5, 6))
-        norms = np.asarray(report.s_h_block_norms)
+    # One modulus at phases 0, pi and off the real axis: the norms are
+    # (1 + |gamma|)^M and (1 - |gamma|)^-M, whatever the phase.
+    @pytest.mark.parametrize("gamma", [0.5, -0.5, 0.3 + 0.4j, -0.4 - 0.3j])
+    def test_metric_norm_growth(self, gamma):
+        ops = assemble(gamma, 6)
+        r, level = abs(gamma), np.arange(7.0)
+        norms = np.asarray(ops.s_h_block_norms)
         assert norms.shape == (7,)
         assert np.all(np.diff(norms) > 0)
-        np.testing.assert_allclose(norms, 1.5 ** np.arange(7.0), atol=0, rtol=1e-10)
-        duals = np.asarray(report.s_e_block_norms)
-        np.testing.assert_allclose(duals, 2.0 ** np.arange(7.0), atol=0, rtol=1e-10)
+        np.testing.assert_allclose(norms, (1 + r) ** level, atol=0, rtol=1e-10)
+        duals = np.asarray(ops.s_e_block_norms)
+        np.testing.assert_allclose(duals, (1 - r) ** -level, atol=0, rtol=1e-10)
 
-    def test_condition_number_growth(self):
-        report = global_resolution_check(assemble(0.9, 4))
-        conds = np.asarray(report.s_h_block_conditions)
-        np.testing.assert_allclose(conds, 19.0 ** np.arange(5.0), atol=0, rtol=1e-8)
+    @pytest.mark.parametrize("gamma", [0.9, -0.9, 0.54 + 0.72j, -0.54 - 0.72j])
+    def test_condition_number_growth(self, gamma):
+        conds = np.asarray(assemble(gamma, 4).s_h_block_conditions)
+        r = abs(gamma)
+        expected = ((1 + r) / (1 - r)) ** np.arange(5.0)
+        np.testing.assert_allclose(conds, expected, atol=0, rtol=1e-8)
 
 
 # |gamma| = 0.9 admits levels up to 11: (1 - 0.9)^12 sits on the gate's floor.
@@ -205,7 +224,6 @@ class TestDenseOracle:
     )
     def test_matches_dense_construction(self, gamma, max_level):
         ops = assemble(gamma, max_level)
-        report = global_resolution_check(ops)
         big_a, big_b, big_n, action, resolution, intertwining = dense_assembly(ops)
         assert np.array_equal(direct_sum(ops, "a"), big_a)
         assert np.array_equal(direct_sum(ops, "b"), big_b)
@@ -219,7 +237,7 @@ class TestDenseOracle:
         )
         for blockwise, dense, floor in (
             (ops.action_residual, action, 1e-15),
-            (report.resolution_residual, resolution, 1e-15),
-            (report.intertwining_residual, intertwining, np.finfo(float).eps * term),
+            (ops.resolution_residual, resolution, 1e-15),
+            (ops.intertwining_residual, intertwining, np.finfo(float).eps * term),
         ):
             assert abs(blockwise - dense) <= 1e-3 * dense or max(blockwise, dense) < floor

@@ -23,10 +23,10 @@ from oracles import (
     build_fock_rep,
     deformed_number_operators_by_level,
     hermitian_sqrt,
+    lowering_matrix,
     sym_power,
     synthesize_ladders,
 )
-from pseudofermion.fock import lowering_matrix
 from pseudofermion.overlaps import LEVEL_CAP, NCBosonParams, gram_block, sym_powers
 from test_overlaps import coefficient_matrix
 
@@ -561,8 +561,13 @@ class TestDeformedNumberOperators:
             deformed_number_operators(params, 2)
 
     def test_rejects_negative_level(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=rf"\[0, {LEVEL_CAP}\], got -1$"):
             deformed_number_operators(NCBosonParams.from_gamma(0.2), -1)
+
+    @pytest.mark.parametrize("level", [True, 2.0])
+    def test_rejects_non_integer_level(self, level):
+        with pytest.raises(ValueError, match=rf"level must be an integer, got {level!r}$"):
+            deformed_number_operators(NCBosonParams.from_gamma(0.2), level)
 
     @pytest.mark.parametrize("level", [LEVEL_CAP + 1, LEVEL_CAP + 2])
     def test_rejects_level_above_cap(self, level):

@@ -5,6 +5,7 @@ import pytest
 
 from oracles import (
     build_fock_rep,
+    lowering_matrix,
     raising_matrix,
     stacked_vacuum_conditions,
     tall_parity_singular_values,
@@ -12,7 +13,6 @@ from oracles import (
 from pseudofermion.fock import (
     DEFAULT_KERNEL_TOL,
     _parity_singular_values,
-    lowering_matrix,
     nogo_joint_kernel,
 )
 

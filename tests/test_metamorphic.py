@@ -19,6 +19,7 @@ import math
 import numpy as np
 import pytest
 
+from oracles import lowering_matrix
 from pseudofermion.blocks import (
     POSITIVITY_TOL,
     BlockBasis,
@@ -27,7 +28,6 @@ from pseudofermion.blocks import (
     realize_basis_cholesky,
     verify_block_system,
 )
-from pseudofermion.fock import lowering_matrix
 from pseudofermion.overlaps import LEVEL_CAP, gram_block
 from test_blocks import FORWARD_GRID, forward_error, mpmath_reference
 

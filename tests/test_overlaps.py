@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -169,6 +170,19 @@ class TestGramBlock:
     def test_rejects_nan_gamma(self):
         with pytest.raises(ValueError):
             gram_block(3, math.nan)
+
+    # A float or a bool is refused, not used as an index or built as level 1.
+    @pytest.mark.parametrize(
+        "level", [2.5, 2.0, True, np.float64(2.0), np.True_],
+        ids=["2.5", "2.0", "True", "float64", "numpy-True"],
+    )
+    def test_rejects_non_integer_level(self, level):
+        message = f"level must be an integer, got {re.escape(repr(level))}$"
+        with pytest.raises(ValueError, match=message):
+            gram_block(level, 0.5)
+
+    def test_accepts_numpy_integer_level(self):
+        assert np.array_equal(gram_block(np.int64(3), 0.5).matrix, gram_block(3, 0.5).matrix)
 
 
 class TestGramFactor:
