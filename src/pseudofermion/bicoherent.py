@@ -1,7 +1,7 @@
-"""Dressed biorthogonal state families over an interval and their quadrature.
+"""Dressed biorthogonal state families on ``[-1, 1]`` and their quadrature.
 
-Starting from orthonormal functions ``phi_n`` on ``[x_lo, x_hi]`` and a
-real dressing ``alpha(x)``, the two function families ``Phi_n = e^alpha
+Starting from the orthonormal Legendre functions ``phi_n`` on ``[-1, 1]``
+and a real dressing ``alpha(x)``, the two function families ``Phi_n = e^alpha
 phi_n`` and ``Psi_n = e^{-alpha} phi_n`` stay biorthogonal because the
 dressing cancels in every mixed product.  Pairing them with a biorthogonal
 vector pair ``e_n, h_n`` produces two x-parametrized states
@@ -11,8 +11,8 @@ vector pair ``e_n, h_n`` produces two x-parametrized states
 
 normalized by ``Ntilde(x) = sum_n conj(Phi_n(x)) Psi_n(x)``, which is
 dressing-independent and strictly positive.  Their mixed dyads resolve the
-identity under the interval measure; Gauss quadrature makes that exact at
-finite order for the polynomial default family, and the same quadrature
+identity under the unit measure; Gauss-Legendre quadrature makes that
+exact at finite order for the polynomial family, and the same quadrature
 maps classical functions to operators (upper symbols).
 """
 
@@ -28,31 +28,31 @@ from .blocks import BlockBasis, max_abs
 
 DEFAULT_QUAD_ORDER = 64
 
-# Guard threshold for user-supplied families; the default construction
-# sits many orders below it.
+# Ceiling on the quadrature's biorthonormality defect; a quadrature of at
+# least ``n_states`` nodes sits many orders below it.
 FAMILY_TOL = 1e-8
 
-# Relative allowance for rounding: in the interval ends a point may lie
-# beyond, and in the imaginary part of the (real) state normalizer.
+# Allowance for rounding: how far a point may lie beyond ``-1`` or ``1``, and
+# the imaginary part of the (real) state normalizer relative to its size.
 ROUNDING_SLACK = 1e-12
 
 
-def normalized_legendre(n_states: int, x_lo: float = -1.0, x_hi: float = 1.0) -> Callable:
-    """Orthonormal Legendre-type polynomial family on an interval.
+def normalized_legendre(n_states: int) -> Callable:
+    """The orthonormal Legendre polynomials of degree below ``n_states``.
 
     Returns a callable mapping a 1-d array of points to the
     ``(len(x), n_states)`` matrix of function values, orthonormal under
-    the unit-weight inner product on ``[x_lo, x_hi]``.
+    the unit-weight inner product on ``[-1, 1]``.
     """
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
-    span = x_hi - x_lo
-    scale = np.sqrt((2.0 * np.arange(n_states) + 1.0) / span)
+    scale = np.sqrt((2.0 * np.arange(n_states) + 1.0) / 2.0)
 
     def phi(x: np.ndarray) -> np.ndarray:
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        t = 2.0 * (x - x_lo) / span - 1.0
-        return legvander(t, n_states - 1) * scale
+        # (x + 1) - 1 rounds x to the grid of x + 1; the reports' bits
+        # depend on that rounding.
+        return legvander((x + 1.0) - 1.0, n_states - 1) * scale
 
     return phi
 
@@ -63,17 +63,16 @@ def _zero_dressing(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BicoherentFamily:
-    """Interval, function family, dressing, and vector bases in one bundle.
+    """Dressing, vector bases and quadrature of a family in one bundle.
 
-    ``phi_fn`` maps points to the ``(len(x), n_states)`` value matrix;
-    ``alpha_fn`` maps points to real dressing exponents.  Column ``n`` of
-    ``h_matrix`` / ``e_matrix`` is the vector attached to ``phi_n``.
+    The functions are the ``n_states`` orthonormal Legendre polynomials on
+    ``[-1, 1]`` (`normalized_legendre`); ``alpha_fn`` maps points to real
+    dressing exponents.  Column ``n`` of ``h_matrix`` / ``e_matrix`` is the
+    vector attached to ``phi_n``.  ``nodes`` and ``weights`` are the
+    Gauss-Legendre rule.
     """
 
     n_states: int
-    x_lo: float
-    x_hi: float
-    phi_fn: Callable
     alpha_fn: Callable
     h_matrix: np.ndarray
     e_matrix: np.ndarray
@@ -88,15 +87,10 @@ class BicoherentFamily:
 
 
 def _dressed_values(family: BicoherentFamily, xs: np.ndarray):
-    # Returns (Phi, Psi, Ntilde) at the given points, validating shape,
-    # realness of the dressing, and positivity of the normalizer.
+    # Returns (Phi, Psi, Ntilde) at the given points, validating the
+    # dressing's shape and realness and the normalizer's positivity.
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    values = np.asarray(family.phi_fn(xs))
-    if values.shape != (xs.size, family.n_states):
-        raise ValueError(
-            f"function family returned shape {values.shape}, "
-            f"expected {(xs.size, family.n_states)}"
-        )
+    values = normalized_legendre(family.n_states)(xs)
     alpha = np.asarray(family.alpha_fn(xs))
     if alpha.shape != xs.shape:
         raise ValueError(f"dressing returned shape {alpha.shape}, expected {xs.shape}")
@@ -122,31 +116,24 @@ def _dressed_values(family: BicoherentFamily, xs: np.ndarray):
 
 def build_family(
     n_states: int,
-    phi_fn: Callable | None = None,
     alpha_fn: Callable | None = None,
     basis: BlockBasis | None = None,
     quad_order: int = DEFAULT_QUAD_ORDER,
-    domain: tuple[float, float] = (-1.0, 1.0),
 ) -> BicoherentFamily:
     """Assemble a family and certify its quadrature biorthogonality.
 
-    Defaults: orthonormal Legendre-type functions, zero dressing, the
-    self-dual orthonormal vector basis, and Gauss quadrature with
-    ``quad_order`` nodes on ``domain``.  Raises ValueError if the mixed
-    function overlaps fail to reproduce the identity under the chosen
-    quadrature (insufficient order for a user-supplied family) or if the
+    The functions are always the orthonormal Legendre family on ``[-1, 1]``,
+    integrated by Gauss-Legendre quadrature with ``quad_order`` nodes.
+    Defaults: zero dressing and the self-dual orthonormal vector basis.
+    Raises ValueError if the mixed function overlaps fail to reproduce the
+    identity under the quadrature (fewer than ``n_states`` nodes) or if the
     normalizer fails positivity at any node.
     """
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
     if quad_order < 1:
         raise ValueError(f"quad_order must be >= 1, got {quad_order}")
-    x_lo, x_hi = float(domain[0]), float(domain[1])
-    if not x_lo < x_hi:
-        raise ValueError(f"empty domain: {domain}")
 
-    if phi_fn is None:
-        phi_fn = normalized_legendre(n_states, x_lo, x_hi)
     if alpha_fn is None:
         alpha_fn = _zero_dressing
 
@@ -160,15 +147,9 @@ def build_family(
             )
         h, e = basis.h_matrix, basis.e_matrix
 
-    base_nodes, base_weights = leggauss(quad_order)
-    nodes = 0.5 * (x_hi + x_lo) + 0.5 * (x_hi - x_lo) * base_nodes
-    weights = 0.5 * (x_hi - x_lo) * base_weights
-
+    nodes, weights = leggauss(quad_order)
     family = BicoherentFamily(
         n_states=n_states,
-        x_lo=x_lo,
-        x_hi=x_hi,
-        phi_fn=phi_fn,
         alpha_fn=alpha_fn,
         h_matrix=h,
         e_matrix=e,
@@ -194,16 +175,13 @@ def states_at(
 
     Returns ``(e_states, h_states)``, each of shape ``(len(xs), n_states)``;
     row ``q`` holds ``e(x_q)`` and ``h(x_q)``, and ``<e(x_q), h(x_q)> = 1``.
-    A scalar is one point.  Raises ValueError if any point lies outside the
-    family's interval.
+    A scalar is one point.  Raises ValueError if any point lies outside
+    ``[-1, 1]``.
     """
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    slack = ROUNDING_SLACK * max(1.0, abs(family.x_lo), abs(family.x_hi))
-    outside = ~((family.x_lo - slack <= xs) & (xs <= family.x_hi + slack))
+    outside = ~((-1.0 - ROUNDING_SLACK <= xs) & (xs <= 1.0 + ROUNDING_SLACK))
     if np.any(outside):
-        raise ValueError(
-            f"x = {xs[outside][0]} outside domain [{family.x_lo}, {family.x_hi}]"
-        )
+        raise ValueError(f"x = {xs[outside][0]} outside domain [-1.0, 1.0]")
     phi_d, psi_d, ntilde = _dressed_values(family, xs)
     root = np.sqrt(ntilde)[:, None]
     e_states = phi_d @ family.e_matrix.T / root

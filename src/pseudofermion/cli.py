@@ -50,7 +50,7 @@ from .blocks import (
     relative_residual,
     verify_block_system,
 )
-from .fock import DEFAULT_KERNEL_TOL, nogo_joint_kernel
+from .fock import KERNEL_TOL, nogo_joint_kernel
 from .overlaps import gram_block
 
 SCHEMA_VERSION = "pfl-2"
@@ -269,8 +269,8 @@ def _level_matrices(system: BlockSystem, n: str = "n_selfadjoint", c: str = "c_m
     }
 
 
-def run_nogo(theta: float, cutoffs: Sequence[int], kernel_tol: float) -> ReportDocument:
-    report = nogo_joint_kernel(theta, cutoffs, kernel_tol)
+def run_nogo(theta: float, cutoffs: Sequence[int]) -> ReportDocument:
+    report = nogo_joint_kernel(theta, cutoffs)
     svals = np.asarray(report.min_singular_values)
     checks = []
     if theta == 0.0:
@@ -289,7 +289,7 @@ def run_nogo(theta: float, cutoffs: Sequence[int], kernel_tol: float) -> ReportD
         parameters={
             "theta": float(theta),
             "cutoffs": [int(c) for c in report.cutoffs],
-            "kernel_tol": float(kernel_tol),
+            "kernel_tol": KERNEL_TOL,
         },
         matrices={
             "min_singular_values": np.array(report.min_singular_values),
@@ -418,6 +418,12 @@ def run_verify_fixtures(gamma: float) -> ReportDocument:
     )
 
 
+# argparse reads a value that starts with '-', other than a plain negative
+# number, as an option; written as ``--opt=value`` it passes.
+_DASHED = "; a value that starts with '-' is written "
+_GAMMA_HELP = "deformation, e.g. 0.3+0.2i (i or j)" + _DASHED + "--gamma=-0.1-0.6i"
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="pfl",
@@ -426,31 +432,32 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gram", help="overlap Gram matrix of one level")
-    p.add_argument("--gamma", type=_parse_complex, required=True)
+    p.add_argument("--gamma", type=_parse_complex, required=True, help=_GAMMA_HELP)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--out", type=Path)
 
     p = sub.add_parser("block", help="full per-level operator system")
-    p.add_argument("--gamma", type=_parse_complex, required=True)
+    p.add_argument("--gamma", type=_parse_complex, required=True, help=_GAMMA_HELP)
     p.add_argument("--level", type=int, required=True)
     p.add_argument("--out", type=Path)
 
     p = sub.add_parser("nogo", help="joint-kernel singular value sweep")
-    p.add_argument("--theta", type=float, required=True)
+    p.add_argument(
+        "--theta", type=float, required=True, help="noncommutativity" + _DASHED + "--theta=-1e-9"
+    )
     p.add_argument("--cutoffs", type=int, nargs="+", default=[4, 8, 12, 16])
-    p.add_argument("--kernel-tol", type=float, default=DEFAULT_KERNEL_TOL)
     p.add_argument("--out", type=Path)
 
     p = sub.add_parser("assemble", help="direct-sum assembly up to a level cutoff")
-    p.add_argument("--gamma", type=_parse_complex, required=True)
+    p.add_argument("--gamma", type=_parse_complex, required=True, help=_GAMMA_HELP)
     p.add_argument("--max-level", type=int, required=True)
     p.add_argument("--out", type=Path)
 
-    p = sub.add_parser("bicoherent", help="dressed state family on an interval")
+    p = sub.add_parser("bicoherent", help="dressed state family on [-1, 1]")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", default="0", help="dressing expression in x, e.g. '0.3*x'")
+    p.add_argument("--alpha", default="0", help="dressing, e.g. '0.3*x'" + _DASHED + "--alpha=-x")
     p.add_argument("--quad", type=int, default=DEFAULT_QUAD_ORDER)
-    p.add_argument("--symbol", default=None, help="classical function to quantize")
+    p.add_argument("--symbol", help="classical function to quantize" + _DASHED + "--symbol=-x")
     p.add_argument("--out", type=Path)
 
     p = sub.add_parser(
@@ -471,7 +478,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "block":
             report = run_block(args.gamma, args.level)
         elif args.command == "nogo":
-            report = run_nogo(args.theta, args.cutoffs, args.kernel_tol)
+            report = run_nogo(args.theta, args.cutoffs)
         elif args.command == "assemble":
             report = run_assemble(args.gamma, args.max_level)
         elif args.command == "bicoherent":

@@ -67,7 +67,8 @@ from typing import Sequence
 
 import numpy as np
 
-DEFAULT_KERNEL_TOL = 1e-8
+# A singular value below this counts toward the kernel dimension estimate.
+KERNEL_TOL = 1e-8
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -176,26 +177,19 @@ def _parity_singular_values(theta: float, cutoff: int) -> np.ndarray:
     )
 
 
-def nogo_joint_kernel(
-    theta: float,
-    cutoffs: Sequence[int],
-    kernel_tol: float = DEFAULT_KERNEL_TOL,
-) -> NoGoReport:
+def nogo_joint_kernel(theta: float, cutoffs: Sequence[int]) -> NoGoReport:
     """Sweep the smallest singular value of the stacked conditions over cutoffs.
 
-    The kernel dimension estimate counts singular values below
-    ``kernel_tol`` at the largest cutoff.  Because the scan is done at
-    finite truncation, a nonzero floor is reported as evidence (min
-    singular value not decaying with cutoff), never as a proof.  Requires
-    a finite ``theta``, a finite ``kernel_tol > 0`` and strictly increasing
-    integer cutoffs of at least 2; a float or a bool is refused, not
-    truncated.
+    The kernel dimension estimate counts singular values below the module
+    constant ``KERNEL_TOL = 1e-8`` at the largest cutoff.  Because the scan
+    is done at finite truncation, a nonzero floor is reported as evidence
+    (min singular value not decaying with cutoff), never as a proof.
+    Requires a finite ``theta`` and strictly increasing integer cutoffs of
+    at least 2; a float or a bool is refused, not truncated.
     """
-    theta, kernel_tol = float(theta), float(kernel_tol)
+    theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
-    if not 0.0 < kernel_tol < math.inf:
-        raise ValueError(f"kernel_tol must be finite and > 0, got {kernel_tol}")
     cutoffs = list(cutoffs)
     for c in cutoffs:
         if isinstance(c, bool) or not isinstance(c, numbers.Integral):
@@ -213,7 +207,7 @@ def nogo_joint_kernel(
     for cutoff in cutoffs:
         svals = _parity_singular_values(theta, cutoff)
         minima.append(float(svals.min()))
-        kernel_dim = int(np.sum(svals < kernel_tol))
+        kernel_dim = int(np.sum(svals < KERNEL_TOL))
     return NoGoReport(
         theta=theta,
         cutoffs=tuple(cutoffs),

@@ -54,12 +54,16 @@ class TestFamilyConstruction:
         _, r_plain = resolution_of_identity(plain)
         _, r_dressed = resolution_of_identity(dressed)
         assert abs(r_plain - r_dressed) <= 1e-12
-        # the normalizing density is independent of the dressing
+        # the normalizing density is independent of the dressing, so the
+        # dressed states are the plain ones scaled by e^{+-alpha}
+        xs = plain.nodes
+        e_plain, h_plain = states_at(plain, xs)
+        e_dressed, h_dressed = states_at(dressed, xs)
         np.testing.assert_allclose(
-            plain.phi_fn(plain.nodes) if callable(plain.phi_fn) else 0,
-            dressed.phi_fn(dressed.nodes),
-            atol=1e-15,
-            rtol=0,
+            e_dressed, np.exp(0.3 * xs)[:, None] * e_plain, atol=1e-15, rtol=1e-14
+        )
+        np.testing.assert_allclose(
+            h_dressed, np.exp(-0.3 * xs)[:, None] * h_plain, atol=1e-15, rtol=1e-14
         )
 
     def test_biorthogonal_pair_basis(self):
@@ -79,17 +83,10 @@ class TestFamilyConstruction:
         assert residual <= 1e-10
 
     def test_odd_state_vanishes_at_origin(self):
-        family = build_family(3)
-        values = family.phi_fn(np.array([0.0]))
+        values = normalized_legendre(3)(np.array([0.0]))
         assert abs(values[0, 1]) < 1e-14
         # normalized constant state on [-1, 1]
         assert abs(values[0, 0] - math.sqrt(0.5)) < 1e-14
-
-    def test_custom_domain(self):
-        phi = normalized_legendre(3, 0.0, 2.0)
-        family = build_family(3, phi_fn=phi, domain=(0.0, 2.0))
-        _, residual = resolution_of_identity(family)
-        assert residual <= 1e-12
 
 
 class TestUpperSymbols:
@@ -149,10 +146,6 @@ class TestValidation:
         with pytest.raises(ValueError, match="real"):
             build_family(3, alpha_fn=lambda x: 1j * x)
 
-    def test_rejects_vanishing_states(self):
-        with pytest.raises(ValueError, match="positive"):
-            build_family(2, phi_fn=lambda x: np.zeros((np.size(x), 2)))
-
     @pytest.mark.parametrize(
         "alpha_fn",
         [
@@ -165,6 +158,16 @@ class TestValidation:
     def test_rejects_non_finite_normalizer(self, alpha_fn):
         with pytest.raises(ValueError, match="finite and strictly positive"):
             build_family(3, alpha_fn=alpha_fn)
+
+    @pytest.mark.parametrize(
+        "setting",
+        [{"phi_fn": normalized_legendre(3)}, {"domain": (0.0, 2.0)}],
+        ids=["phi_fn", "domain"],
+    )
+    def test_family_and_interval_are_fixed(self, setting):
+        # always the orthonormal Legendre family on [-1, 1]
+        with pytest.raises(TypeError):
+            build_family(3, **setting)
 
     def test_rejects_out_of_domain_evaluation(self):
         family = build_family(3)

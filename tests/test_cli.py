@@ -10,7 +10,7 @@ import pytest
 
 import pseudofermion
 from oracles import direct_sum
-from pseudofermion import assembly, cli, fixtures
+from pseudofermion import assembly, cli, fixtures, fock
 from pseudofermion.assembly import assemble
 from pseudofermion.blocks import (
     EQUALITY_TOL,
@@ -34,7 +34,6 @@ from pseudofermion.cli import (
     run_verify_fixtures,
     serialize_matrix,
 )
-from pseudofermion.fock import DEFAULT_KERNEL_TOL
 
 
 def bits(matrix):
@@ -110,7 +109,7 @@ class TestReportDocument:
 SUBCOMMAND_RUNS = {
     "gram": lambda: run_gram(0.3 + 0.2j, 3),
     "block": lambda: run_block(0.3 + 0.2j, 4),
-    "nogo": lambda: run_nogo(0.5, [4, 8], DEFAULT_KERNEL_TOL),
+    "nogo": lambda: run_nogo(0.5, [4, 8]),
     "assemble": lambda: run_assemble(0.3 + 0.2j, 6),
     "bicoherent": lambda: run_bicoherent(6, "0.3*x", 64, "x^2"),
     "verify-fixtures": lambda: run_verify_fixtures(0.4),
@@ -264,17 +263,22 @@ class TestExitCodes:
             ["gram", "--gamma", "nan", "--level", "2"],
             ["verify-fixtures", "--gamma", "nan"],
             ["nogo", "--theta", "inf"],
-            ["nogo", "--theta", "0.3", "--kernel-tol", "nan"],
         ):
             assert main(argv) == 2, argv
             captured = capsys.readouterr()
             assert captured.out == "", argv
             assert captured.err.startswith("error: "), argv
 
-    def test_honest_check_failure(self, capsys):
-        # an absurd kernel tolerance makes kernel_empty fail without any
-        # parameter being invalid
-        assert main(["nogo", "--theta", "0.3", "--kernel-tol", "10"]) == 1
+    def test_honest_check_failure(self, monkeypatch, capsys):
+        # A spurious zero singular value makes kernel_empty fail without any
+        # parameter being invalid.
+        singular_values = fock._parity_singular_values
+
+        def with_zero(theta, cutoff):
+            return np.append(singular_values(theta, cutoff), 0.0)
+
+        monkeypatch.setattr(fock, "_parity_singular_values", with_zero)
+        assert main(["nogo", "--theta", "0.3"]) == 1
         payload = json.loads(capsys.readouterr().out)
         failed = [item for item in payload["checks"] if not item["pass"]]
         assert failed
@@ -284,6 +288,7 @@ class TestExitCodes:
         payload = json.loads(capsys.readouterr().out)
         names = [item["name"] for item in payload["checks"]]
         assert "kernel_dimension_one" in names
+        assert payload["parameters"]["kernel_tol"] == 1e-8
 
     def test_bicoherent_with_symbol(self, capsys):
         assert main(["bicoherent", "--n", "4", "--symbol", "x"]) == 0
@@ -341,6 +346,8 @@ class TestExitCodes:
         for argv in (
             ["block", "--gamma", "0.4", "--level", "1", "--mode", "fixture"],
             ["assemble", "--gamma", "0.4", "--max-level", "2", "--mode", "cholesky"],
+            # the joint-kernel threshold is the module constant fock.KERNEL_TOL
+            ["nogo", "--theta", "0.3", "--kernel-tol", "nan"],
         ):
             with pytest.raises(SystemExit) as info:
                 main(argv)
@@ -354,7 +361,13 @@ class TestExitCodes:
         capsys.readouterr()
 
     def test_complex_gamma_accepted(self, capsys):
-        assert main(["gram", "--gamma", "0.3+0.2i", "--level", "2"]) == 0
+        for argv in (
+            ["gram", "--gamma", "0.3+0.2i", "--level", "2"],
+            # a value that starts with '-' is passed as --opt=value
+            ["gram", "--gamma=-0.1-0.6i", "--level", "2"],
+            ["bicoherent", "--n", "3", "--alpha=-x"],
+        ):
+            assert main(argv) == 0, argv
         capsys.readouterr()
 
 

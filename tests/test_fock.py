@@ -11,7 +11,7 @@ from oracles import (
     tall_parity_singular_values,
 )
 from pseudofermion.fock import (
-    DEFAULT_KERNEL_TOL,
+    KERNEL_TOL,
     _parity_singular_values,
     nogo_joint_kernel,
 )
@@ -129,7 +129,7 @@ class TestJointKernelScan:
         assert gap <= 32 * np.finfo(float).eps * dense[0]
         report = nogo_joint_kernel(theta, [cutoff])
         assert abs(report.min_singular_values[0] - dense[-1]) <= 1e-15
-        assert report.kernel_dimension_estimate == int(np.sum(dense < DEFAULT_KERNEL_TOL))
+        assert report.kernel_dimension_estimate == int(np.sum(dense < KERNEL_TOL))
         if theta == 0.0:
             assert report.min_singular_values[0] <= 1e-12
 
@@ -143,7 +143,7 @@ class TestJointKernelScan:
         assert svals.size == tall.size
         assert np.max(np.abs(svals - tall)) <= 32 * np.finfo(float).eps * tall[-1]
         assert abs(svals[0] - tall[0]) <= 1e-15
-        assert np.sum(svals < DEFAULT_KERNEL_TOL) == np.sum(tall < DEFAULT_KERNEL_TOL)
+        assert np.sum(svals < KERNEL_TOL) == np.sum(tall < KERNEL_TOL)
 
     @pytest.mark.parametrize("cutoff", [2, 3, 16, 17, 32])
     def test_undeformed_minimum_is_exactly_zero(self, cutoff):
@@ -204,7 +204,7 @@ class TestJointKernelScan:
         with pytest.raises(ValueError, match="theta"):
             nogo_joint_kernel(theta, [4])
 
-    @pytest.mark.parametrize("kernel_tol", [np.nan, np.inf, 0.0, -1.0])
-    def test_rejects_bad_kernel_tol(self, kernel_tol):
-        with pytest.raises(ValueError, match="kernel_tol"):
-            nogo_joint_kernel(0.3, [4], kernel_tol)
+    def test_threshold_is_fixed(self):
+        # the kernel dimension counts singular values below KERNEL_TOL only
+        with pytest.raises(TypeError):
+            nogo_joint_kernel(0.3, [4], kernel_tol=10.0)

@@ -31,7 +31,7 @@ REBUILD = fenced("python", README.split("\n## Command line\n", 1)[1].split("\n##
 
 
 def test_examples_found():
-    assert len(PFL_LINES) == 8
+    assert len(PFL_LINES) == 9
     assert "build_block_system" in LIBRARY
 
 
