@@ -210,7 +210,7 @@ def upper_symbol(family: BicoherentFamily, classical_fn: Callable) -> np.ndarray
     """Operator assigned to a classical function by the dyad quadrature.
 
     ``classical_fn`` is evaluated on the quadrature nodes (vectorized over
-    a 1-d array).
+    a 1-d array).  Raises ValueError if it is not finite at every node.
     """
     values = np.asarray(classical_fn(family.nodes))
     if values.shape == ():
@@ -219,5 +219,11 @@ def upper_symbol(family: BicoherentFamily, classical_fn: Callable) -> np.ndarray
         raise ValueError(
             f"classical function returned shape {values.shape}, "
             f"expected {family.nodes.shape}"
+        )
+    bad = ~np.isfinite(values)
+    if np.any(bad):
+        raise ValueError(
+            f"classical function must be finite at every node, got {values[bad][0]} "
+            f"at x = {family.nodes[bad][0]}"
         )
     return _integrate_dyads(family, values)

@@ -8,7 +8,8 @@ Exit status is 0 when every check passes, 1 when any fails, and 2 for
 unusable parameters.  Reports are deterministic: identical parameters
 yield byte-identical output.
 
-Reports are compact JSON, with no whitespace between tokens.  Complex numbers
+Reports are strict compact JSON, with no whitespace between tokens and no
+NaN or infinity: a report that would hold one exits 2.  Complex numbers
 serialize as ``[re, im]`` pairs and matrices as row-major nested arrays,
 using the shortest decimal representation that round-trips doubles
 exactly.  ``assemble`` reports each level's ``a``, ``b`` and ``N`` under
@@ -130,7 +131,7 @@ class ReportDocument:
             "checks": [check.as_json() for check in self.checks],
             "version": self.version,
         }
-        return json.dumps(payload, separators=(",", ":"))
+        return json.dumps(payload, separators=(",", ":"), allow_nan=False)
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
@@ -208,7 +209,10 @@ def parse_expression(text: str) -> Callable:
         return -value if isinstance(node.op, ast.USub) else value
 
     def fn(x: np.ndarray) -> np.ndarray:
-        out = np.asarray(evaluate(tree, np.asarray(x, dtype=float)), dtype=float)
+        # A division by zero or an overflow gives inf or nan, without a
+        # warning; the library refuses a value that is not finite.
+        with np.errstate(all="ignore"):
+            out = np.asarray(evaluate(tree, np.asarray(x, dtype=float)), dtype=float)
         if out.shape != np.shape(x):
             out = np.broadcast_to(out, np.shape(x)).copy()
         return out
@@ -418,10 +422,12 @@ def run_verify_fixtures(gamma: float) -> ReportDocument:
     )
 
 
-# argparse reads a value that starts with '-', other than a plain negative
-# number, as an option; written as ``--opt=value`` it passes.
-_DASHED = "; a value that starts with '-' is written "
-_GAMMA_HELP = "deformation, e.g. 0.3+0.2i (i or j)" + _DASHED + "--gamma=-0.1-0.6i"
+_GAMMA_HELP = "deformation, e.g. 0.3+0.2i (i or j)"
+
+# Options whose value may start with '-' without being a plain negative
+# number, such as -0.1-0.6i or -x.  argparse would read that value as an
+# option; `main` joins it to its option as ``--opt=value``.
+_DASHED_VALUE_OPTIONS = ("--gamma", "--theta", "--alpha", "--symbol")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -442,10 +448,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", type=Path)
 
     p = sub.add_parser("nogo", help="joint-kernel singular value sweep")
+    p.add_argument("--theta", type=float, required=True, help="noncommutativity")
     p.add_argument(
-        "--theta", type=float, required=True, help="noncommutativity" + _DASHED + "--theta=-1e-9"
+        "--cutoffs",
+        type=int,
+        nargs="+",
+        default=[4, 8, 12, 16],
+        help="strictly increasing Fock cutoffs c, each bounding nx + ny <= c",
     )
-    p.add_argument("--cutoffs", type=int, nargs="+", default=[4, 8, 12, 16])
     p.add_argument("--out", type=Path)
 
     p = sub.add_parser("assemble", help="direct-sum assembly up to a level cutoff")
@@ -455,9 +465,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("bicoherent", help="dressed state family on [-1, 1]")
     p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", default="0", help="dressing, e.g. '0.3*x'" + _DASHED + "--alpha=-x")
+    p.add_argument("--alpha", default="0", help="dressing, e.g. '0.3*x'")
     p.add_argument("--quad", type=int, default=DEFAULT_QUAD_ORDER)
-    p.add_argument("--symbol", help="classical function to quantize" + _DASHED + "--symbol=-x")
+    p.add_argument("--symbol", help="classical function to quantize")
     p.add_argument("--out", type=Path)
 
     p = sub.add_parser(
@@ -471,6 +481,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
+    argv = list(sys.argv[1:] if argv is None else argv)
+    for i in reversed(range(1, len(argv))):
+        if argv[i - 1] in _DASHED_VALUE_OPTIONS and argv[i][:1] == "-" and argv[i][:2] != "--":
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
     try:
         if args.command == "gram":
@@ -485,11 +499,11 @@ def main(argv: Sequence[str] | None = None) -> int:
             report = run_bicoherent(args.n, args.alpha, args.quad, args.symbol)
         else:
             report = run_verify_fixtures(args.gamma)
+        text = report.to_json()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    text = report.to_json()
     if args.out is not None:
         args.out.write_text(text + "\n")
     else:

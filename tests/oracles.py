@@ -10,12 +10,10 @@ production routes against them:
   vectorized call, the reference for `overlaps.sym_powers` and for the Gram
   factor;
 * the truncated single-mode ladder matrices (`lowering_matrix`,
-  `raising_matrix`), the dense two-mode Fock representation built from them
-  and the stacked vacuum conditions, the reference for
-  `fock.nogo_joint_kernel`'s parity-block scan, and the parity blocks'
-  singular values from one dense SVD per tall block
-  (`tall_parity_singular_values`), the reference for its shell-by-shell
-  reduction;
+  `raising_matrix`), the dense two-mode Fock representation built from them,
+  the stacked vacuum conditions, and that stack on the triangle ``nx + ny
+  <= c`` (`triangle_vacuum_conditions`), the reference for
+  `fock.nogo_joint_kernel`'s sector-by-sector scan;
 * the level-by-level construction of the deformed number operators
   (`deformed_number_operators_by_level`), one `sym_power` call per level,
   the reference for `blocks.deformed_number_operators`' batched pass;
@@ -311,42 +309,20 @@ def stacked_vacuum_conditions(theta: float, rep: FockRep) -> np.ndarray:
     return np.vstack([l1, l2])
 
 
-def tall_parity_singular_values(theta: float, cutoff: int) -> np.ndarray:
-    """The swap-reduced parity blocks' singular values, each block one dense SVD.
+def triangle_vacuum_conditions(theta: float, cutoff: int) -> np.ndarray:
+    """`stacked_vacuum_conditions` on the triangle ``nx + ny <= cutoff``.
 
-    The reference for `fock`'s shell-by-shell reduction: the four blocks
-    ``q_eps`` are formed whole, tall and mostly zeros, and each goes to one
-    values-only SVD.
+    The box stack at ``cutoff`` with its inputs and both halves of its
+    outputs restricted to the triangle: ``2 T x T`` for the ``T = (cutoff +
+    1)(cutoff + 2)/2`` states of the triangle.  Within the box, a ladder
+    leaves its matrix only by raising a mode past ``cutoff``, which leaves
+    the triangle too, so this is the exact operator's compression to the
+    triangle.  The reference for `fock`'s sector-by-sector scan.
     """
-    # Real-gauge L1 = sqrt2 a_x - t (a_y + a_y^+) on one input parity; each
-    # term moves one mode by one quantum, amplitude sqrt(larger count).
-    # The swap symmetry (`fock` module docstring) gives the singular values
-    # of the whole [L1; L2] block as those of L1 sqrt2 Q_eps, whose columns
-    # are col_c + eps s_c col_swap(c) per pair and sqrt2 col_c per fixed
-    # point.
-    # At theta = 0 the vacuum column is exactly zero, so its value stays 0.
-    t = theta / (2.0 * _SQRT2)
-    d = cutoff + 1
-    nx, ny = np.divmod(np.arange(d * d), d)
-    odd = (nx + ny) % 2 == 1
-    rank = np.where(odd, np.cumsum(odd), np.cumsum(~odd)) - 1
-    svals = []
-    for cols in (~odd, odd):
-        cx, cy = nx[cols], ny[cols]
-        l1 = np.zeros((d * d - cx.size, cx.size))
-        for dx, dy, coeff in ((-1, 0, _SQRT2), (0, -1, -t), (0, 1, -t)):
-            tx, ty = cx + dx, cy + dy
-            ok = (np.minimum(tx, ty) >= 0) & (np.maximum(tx, ty) <= cutoff)
-            amp = np.sqrt(np.maximum(cx, tx) if dx else np.maximum(cy, ty))
-            l1[rank[tx[ok] * d + ty[ok]], np.flatnonzero(ok)] = coeff * amp[ok]
-        pair = cx < cy
-        own = l1[:, pair]
-        mate = l1[:, rank[cy[pair] * d + cx[pair]]] * (-1.0) ** ((cx[pair] + cy[pair]) // 2)
-        for eps in (1, -1):
-            fixed = (cx == cy) & ((-1) ** cx == eps)
-            q = np.hstack([own + eps * mate, _SQRT2 * l1[:, fixed]])
-            svals.append(np.linalg.svd(q, compute_uv=False))
-    return np.concatenate(svals)
+    rep = build_fock_rep(cutoff)
+    nx, ny = np.divmod(np.arange(rep.dim), cutoff + 1)
+    keep = nx + ny <= cutoff
+    return stacked_vacuum_conditions(theta, rep)[np.concatenate([keep, keep])][:, keep]
 
 
 def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:

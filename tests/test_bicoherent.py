@@ -159,6 +159,12 @@ class TestValidation:
         with pytest.raises(ValueError, match="finite and strictly positive"):
             build_family(3, alpha_fn=alpha_fn)
 
+    @pytest.mark.parametrize("value", [np.inf, -np.inf, np.nan])
+    def test_rejects_non_finite_symbol(self, value):
+        family = build_family(3, quad_order=3)
+        with pytest.raises(ValueError, match="finite at every node, got .* at x = 0.0"):
+            upper_symbol(family, lambda x: np.where(x == 0.0, value, x))
+
     @pytest.mark.parametrize(
         "setting",
         [{"phi_fn": normalized_legendre(3)}, {"domain": (0.0, 2.0)}],

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -272,12 +273,12 @@ class TestExitCodes:
     def test_honest_check_failure(self, monkeypatch, capsys):
         # A spurious zero singular value makes kernel_empty fail without any
         # parameter being invalid.
-        singular_values = fock._parity_singular_values
+        singular_values = fock._sector_singular_values
 
         def with_zero(theta, cutoff):
             return np.append(singular_values(theta, cutoff), 0.0)
 
-        monkeypatch.setattr(fock, "_parity_singular_values", with_zero)
+        monkeypatch.setattr(fock, "_sector_singular_values", with_zero)
         assert main(["nogo", "--theta", "0.3"]) == 1
         payload = json.loads(capsys.readouterr().out)
         failed = [item for item in payload["checks"] if not item["pass"]]
@@ -363,12 +364,91 @@ class TestExitCodes:
     def test_complex_gamma_accepted(self, capsys):
         for argv in (
             ["gram", "--gamma", "0.3+0.2i", "--level", "2"],
-            # a value that starts with '-' is passed as --opt=value
             ["gram", "--gamma=-0.1-0.6i", "--level", "2"],
             ["bicoherent", "--n", "3", "--alpha=-x"],
         ):
             assert main(argv) == 0, argv
         capsys.readouterr()
+
+    @pytest.mark.parametrize(
+        "spaced,joined",
+        [
+            ("gram --gamma -0.1-0.6i --level 2", "gram --gamma=-0.1-0.6i --level 2"),
+            ("block --gamma -0.1-0.6i --level 3", "block --gamma=-0.1-0.6i --level 3"),
+            (
+                "assemble --gamma -0.1-0.6i --max-level 4",
+                "assemble --gamma=-0.1-0.6i --max-level 4",
+            ),
+            ("nogo --theta -1e-9", "nogo --theta=-1e-9"),
+            ("nogo --theta -0.5 --cutoffs 4 8", "nogo --theta=-0.5 --cutoffs 4 8"),
+            (
+                "bicoherent --n 4 --alpha -x --symbol -x",
+                "bicoherent --n 4 --alpha=-x --symbol=-x",
+            ),
+            (
+                "bicoherent --n 4 --symbol -x^2 --alpha -0.3*x",
+                "bicoherent --n 4 --symbol=-x^2 --alpha=-0.3*x",
+            ),
+        ],
+    )
+    def test_value_starting_with_dash(self, spaced, joined, capsys):
+        # a value that starts with '-' follows its option with a space or '='
+        code = main(spaced.split())
+        report = capsys.readouterr()
+        assert main(joined.split()) == code
+        assert capsys.readouterr() == report
+        assert report.err == ""
+        assert ReportDocument.from_json(report.out).command == spaced.split()[0]
+
+
+def refuse_constant(name):
+    raise ValueError(f"not JSON: {name}")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bicoherent", "--n", "2", "--quad", "3", "--symbol=1/x"],
+            ["bicoherent", "--n", "2", "--quad", "3", "--alpha=1/x"],
+            ["bicoherent", "--n", "3", "--symbol", "1/(x-x)"],
+            ["bicoherent", "--n", "3", "--alpha", "0*x/0"],
+        ],
+    )
+    def test_non_finite_function_refused(self, argv, capsys):
+        # a symbol or dressing that is not finite at a node is unusable
+        # input, refused without a report and without a RuntimeWarning
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and "finite" in captured.err
+        assert "Warning" not in captured.err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["bicoherent", "--n", "6", "--quad", "64", "--alpha=1/x", "--symbol=1/x"],
+            ["bicoherent", "--n", "4", "--symbol", "x^2"],
+            ["nogo", "--theta", "0.5"],
+            ["nogo", "--theta", "1e-9"],
+            ["verify-fixtures", "--gamma", "0.01"],
+        ],
+    )
+    def test_reports_parse_strictly(self, argv, capsys):
+        # every number a report writes is finite: no NaN or Infinity token
+        main(argv)
+        payload = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
+        assert payload["command"] == argv[0]
+
+    def test_non_finite_report_refused(self):
+        report = ReportDocument("nogo", {}, {}, [Check("floor", float("nan"), 0.0)])
+        with pytest.raises(ValueError):
+            report.to_json()
+        report = ReportDocument("nogo", {}, {"m": np.array([[np.inf]])}, [])
+        with pytest.raises(ValueError):
+            report.to_json()
 
 
 def mpmath_fixture_m2(mp, gamma):

@@ -8,13 +8,36 @@ from oracles import (
     lowering_matrix,
     raising_matrix,
     stacked_vacuum_conditions,
-    tall_parity_singular_values,
+    triangle_vacuum_conditions,
 )
+from pseudofermion.cli import run_nogo
 from pseudofermion.fock import (
     KERNEL_TOL,
-    _parity_singular_values,
+    _sector_singular_values,
     nogo_joint_kernel,
 )
+
+
+def closed_form_floor(theta):
+    # the infinite-cutoff floor |theta| / sqrt(2 (1 + sqrt(1 + theta^2/4)))
+    return abs(theta) / np.sqrt(2.0 * (1.0 + np.sqrt(1.0 + theta**2 / 4.0)))
+
+
+def assert_matches_dense_stack(theta, cutoff):
+    # Every singular value of the sector scan, not only the smallest, against
+    # the dense complex SVD of the triangle-truncated stack, to a
+    # backward-stable bound; the report's minimum and kernel count too.
+    dense = np.sort(np.linalg.svd(triangle_vacuum_conditions(theta, cutoff), compute_uv=False))
+    svals = np.sort(_sector_singular_values(theta, cutoff))
+    assert svals.size == dense.size
+    assert np.max(np.abs(svals - dense)) <= 32 * np.finfo(float).eps * dense[-1]
+    report = nogo_joint_kernel(theta, [cutoff])
+    assert abs(report.min_singular_values[0] - dense[0]) <= 1e-15
+    assert report.kernel_dimension_estimate == int(np.sum(dense < KERNEL_TOL))
+    if theta == 0.0:
+        assert report.min_singular_values == (0.0,)
+        assert report.kernel_dimension_estimate == 1
+    return dense
 
 
 def top_projector(dim):
@@ -91,9 +114,8 @@ class TestTwoModeRep:
 
 class TestJointKernelScan:
     def test_stack_shape(self):
-        rep = build_fock_rep(3)
-        stack = stacked_vacuum_conditions(0.7, rep)
-        assert stack.shape == (2 * rep.dim, rep.dim)
+        # both conditions on the 10 states nx + ny <= 3, inputs and outputs
+        assert triangle_vacuum_conditions(0.7, 3).shape == (20, 10)
 
     def test_undeformed_vacuum_survives(self):
         report = nogo_joint_kernel(0.0, [4, 8])
@@ -116,49 +138,57 @@ class TestJointKernelScan:
     @pytest.mark.parametrize("cutoff", [2, 3, 8, 16, 17])
     @pytest.mark.parametrize("theta", [0.0, 0.3, -0.7, 1.9, 1e-3, -2.5])
     def test_scan_matches_dense_stack(self, theta, cutoff):
-        # the swap-reduced parity-block scan against the dense complex SVD
-        # of the full stack; odd and even cutoffs give parity blocks of
-        # unequal and equal width.  Every singular value, not only the
-        # smallest, must agree to a backward-stable bound.
-        dense = np.linalg.svd(
-            stacked_vacuum_conditions(theta, build_fock_rep(cutoff)), compute_uv=False
-        )
-        svals = np.sort(_parity_singular_values(theta, cutoff))
-        assert svals.size == dense.size
-        gap = np.max(np.abs(svals - np.sort(dense)))
-        assert gap <= 32 * np.finfo(float).eps * dense[0]
-        report = nogo_joint_kernel(theta, [cutoff])
-        assert abs(report.min_singular_values[0] - dense[-1]) <= 1e-15
-        assert report.kernel_dimension_estimate == int(np.sum(dense < KERNEL_TOL))
-        if theta == 0.0:
-            assert report.min_singular_values[0] <= 1e-12
+        # odd and even cutoffs give the sector m = 0, of J columns, 2J and 2J - 2 rows
+        assert_matches_dense_stack(theta, cutoff)
 
     @pytest.mark.parametrize("cutoff", [20, 32])
     @pytest.mark.parametrize("theta", [0.0, 1e-3, -1e-3, 0.5, -1.9, 2.5])
     def test_shell_reduction_matches_tall_svd(self, theta, cutoff):
-        # the shell-by-shell triangular factors against one dense SVD per
-        # tall block, at the cutoffs the scan workload ends on
-        tall = np.sort(tall_parity_singular_values(theta, cutoff))
-        svals = np.sort(_parity_singular_values(theta, cutoff))
-        assert svals.size == tall.size
-        assert np.max(np.abs(svals - tall)) <= 32 * np.finfo(float).eps * tall[-1]
-        assert abs(svals[0] - tall[0]) <= 1e-15
-        assert np.sum(svals < KERNEL_TOL) == np.sum(tall < KERNEL_TOL)
+        # the same comparison at the cutoffs the scan workload ends on
+        assert_matches_dense_stack(theta, cutoff)
+
+    @pytest.mark.parametrize("cutoff", [3, 8, 16])
+    @pytest.mark.parametrize("theta", [1e-9, -1e-9])
+    def test_tiny_deformation_keeps_relative_accuracy(self, theta, cutoff):
+        # the minimum 5e-10 is far below eps * sigma_max of the stack; the
+        # unsquared sector SVDs keep it to relative accuracy
+        dense = assert_matches_dense_stack(theta, cutoff)
+        report = nogo_joint_kernel(theta, [cutoff])
+        assert report.kernel_dimension_estimate == 1
+        assert abs(report.min_singular_values[0] - dense[0]) <= 1e-6 * dense[0]
 
     @pytest.mark.parametrize("cutoff", [2, 3, 16, 17, 32])
     def test_undeformed_minimum_is_exactly_zero(self, cutoff):
-        # the vacuum column is exactly zero, and no reflection fills it in
+        # the vacuum column is exactly zero, and the SVD keeps its value zero
         report = nogo_joint_kernel(0.0, [cutoff])
         assert report.min_singular_values == (0.0,)
         assert report.kernel_dimension_estimate == 1
 
     @pytest.mark.parametrize("theta", [1e-3, -1e-3, 0.1, -0.1, 0.5, -0.5, 1.9, -1.9])
     def test_floor_matches_closed_form(self, theta):
-        # the infinite-cutoff floor |theta| / sqrt(2 (1 + sqrt(1 + theta^2/4)))
-        # is reached to rounding by cutoff 32
-        floor = abs(theta) / np.sqrt(2.0 * (1.0 + np.sqrt(1.0 + theta**2 / 4.0)))
+        # the infinite-cutoff floor is reached to rounding by cutoff 32
+        floor = closed_form_floor(theta)
         sigma = nogo_joint_kernel(theta, [32]).min_singular_values[0]
         assert abs(sigma - floor) <= 1e-15 * floor
+
+    def test_parity_brackets_closed_form(self):
+        # even cutoffs lie at or below the infinite-cutoff floor and odd ones
+        # at or above it, so only sweeps of one parity can be compared
+        for theta in np.concatenate([np.linspace(0.1, 2.0, 8), -np.linspace(0.1, 2.0, 8)]):
+            floor = closed_form_floor(theta)
+            cutoffs = list(range(2, 33))
+            sigma = nogo_joint_kernel(theta, cutoffs).min_singular_values
+            for cutoff, value in zip(cutoffs, sigma):
+                if cutoff % 2 == 0:
+                    assert value <= floor * (1 + 1e-14), (theta, cutoff)
+                else:
+                    assert value >= floor * (1 - 1e-14), (theta, cutoff)
+
+    def test_default_sweep_is_nondecreasing(self):
+        # pfl nogo's verdict at its default cutoffs 4 8 12 16
+        for theta in np.concatenate([np.linspace(0.1, 2.0, 20), -np.linspace(0.1, 2.0, 20)]):
+            checks = {check.name: check for check in run_nogo(theta, [4, 8, 12, 16]).checks}
+            assert checks["floor_nondecreasing"].passed, theta
 
     @pytest.mark.parametrize(
         "theta,floor",
