@@ -9,7 +9,8 @@ unusable parameters.  Reports are deterministic: identical parameters
 yield byte-identical output.
 
 Reports are strict compact JSON, with no whitespace between tokens and no
-NaN or infinity: a report that would hold one exits 2.  Complex numbers
+NaN or infinity: a report that would hold one, whether from a parameter or
+from a computation, exits 2 with an error that names it.  Complex numbers
 serialize as ``[re, im]`` pairs and matrices as row-major nested arrays,
 using the shortest decimal representation that round-trips doubles
 exactly.  ``assemble`` reports each level's ``a``, ``b`` and ``N`` under
@@ -51,7 +52,7 @@ from .blocks import (
     relative_residual,
     verify_block_system,
 )
-from .fock import KERNEL_TOL, nogo_joint_kernel
+from .fock import CREATION_THETA, KERNEL_TOL, nogo_joint_kernel
 from .overlaps import gram_block
 
 SCHEMA_VERSION = "pfl-2"
@@ -63,7 +64,8 @@ FIXTURE_TOL = 1e-12
 
 # Absolute ceiling for residuals whose scale is one by construction: the
 # pairing <e(x), h(x)> - 1 of the normalized bicoherent states, and the
-# joint-kernel singular values (floor at theta = 0, drops across cutoffs).
+# joint-kernel singular values (floor at theta = 0, drops across cutoffs,
+# relative shortfall below the creation-operator bound).
 UNIT_SCALE_TOL = 1e-12
 
 
@@ -283,8 +285,14 @@ def run_nogo(theta: float, cutoffs: Sequence[int]) -> ReportDocument:
             Check("kernel_dimension_one", abs(report.kernel_dimension_estimate - 1), 0.0)
         )
     else:
-        drop = float(np.max(svals[:-1] - svals[1:])) if svals.size > 1 else 0.0
-        checks.append(Check("floor_nondecreasing", max(0.0, drop), UNIT_SCALE_TOL))
+        if abs(theta) <= CREATION_THETA:
+            drop = float(np.max(svals[:-1] - svals[1:])) if svals.size > 1 else 0.0
+            checks.append(Check("floor_nondecreasing", max(0.0, drop), UNIT_SCALE_TOL))
+        else:
+            # One condition is sqrt(|theta| - 2) times a creation operator, a
+            # lower bound on every minimum of the (nonincreasing) sweep.
+            shortfall = 1.0 - float(svals.min()) / np.sqrt(abs(theta) - 2.0)
+            checks.append(Check("creation_bound", max(0.0, shortfall), UNIT_SCALE_TOL))
         checks.append(
             Check("kernel_empty", float(report.kernel_dimension_estimate), 0.0)
         )
@@ -454,7 +462,7 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         nargs="+",
         default=[4, 8, 12, 16],
-        help="strictly increasing Fock cutoffs c, each bounding nx + ny <= c",
+        help="strictly increasing Fock cutoffs c, the inputs nx + ny <= c",
     )
     p.add_argument("--out", type=Path)
 
@@ -477,6 +485,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--gamma", type=float, required=True)
     p.add_argument("--out", type=Path)
 
+    # Options are spelled out in full: an abbreviation such as --gam would
+    # escape the joining of dashed values in `main`.
+    for p in (parser, *sub.choices.values()):
+        p.allow_abbrev = False
     return parser
 
 
@@ -499,9 +511,13 @@ def main(argv: Sequence[str] | None = None) -> int:
             report = run_bicoherent(args.n, args.alpha, args.quad, args.symbol)
         else:
             report = run_verify_fixtures(args.gamma)
-        text = report.to_json()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    try:
+        text = report.to_json()
+    except ValueError as exc:
+        print(f"error: the {args.command} report holds a non-finite value ({exc})", file=sys.stderr)
         return 2
 
     if args.out is not None:

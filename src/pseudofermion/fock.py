@@ -14,41 +14,52 @@ vacuum shows up as an exact (machine-zero) singular value at every cutoff;
 for ``theta != 0`` the smallest singular value stays bounded away from
 zero instead of decaying as the cutoff grows.
 
-The truncation is ``nx + ny <= c`` on inputs and outputs alike: the
-triangle, not the box ``nx, ny <= c``.  With ``x + d/dx = sqrt2 a_x`` and ``d/dy = (a_y - a_y^+) / sqrt2``,
-``L1 = sqrt2 a_x + i t (a_y - a_y^+)`` and ``L2 = sqrt2 a_y - i t (a_x -
-a_x^+)``, where ``t = theta / (2 sqrt2)``.
-
-In circular quanta ``a_+- = (a_x -+ i a_y) / sqrt2``, the unitary row mix
-``L_+- = (L1 -+ i L2) / sqrt2`` gives
+Cutoff ``c`` truncates the inputs to the states ``nx + ny <= c``.  With
+``x + d/dx = sqrt2 a_x`` and ``d/dy = (a_y - a_y^+) / sqrt2``, ``L1 =
+sqrt2 a_x + i t (a_y - a_y^+)`` and ``L2 = sqrt2 a_y - i t (a_x - a_x^+)``,
+where ``t = theta / (2 sqrt2)``.  In circular quanta ``a_+- = (a_x -+ i
+a_y) / sqrt2``, the unitary row mix ``L_+- = (L1 -+ i L2) / sqrt2`` gives
 
     L_+ = (sqrt2 - t) a_+ + t a_-^+,
     L_- = (sqrt2 + t) a_- - t a_+^+,
 
 and moves no singular value of the stack.  The mode change is unitary and
-keeps ``N = n_+ + n_- = nx + ny``, so the triangle is the same set of
-states in either basis: it is rotation-invariant, which the box is not.
-``L_+`` lowers the angular momentum ``m = n_+ - n_-`` by one and ``L_-``
-raises it by one, so ``B^+ B`` of the stack ``B = [L_+; L_-]`` commutes
-with ``L_z``.  Sector ``m`` holds the states ``N = |m|, |m| + 2, ..., <=
-c``; its block is two real bidiagonals stacked, ``L_+`` into sector ``m -
-1`` and ``L_-`` into sector ``m + 1``, and every output row belongs to one
-sector's block.  The stack's singular values are therefore those of the
-``2c + 1`` blocks, each at most ``c + 1`` rows by ``floor(c/2) + 1``
-columns.  Blocks of one column count go to one batched values-only SVD.
-The dense complex stack on the triangle is formed only by the tests, as the
-oracle of this reduction.
+keeps ``N = n_+ + n_- = nx + ny``, so the truncation is rotation-invariant.
+
+Two regimes.  For ``|theta| <= 2`` each condition's lowering term is at
+least as large as its raising term, and the outputs are truncated to ``N
+<= c`` too: the stack is the operator's compression to the triangle.  For
+``|theta| > 2`` one condition, ``L_+`` or ``L_-``, is ``sqrt(|theta| -
+2)`` times a creation operator (``b^+`` of a two-mode Bogoliubov pair with
+``[b, b^+] = 1``), so it has no kernel at all.  Compressing it would drop
+that dominant raising term on the top shell ``N = c``: at ``theta = 4``
+the state ``n_+ = c, n_- = 0`` would keep no output (at ``theta = -4``, its
+mirror), and a joint vacuum would appear where none exists.  There the outputs run to ``N <= c + 1``, and the
+stack is the operator restricted to the inputs, exactly.  Its minimum is at
+least ``sqrt(|theta| - 2)`` and does not increase with the cutoff.
+
+Sectors.  ``L_+`` lowers the angular momentum ``m = n_+ - n_-`` by one and
+``L_-`` raises it by one, so ``B^+ B`` of the stack ``B = [L_+; L_-]``
+commutes with ``L_z``.  Sector ``m`` holds the input states ``N = |m|, |m|
++ 2, ..., <= c``; its block is two real bidiagonals stacked, ``L_+`` into
+sector ``m - 1`` and ``L_-`` into sector ``m + 1``, and every output row
+belongs to one sector's block.  The stack's singular values are therefore
+those of the ``2c + 1`` blocks, each at most ``c + 2`` rows by ``floor(c/2)
++ 1`` columns.  Blocks of one column count go to one batched values-only
+SVD.  The dense complex stack is formed only by the tests, as the oracle of
+this reduction.
 
 Error model.  Each block's SVD is backward stable, so every singular value
 is within a few ``eps * sigma_max`` of the dense stack's.  Nothing is
 squared into ``B^+ B``, which would lose a small singular value to
 ``eps * sigma_max**2 / sigma``: at ``theta = 1e-9`` the minimum ``5e-10``
 keeps its relative accuracy.  At ``theta = 0`` the vacuum column is exactly
-zero, and its singular value stays exactly ``0.0``.  The truncated minimum
-is not monotone in the cutoff: for ``0.1 <= |theta| <= 2`` and cutoffs 2
-to 32, the closed-form floor ``|theta| / sqrt(2 (1 + sqrt(1 +
+zero, and its singular value stays exactly ``0.0``.  For ``|theta| <= 2``
+the minimum is not monotone in the cutoff: for ``0.1 <= |theta| <= 2`` and
+cutoffs 2 to 32, the closed-form floor ``|theta| / sqrt(2 (1 + sqrt(1 +
 theta^2/4)))`` lies at or above the values at even cutoffs and at or below
-those at odd ones, and cutoff 32 meets it to rounding.
+those at odd ones, and cutoff 32 meets it to rounding.  For ``|theta| > 2``
+every value lies at or above the floor and falls toward it.
 """
 
 from __future__ import annotations
@@ -62,6 +73,10 @@ import numpy as np
 
 # A singular value below this counts toward the kernel dimension estimate.
 KERNEL_TOL = 1e-8
+
+# Above this |theta| one vacuum condition is sqrt(|theta| - 2) times a
+# creation operator, and the truncation keeps its outputs N = c + 1.
+CREATION_THETA = 2.0
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -77,15 +92,18 @@ class NoGoReport:
 
 
 def _sector_singular_values(theta: float, cutoff: int) -> np.ndarray:
-    # Every singular value of the triangle-truncated stack (module
-    # docstring), sector by sector.  width[m + cutoff + 1] counts the states
-    # N = |m|, |m| + 2, ..., <= cutoff of sector m, padded by an empty sector
-    # at each end.  Column j of sector m's block is its state N = |m| + 2 j;
-    # the rows are L+'s outputs in sector m - 1, then L-'s in sector m + 1,
-    # each in order of N.
+    # Every singular value of the truncated stack (module docstring), sector
+    # by sector.  The inputs are the states N <= cutoff and the outputs those
+    # N <= top.  width[m + cutoff + 1] counts the states N = |m|, |m| + 2,
+    # ..., <= cutoff of sector m, and rows_width the same up to top, each
+    # padded by one sector at each end.  Column j of sector m's block is its
+    # state N = |m| + 2 j; the rows are L+'s outputs in sector m - 1, then
+    # L-'s in sector m + 1, each in order of N.
     t = theta / (2.0 * _SQRT2)
-    width = (cutoff - np.abs(np.arange(-cutoff - 1, cutoff + 2))) // 2 + 1
-    cols, rows = width[1:-1], width[:-2] + width[2:]
+    top = cutoff + (abs(theta) > CREATION_THETA)
+    k = np.abs(np.arange(-cutoff - 1, cutoff + 2))
+    width, rows_width = (cutoff - k) // 2 + 1, (top - k) // 2 + 1
+    cols, rows = width[1:-1], rows_width[:-2] + rows_width[2:]
     sector = np.repeat(np.arange(cols.size), cols)
     j = np.arange(sector.size) - np.repeat(np.cumsum(cols) - cols, cols)
     m = sector - cutoff
@@ -98,8 +116,8 @@ def _sector_singular_values(theta: float, cutoff: int) -> np.ndarray:
     value = np.array([[_SQRT2 - t], [t], [_SQRT2 + t], [-t]]) * np.sqrt(
         np.stack([plus, minus + 1, minus, plus + 1])
     )
-    ok = (np.abs(out_m) <= out_shell) & (out_shell <= cutoff)
-    row = (out_shell - np.abs(out_m)) // 2 + (out_m > m) * width[sector]
+    ok = (np.abs(out_m) <= out_shell) & (out_shell <= top)
+    row = (out_shell - np.abs(out_m)) // 2 + (out_m > m) * rows_width[sector]
     state = np.nonzero(ok)[1]
     blocks = np.zeros((cols.size, rows.max(), cols.max()))
     blocks[sector[state], row[ok], j[state]] = value[ok]
@@ -117,9 +135,11 @@ def _sector_singular_values(theta: float, cutoff: int) -> np.ndarray:
 def nogo_joint_kernel(theta: float, cutoffs: Sequence[int]) -> NoGoReport:
     """Sweep the smallest singular value of the stacked conditions over cutoffs.
 
-    Each cutoff ``c`` truncates both conditions to ``nx + ny <= c`` on inputs
-    and outputs (module docstring).  The kernel dimension estimate counts singular values below the module
-    constant ``KERNEL_TOL = 1e-8`` at the largest cutoff.  Because the scan
+    Each cutoff ``c`` truncates the inputs to ``nx + ny <= c``, and the
+    outputs to ``N <= c`` for ``|theta| <= CREATION_THETA = 2`` and to ``N
+    <= c + 1`` above it (module docstring).  The kernel dimension estimate
+    counts singular values below the module constant ``KERNEL_TOL = 1e-8``
+    at the largest cutoff.  Because the scan
     is done at finite truncation, a nonzero floor is reported as evidence
     (min singular value not decaying with cutoff), never as a proof.
     Requires a finite ``theta`` and strictly increasing integer cutoffs of

@@ -11,8 +11,8 @@ production routes against them:
   factor;
 * the truncated single-mode ladder matrices (`lowering_matrix`,
   `raising_matrix`), the dense two-mode Fock representation built from them,
-  the stacked vacuum conditions, and that stack on the triangle ``nx + ny
-  <= c`` (`triangle_vacuum_conditions`), the reference for
+  the stacked vacuum conditions, and that stack on the inputs ``nx + ny <=
+  c`` (`triangle_vacuum_conditions`), the reference for
   `fock.nogo_joint_kernel`'s sector-by-sector scan;
 * the level-by-level construction of the deformed number operators
   (`deformed_number_operators_by_level`), one `sym_power` call per level,
@@ -45,7 +45,7 @@ from pseudofermion.blocks import (
     max_abs,
     relative_residual,
 )
-from pseudofermion.fock import _SQRT2
+from pseudofermion.fock import _SQRT2, CREATION_THETA
 from pseudofermion.overlaps import (
     _BINOMIAL,
     LEVEL_CAP,
@@ -310,19 +310,21 @@ def stacked_vacuum_conditions(theta: float, rep: FockRep) -> np.ndarray:
 
 
 def triangle_vacuum_conditions(theta: float, cutoff: int) -> np.ndarray:
-    """`stacked_vacuum_conditions` on the triangle ``nx + ny <= cutoff``.
+    """`stacked_vacuum_conditions` with inputs on the triangle ``nx + ny <= cutoff``.
 
-    The box stack at ``cutoff`` with its inputs and both halves of its
-    outputs restricted to the triangle: ``2 T x T`` for the ``T = (cutoff +
-    1)(cutoff + 2)/2`` states of the triangle.  Within the box, a ladder
-    leaves its matrix only by raising a mode past ``cutoff``, which leaves
-    the triangle too, so this is the exact operator's compression to the
-    triangle.  The reference for `fock`'s sector-by-sector scan.
+    The outputs of both halves run to ``nx + ny <= top``, where ``top`` is
+    ``cutoff`` for ``|theta| <= fock.CREATION_THETA`` and ``cutoff + 1``
+    above it.  The box stack at ``top`` is restricted to those rows and
+    columns.  Within the box, a ladder leaves its matrix only by raising a
+    mode past ``top``, which leaves the output triangle too, so this is the
+    exact operator's compression (``top = cutoff``) or restriction (``top =
+    cutoff + 1``).  The reference for `fock`'s sector-by-sector scan.
     """
-    rep = build_fock_rep(cutoff)
-    nx, ny = np.divmod(np.arange(rep.dim), cutoff + 1)
-    keep = nx + ny <= cutoff
-    return stacked_vacuum_conditions(theta, rep)[np.concatenate([keep, keep])][:, keep]
+    top = cutoff + (abs(theta) > CREATION_THETA)
+    rep = build_fock_rep(top)
+    nx, ny = np.divmod(np.arange(rep.dim), top + 1)
+    rows, cols = nx + ny <= top, nx + ny <= cutoff
+    return stacked_vacuum_conditions(theta, rep)[np.concatenate([rows, rows])][:, cols]
 
 
 def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:

@@ -400,6 +400,16 @@ class TestExitCodes:
         assert report.err == ""
         assert ReportDocument.from_json(report.out).command == spaced.split()[0]
 
+    @pytest.mark.parametrize(
+        "argv", ["gram --gam -0.1-0.6i --level 2", "gram --gam=0.5 --level 2", "nogo --the 0.5"]
+    )
+    def test_abbreviated_option_refused(self, argv, capsys):
+        # options are spelled out in full, with or without a dashed value
+        with pytest.raises(SystemExit) as info:
+            main(argv.split())
+        assert info.value.code == 2
+        assert "error: " in capsys.readouterr().err
+
 
 def refuse_constant(name):
     raise ValueError(f"not JSON: {name}")
@@ -441,6 +451,19 @@ class TestStrictJson:
         main(argv)
         payload = json.loads(capsys.readouterr().out, parse_constant=refuse_constant)
         assert payload["command"] == argv[0]
+
+    def test_non_finite_result_exits_2(self, monkeypatch, capsys):
+        # a computed NaN is not written: the error names it as non-finite
+        singular_values = fock._sector_singular_values
+
+        def with_nan(theta, cutoff):
+            return np.append(singular_values(theta, cutoff), np.nan)
+
+        monkeypatch.setattr(fock, "_sector_singular_values", with_nan)
+        assert main(["nogo", "--theta", "0.3"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: the nogo report holds a non-finite value")
 
     def test_non_finite_report_refused(self):
         report = ReportDocument("nogo", {}, {}, [Check("floor", float("nan"), 0.0)])

@@ -25,8 +25,8 @@ def closed_form_floor(theta):
 
 def assert_matches_dense_stack(theta, cutoff):
     # Every singular value of the sector scan, not only the smallest, against
-    # the dense complex SVD of the triangle-truncated stack, to a
-    # backward-stable bound; the report's minimum and kernel count too.
+    # the dense complex SVD of the truncated stack, to a backward-stable
+    # bound; the report's minimum and kernel count too.
     dense = np.sort(np.linalg.svd(triangle_vacuum_conditions(theta, cutoff), compute_uv=False))
     svals = np.sort(_sector_singular_values(theta, cutoff))
     assert svals.size == dense.size
@@ -114,8 +114,11 @@ class TestTwoModeRep:
 
 class TestJointKernelScan:
     def test_stack_shape(self):
-        # both conditions on the 10 states nx + ny <= 3, inputs and outputs
+        # both conditions on the 10 states nx + ny <= 3, inputs and outputs;
+        # above |theta| = 2 the outputs run to the 15 states nx + ny <= 4
         assert triangle_vacuum_conditions(0.7, 3).shape == (20, 10)
+        assert triangle_vacuum_conditions(2.0, 3).shape == (20, 10)
+        assert triangle_vacuum_conditions(-2.5, 3).shape == (30, 10)
 
     def test_undeformed_vacuum_survives(self):
         report = nogo_joint_kernel(0.0, [4, 8])
@@ -136,7 +139,7 @@ class TestJointKernelScan:
         assert svals[-2] > 1.0
 
     @pytest.mark.parametrize("cutoff", [2, 3, 8, 16, 17])
-    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.7, 1.9, 1e-3, -2.5])
+    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.7, 1.9, 1e-3, -2.5, 4.0, -4.0, 4.5])
     def test_scan_matches_dense_stack(self, theta, cutoff):
         # odd and even cutoffs give the sector m = 0, of J columns, 2J and 2J - 2 rows
         assert_matches_dense_stack(theta, cutoff)
@@ -183,6 +186,28 @@ class TestJointKernelScan:
                     assert value <= floor * (1 + 1e-14), (theta, cutoff)
                 else:
                     assert value >= floor * (1 - 1e-14), (theta, cutoff)
+
+    @pytest.mark.parametrize("theta", [4.0, -4.0, 4.5, -4.5])
+    def test_creation_regime_keeps_no_vacuum(self, theta):
+        # at theta = 4 the compression to the triangle had an exactly zero
+        # column; the restriction reaches the floor from above instead
+        floor = closed_form_floor(theta)
+        report = nogo_joint_kernel(theta, [4, 8, 16, 32])
+        assert report.kernel_dimension_estimate == 0
+        assert abs(report.min_singular_values[-1] - floor) <= 1e-10 * floor
+        checks = run_nogo(theta, [4, 8, 12, 16]).checks
+        assert [check.name for check in checks] == ["creation_bound", "kernel_empty"]
+        assert all(check.passed for check in checks)
+
+    def test_creation_regime_is_an_upper_sequence(self):
+        # the restriction to growing input spaces: nonincreasing, and never
+        # below the floor or the creation-operator bound sqrt(|theta| - 2)
+        for theta in np.concatenate([np.linspace(2.05, 8.0, 8), -np.linspace(2.05, 8.0, 8)]):
+            floor = closed_form_floor(theta)
+            sigma = np.array(nogo_joint_kernel(theta, list(range(2, 25))).min_singular_values)
+            assert np.all(np.diff(sigma) <= 1e-14 * sigma[0]), theta
+            assert sigma[-1] >= floor * (1 - 1e-14), theta
+            assert floor >= np.sqrt(abs(theta) - 2.0), theta
 
     def test_default_sweep_is_nondecreasing(self):
         # pfl nogo's verdict at its default cutoffs 4 8 12 16
