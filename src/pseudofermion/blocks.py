@@ -429,12 +429,17 @@ def deformed_number_operators(params: NCBosonParams, level: int) -> DeformedLeve
     total = np.arange(level + 1)[:, None, None]
     j = np.arange(level + 1)
     norm_1, norm_2, norm_h, norm_v = (np.abs(x).max(axis=(1, 2)) for x in (m1, m2, h, vecs))
-    action = max(
-        _worst_level(m1 @ vecs - vecs * (total - j), norm_1 * norm_v),
-        _worst_level(m2 @ vecs - vecs * j, norm_2 * norm_v),
-        _worst_level(h @ vecs - total * vecs, norm_h * norm_v),
-    )
-    commutator = _worst_level(m1 @ m2 - m2 @ m1, norm_1 * norm_2)
+    # Each residual is formed in place, in two level stacks reused by all.
+    residual, term = np.empty_like(vecs), np.empty_like(vecs)
+    defects = []
+    for op, count, norm in ((m1, total - j, norm_1), (m2, j, norm_2), (h, total, norm_h)):
+        np.matmul(op, vecs, out=residual)
+        residual -= np.multiply(vecs, count, out=term)
+        defects.append(_worst_level(residual, norm * norm_v))
+    action = max(defects)
+    np.matmul(m1, m2, out=residual)
+    residual -= np.matmul(m2, m1, out=term)
+    commutator = _worst_level(residual, norm_1 * norm_2)
     if not action <= EQUALITY_TOL:
         raise ValueError(f"deformed number operator action defect {action:.3e}")
     if not commutator <= EQUALITY_TOL:

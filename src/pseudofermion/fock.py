@@ -45,17 +45,18 @@ commutes with ``L_z``.  Sector ``m`` holds the input states ``N = |m|, |m|
 sector ``m - 1`` and ``L_-`` into sector ``m + 1``, and every output row
 belongs to one sector's block.  The stack's singular values are therefore
 those of the ``2c + 1`` blocks, each at most ``c + 2`` rows by ``floor(c/2)
-+ 1`` columns.  Blocks of one column count go to one batched values-only
-SVD.  The dense complex stack is formed only by the tests, as the oracle of
-this reduction.
++ 1`` columns.  A sweep builds the blocks of all its cutoffs in one pass,
+and one batched values-only SVD takes those of one column count across the
+sweep.  The dense complex stack is formed only by the tests, as the oracle.
 
-Error model.  Each block's SVD is backward stable, so every singular value
-is within a few ``eps * sigma_max`` of the dense stack's.  Nothing is
-squared into ``B^+ B``, which would lose a small singular value to
-``eps * sigma_max**2 / sigma``: at ``theta = 1e-9`` the minimum ``5e-10``
-keeps its relative accuracy.  At ``theta = 0`` the vacuum column is exactly
-zero, and its singular value stays exactly ``0.0``.  For ``|theta| <= 2``
-the minimum is not monotone in the cutoff: for ``0.1 <= |theta| <= 2`` and
+Error model.  Each block's SVD is backward stable, and the zero rows that
+pad it to its batch move none of its values, so every singular value is
+within a few ``eps * sigma_max`` of the dense stack's.  Nothing is squared
+into ``B^+ B``, which would lose a small singular value to ``eps *
+sigma_max**2 / sigma``: at ``theta = 1e-9`` the minimum ``5e-10`` keeps
+its relative accuracy.  At ``theta = 0`` the vacuum column is exactly zero,
+and its singular value stays exactly ``0.0``.  For ``|theta| <= 2`` the
+minimum is not monotone in the cutoff: for ``0.1 <= |theta| <= 2`` and
 cutoffs 2 to 32, the closed-form floor ``|theta| / sqrt(2 (1 + sqrt(1 +
 theta^2/4)))`` lies at or above the values at even cutoffs and at or below
 those at odd ones, and cutoff 32 meets it to rounding.  For ``|theta| > 2``
@@ -91,45 +92,44 @@ class NoGoReport:
     kernel_dimension_estimate: int
 
 
-def _sector_singular_values(theta: float, cutoff: int) -> np.ndarray:
-    # Every singular value of the truncated stack (module docstring), sector
-    # by sector.  The inputs are the states N <= cutoff and the outputs those
-    # N <= top.  width[m + cutoff + 1] counts the states N = |m|, |m| + 2,
-    # ..., <= cutoff of sector m, and rows_width the same up to top, each
-    # padded by one sector at each end.  Column j of sector m's block is its
-    # state N = |m| + 2 j; the rows are L+'s outputs in sector m - 1, then
-    # L-'s in sector m + 1, each in order of N.
+def _sweep_singular_values(theta: float, cutoffs: Sequence[int]) -> list[np.ndarray]:
+    # Every singular value of the stack at each cutoff of the sweep (module
+    # docstring): one block per cutoff c and sector m = -c..c, whose column j
+    # is the state N = |m| + 2 j <= c and whose rows are L+'s outputs in
+    # sector m - 1, then L-'s in sector m + 1, each in order of N <= top.
     t = theta / (2.0 * _SQRT2)
+    # The blocks (c, m) run by column count: those of one count fill one slab
+    # of `flat`, zero rows padding each to the most rows among them.
+    pairs = np.concatenate([[np.full(2 * c + 1, c), np.arange(-c, c + 1)] for c in cutoffs], axis=1)
+    cutoff, sector = pairs[:, np.argsort(pairs[0] - np.abs(pairs[1]), kind="stable")]
     top = cutoff + (abs(theta) > CREATION_THETA)
-    k = np.abs(np.arange(-cutoff - 1, cutoff + 2))
-    width, rows_width = (cutoff - k) // 2 + 1, (top - k) // 2 + 1
-    cols, rows = width[1:-1], rows_width[:-2] + rows_width[2:]
-    sector = np.repeat(np.arange(cols.size), cols)
-    j = np.arange(sector.size) - np.repeat(np.cumsum(cols) - cols, cols)
-    m = sector - cutoff
+    cols, below = (cutoff - np.abs(sector)) // 2 + 1, (top - np.abs(sector - 1)) // 2 + 1
+    rows = below + (top - np.abs(sector + 1)) // 2 + 1
+    widths, first, count = np.unique(cols, return_index=True, return_counts=True)
+    size = np.repeat(np.maximum.reduceat(rows, first), count) * cols
+    start = np.cumsum(size) - size
+    block = np.repeat(np.arange(cols.size), cols)
+    j = np.arange(block.size) - np.repeat(np.cumsum(cols) - cols, cols)
+    m = sector[block]
     shell = np.abs(m) + 2 * j
     plus, minus = (shell + m) // 2, (shell - m) // 2
     # The terms a+ and a-^+ of L+, then a- and a+^+ of L-: each moves one
     # circular mode by one quantum, amplitude sqrt(larger count).
     out_shell = shell + np.array([[-1], [1], [-1], [1]])
     out_m = m + np.array([[-1], [-1], [1], [1]])
-    value = np.array([[_SQRT2 - t], [t], [_SQRT2 + t], [-t]]) * np.sqrt(
-        np.stack([plus, minus + 1, minus, plus + 1])
+    coefficient = np.array([[_SQRT2 - t], [t], [_SQRT2 + t], [-t]])
+    value = coefficient * np.sqrt(np.stack([plus, minus + 1, minus, plus + 1]))
+    ok = (np.abs(out_m) <= out_shell) & (out_shell <= top[block])
+    row = (out_shell - np.abs(out_m)) // 2 + (out_m > m) * below[block]
+    flat = np.zeros(size.sum())
+    flat[(start[block] + row * cols[block] + j)[ok]] = value[ok]
+    # One values-only SVD per slab; each cutoff reads its own blocks' values.
+    slabs = zip(np.split(flat, start[first[1:]]), count, widths)
+    values = np.concatenate(
+        [np.linalg.svd(s.reshape(n, -1, w), compute_uv=False).ravel() for s, n, w in slabs]
     )
-    ok = (np.abs(out_m) <= out_shell) & (out_shell <= top)
-    row = (out_shell - np.abs(out_m)) // 2 + (out_m > m) * rows_width[sector]
-    state = np.nonzero(ok)[1]
-    blocks = np.zeros((cols.size, rows.max(), cols.max()))
-    blocks[sector[state], row[ok], j[state]] = value[ok]
-    # One values-only SVD per column count, over its sectors padded with zero
-    # rows, which move no singular value.
-    return np.concatenate(
-        [
-            np.linalg.svd(blocks[cols == w, : rows[cols == w].max(), :w], compute_uv=False)
-            for w in np.unique(cols)
-        ],
-        axis=None,
-    )
+    owner = np.repeat(cutoff, cols)
+    return [values[owner == c] for c in cutoffs]
 
 
 def nogo_joint_kernel(theta: float, cutoffs: Sequence[int]) -> NoGoReport:
@@ -137,13 +137,14 @@ def nogo_joint_kernel(theta: float, cutoffs: Sequence[int]) -> NoGoReport:
 
     Each cutoff ``c`` truncates the inputs to ``nx + ny <= c``, and the
     outputs to ``N <= c`` for ``|theta| <= CREATION_THETA = 2`` and to ``N
-    <= c + 1`` above it (module docstring).  The kernel dimension estimate
+    <= c + 1`` above it (module docstring).  One values-only SVD per block
+    column count serves the whole sweep.  The kernel dimension estimate
     counts singular values below the module constant ``KERNEL_TOL = 1e-8``
-    at the largest cutoff.  Because the scan
-    is done at finite truncation, a nonzero floor is reported as evidence
-    (min singular value not decaying with cutoff), never as a proof.
-    Requires a finite ``theta`` and strictly increasing integer cutoffs of
-    at least 2; a float or a bool is refused, not truncated.
+    at the largest cutoff.  Because the scan is done at finite truncation,
+    a nonzero floor is reported as evidence (min singular value not
+    decaying with cutoff), never as a proof.  Requires a finite ``theta``
+    and strictly increasing integer cutoffs of at least 2; a float or a
+    bool is refused, not truncated.
     """
     theta = float(theta)
     if not math.isfinite(theta):
@@ -160,15 +161,10 @@ def nogo_joint_kernel(theta: float, cutoffs: Sequence[int]) -> NoGoReport:
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
 
-    minima = []
-    kernel_dim = 0
-    for cutoff in cutoffs:
-        svals = _sector_singular_values(theta, cutoff)
-        minima.append(float(svals.min()))
-        kernel_dim = int(np.sum(svals < KERNEL_TOL))
+    svals = _sweep_singular_values(theta, cutoffs)
     return NoGoReport(
         theta=theta,
         cutoffs=tuple(cutoffs),
-        min_singular_values=tuple(minima),
-        kernel_dimension_estimate=kernel_dim,
+        min_singular_values=tuple(float(s.min()) for s in svals),
+        kernel_dimension_estimate=int(np.sum(svals[-1] < KERNEL_TOL)),
     )

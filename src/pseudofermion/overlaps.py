@@ -180,15 +180,14 @@ def sym_powers(t: np.ndarray, level: int) -> np.ndarray:
     stack = np.zeros((level + 1,) * 3, dtype=complex)
     stack[0, 0, 0] = 1.0
     root = np.sqrt(np.arange(level + 1))
+    # Level n >= 1 raises column j < n of level n - 1 by A1^+ over sqrt(n - j),
+    # and column n - 1 by A2^+ over sqrt(n) into column n; every row is scaled.
+    rung, col = np.ogrid[1 : level + 1, : level + 1]
+    weights = t[:, (col >= rung).astype(int)] / root[np.where(col < rung, rung - col, rung)]
     for n in range(1, level + 1):
-        j = np.arange(n + 1)
-        last = j == n
-        # Column j < n raises column j of level n - 1 by A1^+ over sqrt(n - j),
-        # column n raises column n - 1 by A2^+ over sqrt(n); every row is scaled.
-        src = stack[n - 1][:n, np.minimum(j, n - 1)]
-        weight = t[:, last.astype(int)] / root[np.where(last, n, n - j)]
-        stack[n, :n, : n + 1] = weight[0] * root[n:0:-1, None] * src
-        stack[n, 1 : n + 1, : n + 1] += weight[1] * root[1 : n + 1, None] * src
+        src = stack[n - 1][:n, np.minimum(col[0, : n + 1], n - 1)]
+        stack[n, :n, : n + 1] = weights[0, n - 1, : n + 1] * root[n:0:-1, None] * src
+        stack[n, 1 : n + 1, : n + 1] += weights[1, n - 1, : n + 1] * root[1 : n + 1, None] * src
     return stack
 
 

@@ -82,8 +82,8 @@ BICOHERENT = [
 
 NOGO = [
     f"nogo --theta={theta}" + ("" if cutoffs is None else f" --cutoffs {cutoffs}")
-    for theta in ("0", "0.5", "-0.5", "1.7", "-2", "1e-9", "inf", "nan")
-    for cutoffs in (None, "2", "4 8", "3 5 9", "8 4", "16 24 32")
+    for theta in ("0", "0.5", "-0.5", "1.7", "-2", "2.5", "-4", "1e-9", "inf", "nan")
+    for cutoffs in (None, "2", "4 8", "3 5 9", "8 4", "16 24 32", "2 3 5 8 13 21 32")
 ]
 
 

@@ -273,12 +273,12 @@ class TestExitCodes:
     def test_honest_check_failure(self, monkeypatch, capsys):
         # A spurious zero singular value makes kernel_empty fail without any
         # parameter being invalid.
-        singular_values = fock._sector_singular_values
+        singular_values = fock._sweep_singular_values
 
-        def with_zero(theta, cutoff):
-            return np.append(singular_values(theta, cutoff), 0.0)
+        def with_zero(theta, cutoffs):
+            return [np.append(svals, 0.0) for svals in singular_values(theta, cutoffs)]
 
-        monkeypatch.setattr(fock, "_sector_singular_values", with_zero)
+        monkeypatch.setattr(fock, "_sweep_singular_values", with_zero)
         assert main(["nogo", "--theta", "0.3"]) == 1
         payload = json.loads(capsys.readouterr().out)
         failed = [item for item in payload["checks"] if not item["pass"]]
@@ -454,12 +454,12 @@ class TestStrictJson:
 
     def test_non_finite_result_exits_2(self, monkeypatch, capsys):
         # a computed NaN is not written: the error names it as non-finite
-        singular_values = fock._sector_singular_values
+        singular_values = fock._sweep_singular_values
 
-        def with_nan(theta, cutoff):
-            return np.append(singular_values(theta, cutoff), np.nan)
+        def with_nan(theta, cutoffs):
+            return [np.append(svals, np.nan) for svals in singular_values(theta, cutoffs)]
 
-        monkeypatch.setattr(fock, "_sector_singular_values", with_nan)
+        monkeypatch.setattr(fock, "_sweep_singular_values", with_nan)
         assert main(["nogo", "--theta", "0.3"]) == 2
         captured = capsys.readouterr()
         assert captured.out == ""

@@ -13,7 +13,7 @@ from oracles import (
 from pseudofermion.cli import run_nogo
 from pseudofermion.fock import (
     KERNEL_TOL,
-    _sector_singular_values,
+    _sweep_singular_values,
     nogo_joint_kernel,
 )
 
@@ -23,19 +23,22 @@ def closed_form_floor(theta):
     return abs(theta) / np.sqrt(2.0 * (1.0 + np.sqrt(1.0 + theta**2 / 4.0)))
 
 
-def assert_matches_dense_stack(theta, cutoff):
-    # Every singular value of the sector scan, not only the smallest, against
-    # the dense complex SVD of the truncated stack, to a backward-stable
-    # bound; the report's minimum and kernel count too.
-    dense = np.sort(np.linalg.svd(triangle_vacuum_conditions(theta, cutoff), compute_uv=False))
-    svals = np.sort(_sector_singular_values(theta, cutoff))
-    assert svals.size == dense.size
-    assert np.max(np.abs(svals - dense)) <= 32 * np.finfo(float).eps * dense[-1]
-    report = nogo_joint_kernel(theta, [cutoff])
-    assert abs(report.min_singular_values[0] - dense[0]) <= 1e-15
+def assert_matches_dense_stack(theta, cutoffs):
+    # Every singular value of the sector scan at each cutoff of the sweep, not
+    # only the smallest, against the dense complex SVD of the truncated stack,
+    # to a backward-stable bound; the report's minima and kernel count too.
+    report = nogo_joint_kernel(theta, cutoffs)
+    sweep = _sweep_singular_values(theta, cutoffs)
+    assert len(sweep) == len(cutoffs)
+    for cutoff, values, minimum in zip(cutoffs, sweep, report.min_singular_values):
+        dense = np.sort(np.linalg.svd(triangle_vacuum_conditions(theta, cutoff), compute_uv=False))
+        svals = np.sort(values)
+        assert svals.size == dense.size
+        assert np.max(np.abs(svals - dense)) <= 32 * np.finfo(float).eps * dense[-1]
+        assert abs(minimum - dense[0]) <= 1e-15
     assert report.kernel_dimension_estimate == int(np.sum(dense < KERNEL_TOL))
     if theta == 0.0:
-        assert report.min_singular_values == (0.0,)
+        assert report.min_singular_values == (0.0,) * len(cutoffs)
         assert report.kernel_dimension_estimate == 1
     return dense
 
@@ -142,20 +145,40 @@ class TestJointKernelScan:
     @pytest.mark.parametrize("theta", [0.0, 0.3, -0.7, 1.9, 1e-3, -2.5, 4.0, -4.0, 4.5])
     def test_scan_matches_dense_stack(self, theta, cutoff):
         # odd and even cutoffs give the sector m = 0, of J columns, 2J and 2J - 2 rows
-        assert_matches_dense_stack(theta, cutoff)
+        assert_matches_dense_stack(theta, [cutoff])
 
     @pytest.mark.parametrize("cutoff", [20, 32])
     @pytest.mark.parametrize("theta", [0.0, 1e-3, -1e-3, 0.5, -1.9, 2.5])
     def test_shell_reduction_matches_tall_svd(self, theta, cutoff):
         # the same comparison at the cutoffs the scan workload ends on
-        assert_matches_dense_stack(theta, cutoff)
+        assert_matches_dense_stack(theta, [cutoff])
+
+    @pytest.mark.parametrize("theta", [0.5, -1.9, 2.5, -4.0])
+    def test_sweep_matches_dense_stack(self, theta):
+        # one sweep's blocks share their SVDs, column count by column count,
+        # and the column counts repeat across its cutoffs
+        assert_matches_dense_stack(theta, [2, 3, 5, 8, 13, 21, 32])
+
+    @pytest.mark.parametrize(
+        "cutoffs", [[2, 3], [3, 5, 7, 9], [5, 9, 13, 17], [2, 3, 5, 8, 13, 21, 32]]
+    )
+    @pytest.mark.parametrize(
+        "theta", [0.0, 1e-9, -1e-9, 0.5, -0.5, 1.9, -1.9, 2.0, -2.0, 2.5, -2.5, 4.0, -4.0]
+    )
+    def test_sweep_reads_each_cutoff_alone(self, theta, cutoffs):
+        # each cutoff's minimum in a sweep is bitwise its minimum alone, and
+        # the kernel count is the last cutoff's alone
+        report = nogo_joint_kernel(theta, cutoffs)
+        alone = [nogo_joint_kernel(theta, [cutoff]) for cutoff in cutoffs]
+        assert report.min_singular_values == tuple(r.min_singular_values[0] for r in alone)
+        assert report.kernel_dimension_estimate == alone[-1].kernel_dimension_estimate
 
     @pytest.mark.parametrize("cutoff", [3, 8, 16])
     @pytest.mark.parametrize("theta", [1e-9, -1e-9])
     def test_tiny_deformation_keeps_relative_accuracy(self, theta, cutoff):
         # the minimum 5e-10 is far below eps * sigma_max of the stack; the
         # unsquared sector SVDs keep it to relative accuracy
-        dense = assert_matches_dense_stack(theta, cutoff)
+        dense = assert_matches_dense_stack(theta, [cutoff])
         report = nogo_joint_kernel(theta, [cutoff])
         assert report.kernel_dimension_estimate == 1
         assert abs(report.min_singular_values[0] - dense[0]) <= 1e-6 * dense[0]
