@@ -5,8 +5,8 @@ joint-kernel sweep, direct-sum assembly, dressed state family, or the
 closed-form reference comparison), serializes the resulting matrices, and
 attaches a list of named checks, each carrying its residual and tolerance.
 Exit status is 0 when every check passes, 1 when any fails, and 2 for
-unusable parameters.  Reports are deterministic: identical parameters
-yield byte-identical output.
+unusable parameters or a report that cannot be written.  Reports are
+deterministic: identical parameters yield byte-identical output.
 
 Reports are strict compact JSON, with no whitespace between tokens and no
 NaN or infinity: a report that would hold one, whether from a parameter or
@@ -234,6 +234,10 @@ def _complex_param(value: complex) -> list:
     return [value.real, value.imag]
 
 
+def _checks(residuals: dict, prefix: str = "", tolerance: float = EQUALITY_TOL) -> list:
+    return [Check(prefix + name, residual, tolerance) for name, residual in residuals.items()]
+
+
 def run_gram(gamma: complex, level: int) -> ReportDocument:
     gram = gram_block(level, gamma).matrix
     min_eig = float(np.linalg.eigvalsh(gram)[0])
@@ -251,15 +255,11 @@ def run_gram(gamma: complex, level: int) -> ReportDocument:
 
 def run_block(gamma: complex, level: int) -> ReportDocument:
     system = build_block_system(realize_basis_cholesky(gram_block(level, gamma)))
-    checks = [
-        Check(name, residual, EQUALITY_TOL)
-        for name, residual in verify_block_system(system).items()
-    ]
     return ReportDocument(
         command="block",
         parameters={"gamma": _complex_param(gamma), "level": level},
         matrices=_level_matrices(system),
-        checks=checks,
+        checks=_checks(verify_block_system(system)),
     )
 
 
@@ -329,8 +329,7 @@ def run_assemble(gamma: complex, max_level: int) -> ReportDocument:
     for system in ops.block_systems:
         for name in ("a", "b", "N"):
             matrices[f"level{system.level}:{name}"] = getattr(system, name)
-        for name, residual in verify_block_system(system).items():
-            checks.append(Check(f"level{system.level}:{name}", residual, EQUALITY_TOL))
+        checks += _checks(verify_block_system(system), f"level{system.level}:")
     return ReportDocument(
         command="assemble",
         parameters={"gamma": _complex_param(gamma), "max_level": max_level},
@@ -411,8 +410,7 @@ def run_verify_fixtures(gamma: float) -> ReportDocument:
         e_kernel = dual_basis_by_kernel(basis.h_matrix, system.a, system.b)
         kernel_dual = relative_residual(e_kernel - basis.e_matrix, basis.e_matrix)
         checks.append(Check(f"{tag}:kernel_dual", kernel_dual, EQUALITY_TOL))
-        for name, residual in residuals.items():
-            checks.append(Check(f"{tag}:{name}", residual, EQUALITY_TOL))
+        checks += _checks(residuals, f"{tag}:")
         distance = max_abs(system.core["anticommutator"] - np.eye(level + 1))
         if level == 1:
             checks.append(Check("m1:anticommutator_identity", distance, FIXTURE_TOL))
@@ -430,65 +428,52 @@ def run_verify_fixtures(gamma: float) -> ReportDocument:
     )
 
 
-_GAMMA_HELP = "deformation, e.g. 0.3+0.2i (i or j)"
+_INT = dict(type=int, required=True)
+_GAMMA = "--gamma", dict(
+    type=_parse_complex, required=True, help="deformation, e.g. 0.3+0.2i (i or j)"
+)
 
-# Options whose value may start with '-' without being a plain negative
-# number, such as -0.1-0.6i or -x.  argparse would read that value as an
-# option; `main` joins it to its option as ``--opt=value``.
-_DASHED_VALUE_OPTIONS = ("--gamma", "--theta", "--alpha", "--symbol")
+# Each subcommand once: its help, and the options that its ``run_<name>``
+# function ('_' for '-') takes, in order, as (flag, `add_argument` keywords).
+_SUBCOMMANDS = {
+    "gram": ("overlap Gram matrix of one level", [_GAMMA, ("--level", _INT)]),
+    "block": ("full per-level operator system", [_GAMMA, ("--level", _INT)]),
+    "nogo": ("joint-kernel singular value sweep", [
+        ("--theta", dict(type=float, required=True, help="noncommutativity")),
+        ("--cutoffs", dict(type=int, nargs="+", default=[4, 8, 12, 16],
+                           help="strictly increasing Fock cutoffs c, the inputs nx + ny <= c")),
+    ]),
+    "assemble": ("direct-sum assembly up to a level cutoff", [_GAMMA, ("--max-level", _INT)]),
+    "bicoherent": ("dressed state family on [-1, 1]", [
+        ("--n", _INT),
+        ("--alpha", dict(default="0", help="dressing, e.g. '0.3*x'")),
+        ("--quad", dict(type=int, default=DEFAULT_QUAD_ORDER)),
+        ("--symbol", dict(help="classical function to quantize")),
+    ]),
+    "verify-fixtures": ("compare levels 1 and 2 against the closed-form reference matrices",
+                        [("--gamma", dict(type=float, required=True))]),
+}
+
+# Options of one value that is not an int: the value may start with '-'
+# without being a plain negative number, such as -0.1-0.6i, -1e-5 or -x.
+# argparse would read it as an option; `main` joins it as ``--opt=value``.
+_DASHED_VALUE_OPTIONS = {flag for _, options in _SUBCOMMANDS.values() for flag, kw in options
+                         if kw.get("type") is not int and "nargs" not in kw}
 
 
 def build_parser() -> argparse.ArgumentParser:
+    # Options are spelled out in full: an abbreviation such as --gam would
+    # escape the joining of dashed values in `main`.
     parser = argparse.ArgumentParser(
         prog="pfl",
         description="Certified constructions of finite pseudo-fermion structures",
+        allow_abbrev=False,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("gram", help="overlap Gram matrix of one level")
-    p.add_argument("--gamma", type=_parse_complex, required=True, help=_GAMMA_HELP)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser("block", help="full per-level operator system")
-    p.add_argument("--gamma", type=_parse_complex, required=True, help=_GAMMA_HELP)
-    p.add_argument("--level", type=int, required=True)
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser("nogo", help="joint-kernel singular value sweep")
-    p.add_argument("--theta", type=float, required=True, help="noncommutativity")
-    p.add_argument(
-        "--cutoffs",
-        type=int,
-        nargs="+",
-        default=[4, 8, 12, 16],
-        help="strictly increasing Fock cutoffs c, the inputs nx + ny <= c",
-    )
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser("assemble", help="direct-sum assembly up to a level cutoff")
-    p.add_argument("--gamma", type=_parse_complex, required=True, help=_GAMMA_HELP)
-    p.add_argument("--max-level", type=int, required=True)
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser("bicoherent", help="dressed state family on [-1, 1]")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--alpha", default="0", help="dressing, e.g. '0.3*x'")
-    p.add_argument("--quad", type=int, default=DEFAULT_QUAD_ORDER)
-    p.add_argument("--symbol", help="classical function to quantize")
-    p.add_argument("--out", type=Path)
-
-    p = sub.add_parser(
-        "verify-fixtures",
-        help="compare levels 1 and 2 against the closed-form reference matrices",
-    )
-    p.add_argument("--gamma", type=float, required=True)
-    p.add_argument("--out", type=Path)
-
-    # Options are spelled out in full: an abbreviation such as --gam would
-    # escape the joining of dashed values in `main`.
-    for p in (parser, *sub.choices.values()):
-        p.allow_abbrev = False
+    for command, (help_text, options) in _SUBCOMMANDS.items():
+        p = sub.add_parser(command, help=help_text, allow_abbrev=False)
+        for flag, kwargs in (*options, ("--out", {"type": Path})):
+            p.add_argument(flag, **kwargs)
     return parser
 
 
@@ -498,19 +483,11 @@ def main(argv: Sequence[str] | None = None) -> int:
         if argv[i - 1] in _DASHED_VALUE_OPTIONS and argv[i][:1] == "-" and argv[i][:2] != "--":
             argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
     args = build_parser().parse_args(argv)
+    # Looked up when called, so that a wrapper bound over ``run_*`` runs.
+    run = globals()["run_" + args.command.replace("-", "_")]
+    flags = [flag for flag, _ in _SUBCOMMANDS[args.command][1]]
     try:
-        if args.command == "gram":
-            report = run_gram(args.gamma, args.level)
-        elif args.command == "block":
-            report = run_block(args.gamma, args.level)
-        elif args.command == "nogo":
-            report = run_nogo(args.theta, args.cutoffs)
-        elif args.command == "assemble":
-            report = run_assemble(args.gamma, args.max_level)
-        elif args.command == "bicoherent":
-            report = run_bicoherent(args.n, args.alpha, args.quad, args.symbol)
-        else:
-            report = run_verify_fixtures(args.gamma)
+        report = run(*(getattr(args, flag[2:].replace("-", "_")) for flag in flags))
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -520,10 +497,14 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: the {args.command} report holds a non-finite value ({exc})", file=sys.stderr)
         return 2
 
-    if args.out is not None:
-        args.out.write_text(text + "\n")
-    else:
+    if args.out is None:
         print(text)
+    else:
+        try:
+            args.out.write_text(text + "\n")
+        except OSError as exc:
+            print(f"error: cannot write the report to {args.out} ({exc.strerror})", file=sys.stderr)
+            return 2
     return 0 if report.all_pass() else 1
 
 

@@ -106,14 +106,19 @@ class TestReportDocument:
         )
 
 
-# One small invocation of each subcommand.
+# One small invocation of each subcommand: its `pfl` argv and its run call.
 SUBCOMMAND_RUNS = {
-    "gram": lambda: run_gram(0.3 + 0.2j, 3),
-    "block": lambda: run_block(0.3 + 0.2j, 4),
-    "nogo": lambda: run_nogo(0.5, [4, 8]),
-    "assemble": lambda: run_assemble(0.3 + 0.2j, 6),
-    "bicoherent": lambda: run_bicoherent(6, "0.3*x", 64, "x^2"),
-    "verify-fixtures": lambda: run_verify_fixtures(0.4),
+    "gram": ("gram --gamma 0.3+0.2i --level 3", lambda: run_gram(0.3 + 0.2j, 3)),
+    "block": ("block --gamma 0.3+0.2i --level 4", lambda: run_block(0.3 + 0.2j, 4)),
+    "nogo": ("nogo --theta 0.5 --cutoffs 4 8", lambda: run_nogo(0.5, [4, 8])),
+    "assemble": (
+        "assemble --gamma 0.3+0.2i --max-level 6", lambda: run_assemble(0.3 + 0.2j, 6)
+    ),
+    "bicoherent": (
+        "bicoherent --n 6 --alpha 0.3*x --quad 64 --symbol x^2",
+        lambda: run_bicoherent(6, "0.3*x", 64, "x^2"),
+    ),
+    "verify-fixtures": ("verify-fixtures --gamma 0.4", lambda: run_verify_fixtures(0.4)),
 }
 
 
@@ -132,9 +137,10 @@ def pfl1_text(report):
 class TestSchemaPfl2:
     @pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
     def test_round_trip_bit_exact_and_deterministic(self, command):
-        report = SUBCOMMAND_RUNS[command]()
+        _, run = SUBCOMMAND_RUNS[command]
+        report = run()
         text = report.to_json()
-        assert SUBCOMMAND_RUNS[command]().to_json() == text
+        assert run().to_json() == text
         assert "\n" not in text and ", " not in text
         clone = ReportDocument.from_json(text)
         assert clone.command == command and clone.version == "pfl-2"
@@ -142,6 +148,14 @@ class TestSchemaPfl2:
         for name, matrix in report.matrices.items():
             assert np.array_equal(bits(clone.matrices[name]), bits(matrix)), name
         assert clone.to_json() == text
+
+    @pytest.mark.parametrize("command", sorted(SUBCOMMAND_RUNS))
+    def test_main_prints_the_run_report(self, command, capsys):
+        # each subcommand passes its options to its run function in order
+        argv, run = SUBCOMMAND_RUNS[command]
+        report = run()
+        assert main(argv.split()) == (0 if report.all_pass() else 1)
+        assert capsys.readouterr() == (report.to_json() + "\n", "")
 
     def test_assemble_level_blocks_rebuild_dense_operators(self):
         gamma, max_level = 0.3 + 0.2j, 6
@@ -176,7 +190,7 @@ class TestSchemaPfl2:
 
     def test_reads_pfl1_text(self):
         ops = assemble(0.3 + 0.2j, 6)
-        report = SUBCOMMAND_RUNS["assemble"]()
+        report = SUBCOMMAND_RUNS["assemble"][1]()
         report.matrices = {
             "A": direct_sum(ops, "a"), "B": direct_sum(ops, "b"), "N": direct_sum(ops, "N"),
             **report.matrices,
@@ -212,6 +226,28 @@ class TestParseExpression:
     def test_rejects_non_arithmetic(self, text):
         with pytest.raises(ValueError):
             parse_expression(text)
+
+
+# A value that starts with '-', spaced from its option and joined to it by
+# '=', and the exit code of both forms.
+DASHED_VALUE_CASES = [
+    ("gram --gamma -0.1-0.6i --level 2", "gram --gamma=-0.1-0.6i --level 2", 0),
+    ("block --gamma -0.1-0.6i --level 3", "block --gamma=-0.1-0.6i --level 3", 0),
+    ("assemble --gamma -0.1-0.6i --max-level 4", "assemble --gamma=-0.1-0.6i --max-level 4", 0),
+    # at a theta this close to 0 the vacuum still reads as a kernel vector,
+    # so kernel_empty fails
+    ("nogo --theta -1e-9", "nogo --theta=-1e-9", 1),
+    ("nogo --theta -0.5 --cutoffs 4 8", "nogo --theta=-0.5 --cutoffs 4 8", 0),
+    ("bicoherent --n 4 --alpha -x --symbol -x", "bicoherent --n 4 --alpha=-x --symbol=-x", 0),
+    (
+        "bicoherent --n 4 --symbol -x^2 --alpha -0.3*x",
+        "bicoherent --n 4 --symbol=-x^2 --alpha=-0.3*x",
+        0,
+    ),
+    # a float that argparse does not take for a negative number; the
+    # fixtures refuse a negative gamma
+    ("verify-fixtures --gamma -1e-5", "verify-fixtures --gamma=-1e-5", 2),
+]
 
 
 class TestExitCodes:
@@ -342,6 +378,16 @@ class TestExitCodes:
         document = ReportDocument.from_json(target.read_text())
         assert document.command == "gram"
 
+    @pytest.mark.parametrize("where", ["directory", "missing_parent"])
+    def test_unwritable_out_exits_2(self, where, tmp_path, capsys):
+        target = tmp_path if where == "directory" else tmp_path / "missing" / "report.json"
+        argv = ["gram", "--gamma", "0.5", "--level", "2", "--out", str(target)]
+        assert main(argv) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert str(target) in err
+
     def test_mode_option_refused(self, capsys):
         # Every level is realized in the Cholesky gauge; there is no mode.
         for argv in (
@@ -371,34 +417,27 @@ class TestExitCodes:
         capsys.readouterr()
 
     @pytest.mark.parametrize(
-        "spaced,joined",
-        [
-            ("gram --gamma -0.1-0.6i --level 2", "gram --gamma=-0.1-0.6i --level 2"),
-            ("block --gamma -0.1-0.6i --level 3", "block --gamma=-0.1-0.6i --level 3"),
-            (
-                "assemble --gamma -0.1-0.6i --max-level 4",
-                "assemble --gamma=-0.1-0.6i --max-level 4",
-            ),
-            ("nogo --theta -1e-9", "nogo --theta=-1e-9"),
-            ("nogo --theta -0.5 --cutoffs 4 8", "nogo --theta=-0.5 --cutoffs 4 8"),
-            (
-                "bicoherent --n 4 --alpha -x --symbol -x",
-                "bicoherent --n 4 --alpha=-x --symbol=-x",
-            ),
-            (
-                "bicoherent --n 4 --symbol -x^2 --alpha -0.3*x",
-                "bicoherent --n 4 --symbol=-x^2 --alpha=-0.3*x",
-            ),
-        ],
+        "spaced,joined,code",
+        DASHED_VALUE_CASES,
+        ids=[f"{spaced}-{joined}" for spaced, joined, _ in DASHED_VALUE_CASES],
     )
-    def test_value_starting_with_dash(self, spaced, joined, capsys):
+    def test_value_starting_with_dash(self, spaced, joined, code, capsys):
         # a value that starts with '-' follows its option with a space or '='
-        code = main(spaced.split())
+        assert main(spaced.split()) == code
         report = capsys.readouterr()
         assert main(joined.split()) == code
         assert capsys.readouterr() == report
-        assert report.err == ""
-        assert ReportDocument.from_json(report.out).command == spaced.split()[0]
+        if code == 2:
+            # parsed, then refused by the library: no report, one error line
+            assert report.out == ""
+            assert report.err.startswith("error: ") and report.err.count("\n") == 1
+        else:
+            assert report.err == ""
+            assert ReportDocument.from_json(report.out).command == spaced.split()[0]
+
+    def test_dashed_value_options(self):
+        # every option of a single value that is not an int
+        assert cli._DASHED_VALUE_OPTIONS == {"--gamma", "--theta", "--alpha", "--symbol"}
 
     @pytest.mark.parametrize(
         "argv", ["gram --gam -0.1-0.6i --level 2", "gram --gam=0.5 --level 2", "nogo --the 0.5"]

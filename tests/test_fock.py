@@ -141,16 +141,18 @@ class TestJointKernelScan:
         # and the second singular value is far from zero
         assert svals[-2] > 1.0
 
-    @pytest.mark.parametrize("cutoff", [2, 3, 8, 16, 17])
-    @pytest.mark.parametrize("theta", [0.0, 0.3, -0.7, 1.9, 1e-3, -2.5, 4.0, -4.0, 4.5])
+    @pytest.mark.parametrize(
+        "theta,cutoff",
+        [
+            (theta, cutoff)
+            for theta in (0.0, 0.3, -0.7, 1.9, 1e-3, -2.5, 4.0, -4.0, 4.5)
+            for cutoff in (2, 3, 8, 16, 17)
+        ]
+        # and at the cutoffs the scan workload ends on
+        + [(theta, cutoff) for theta in (0.0, 1e-3, -1e-3, 0.5, -1.9, 2.5) for cutoff in (20, 32)],
+    )
     def test_scan_matches_dense_stack(self, theta, cutoff):
         # odd and even cutoffs give the sector m = 0, of J columns, 2J and 2J - 2 rows
-        assert_matches_dense_stack(theta, [cutoff])
-
-    @pytest.mark.parametrize("cutoff", [20, 32])
-    @pytest.mark.parametrize("theta", [0.0, 1e-3, -1e-3, 0.5, -1.9, 2.5])
-    def test_shell_reduction_matches_tall_svd(self, theta, cutoff):
-        # the same comparison at the cutoffs the scan workload ends on
         assert_matches_dense_stack(theta, [cutoff])
 
     @pytest.mark.parametrize("theta", [0.5, -1.9, 2.5, -4.0])
