@@ -52,7 +52,7 @@ from .blocks import (
     relative_residual,
     verify_block_system,
 )
-from .fock import CREATION_THETA, KERNEL_TOL, nogo_joint_kernel
+from .fock import KERNEL_TOL, closed_form_floor, nogo_joint_kernel
 from .overlaps import gram_block
 
 SCHEMA_VERSION = "pfl-2"
@@ -64,8 +64,8 @@ FIXTURE_TOL = 1e-12
 
 # Absolute ceiling for residuals whose scale is one by construction: the
 # pairing <e(x), h(x)> - 1 of the normalized bicoherent states, and the
-# joint-kernel singular values (floor at theta = 0, drops across cutoffs,
-# relative shortfall below the creation-operator bound).
+# joint-kernel singular values (floor at theta = 0, relative shortfall below
+# the closed-form floor).
 UNIT_SCALE_TOL = 1e-12
 
 
@@ -277,37 +277,30 @@ def _level_matrices(system: BlockSystem, n: str = "n_selfadjoint", c: str = "c_m
 
 def run_nogo(theta: float, cutoffs: Sequence[int]) -> ReportDocument:
     report = nogo_joint_kernel(theta, cutoffs)
-    svals = np.asarray(report.min_singular_values)
-    checks = []
+    smallest, kernel = min(report.min_singular_values), report.kernel_dimension_estimate
+    floor = closed_form_floor(theta)
     if theta == 0.0:
-        checks.append(Check("vacuum_survives", float(svals[-1]), UNIT_SCALE_TOL))
-        checks.append(
-            Check("kernel_dimension_one", abs(report.kernel_dimension_estimate - 1), 0.0)
-        )
+        checks = [
+            Check("vacuum_survives", report.min_singular_values[-1], UNIT_SCALE_TOL),
+            Check("kernel_dimension_one", abs(kernel - 1), 0.0),
+        ]
     else:
-        if abs(theta) <= CREATION_THETA:
-            drop = float(np.max(svals[:-1] - svals[1:])) if svals.size > 1 else 0.0
-            checks.append(Check("floor_nondecreasing", max(0.0, drop), UNIT_SCALE_TOL))
-        else:
-            # One condition is sqrt(|theta| - 2) times a creation operator, a
-            # lower bound on every minimum of the (nonincreasing) sweep.
-            shortfall = 1.0 - float(svals.min()) / np.sqrt(abs(theta) - 2.0)
-            checks.append(Check("creation_bound", max(0.0, shortfall), UNIT_SCALE_TOL))
-        checks.append(
-            Check("kernel_empty", float(report.kernel_dimension_estimate), 0.0)
-        )
+        # Every minimum of the restriction lies at or above the floor, and the
+        # untruncated spectrum has one value below KERNEL_TOL exactly when the
+        # floor does: its next, sqrt(floor^2 + w-), exceeds 1 (`fock`).
+        checks = [
+            Check("floor_bound", 1.0 - smallest / floor if smallest < floor else 0.0,
+                  UNIT_SCALE_TOL),
+            Check("kernel_empty", abs(kernel - (floor < KERNEL_TOL)), 0.0),
+        ]
     return ReportDocument(
         command="nogo",
-        parameters={
-            "theta": float(theta),
-            "cutoffs": [int(c) for c in report.cutoffs],
-            "kernel_tol": KERNEL_TOL,
-        },
+        parameters={"theta": float(theta), "cutoffs": list(report.cutoffs),
+                    "kernel_tol": KERNEL_TOL},
         matrices={
             "min_singular_values": np.array(report.min_singular_values),
-            "kernel_dimension_estimate": np.array(
-                [[float(report.kernel_dimension_estimate)]]
-            ),
+            "floor": np.array([[floor]]),
+            "kernel_dimension_estimate": np.array([[float(kernel)]]),
         },
         checks=checks,
     )

@@ -13,7 +13,9 @@ production routes against them:
   `raising_matrix`), the dense two-mode Fock representation built from them,
   the stacked vacuum conditions, and that stack on the inputs ``nx + ny <=
   c`` (`triangle_vacuum_conditions`), the reference for
-  `fock.nogo_joint_kernel`'s sector-by-sector scan;
+  `fock.nogo_joint_kernel`'s sector-by-sector scan, and the untruncated
+  stack's singular values from Williamson's normal form
+  (`williamson_ladder`), the limit of the scan's lowest values;
 * the level-by-level construction of the deformed number operators
   (`deformed_number_operators_by_level`), one `sym_power` call per level,
   the reference for `blocks.deformed_number_operators`' batched pass;
@@ -45,7 +47,7 @@ from pseudofermion.blocks import (
     max_abs,
     relative_residual,
 )
-from pseudofermion.fock import _SQRT2, CREATION_THETA
+from pseudofermion.fock import _SQRT2
 from pseudofermion.overlaps import (
     _BINOMIAL,
     LEVEL_CAP,
@@ -312,19 +314,35 @@ def stacked_vacuum_conditions(theta: float, rep: FockRep) -> np.ndarray:
 def triangle_vacuum_conditions(theta: float, cutoff: int) -> np.ndarray:
     """`stacked_vacuum_conditions` with inputs on the triangle ``nx + ny <= cutoff``.
 
-    The outputs of both halves run to ``nx + ny <= top``, where ``top`` is
-    ``cutoff`` for ``|theta| <= fock.CREATION_THETA`` and ``cutoff + 1``
-    above it.  The box stack at ``top`` is restricted to those rows and
-    columns.  Within the box, a ladder leaves its matrix only by raising a
-    mode past ``top``, which leaves the output triangle too, so this is the
-    exact operator's compression (``top = cutoff``) or restriction (``top =
-    cutoff + 1``).  The reference for `fock`'s sector-by-sector scan.
+    The outputs of both halves run to ``nx + ny <= cutoff + 1``: the box
+    stack at ``cutoff + 1`` is restricted to those rows and columns.  Within
+    the box, a ladder leaves its matrix only by raising a mode past ``cutoff
+    + 1``, which no input reaches, so this is the exact operator restricted
+    to the inputs.  The reference for `fock`'s sector-by-sector scan.
     """
-    top = cutoff + (abs(theta) > CREATION_THETA)
+    top = cutoff + 1
     rep = build_fock_rep(top)
     nx, ny = np.divmod(np.arange(rep.dim), top + 1)
     rows, cols = nx + ny <= top, nx + ny <= cutoff
     return stacked_vacuum_conditions(theta, rep)[np.concatenate([rows, rows])][:, cols]
+
+
+def williamson_ladder(theta: float, count: int) -> np.ndarray:
+    """The ``count`` least singular values of the untruncated stack, ascending.
+
+    ``B^+ B = L1^+ L1 + L2^+ L2`` is a positive quadratic form in ``(x, y,
+    d/dx, d/dy)``.  Its Williamson normal form (J. Williamson, Amer. J.
+    Math. 58, 141 (1936)) gives its eigenvalues ``E0 + n w- + m w+`` for
+    ``n, m >= 0``, with ``q = sqrt(1 + theta^2/4)``, ``w+- = 2q +- |theta|``
+    and ``E0 = theta^2 / (2 (1 + q))``.  ``w-`` is written ``4 / (2q +
+    |theta|)``, which does not cancel at large ``|theta|``, and ``E0`` so
+    that ``theta^2`` does not overflow.
+    """
+    q = math.hypot(1.0, theta / 2.0)
+    plus = 2.0 * q + abs(theta)
+    e0 = abs(theta) * (abs(theta) / (2.0 * (1.0 + q)))
+    n, m = np.divmod(np.arange(count * count), count)
+    return np.sqrt(np.sort(e0 + n * (4.0 / plus) + m * plus)[:count])
 
 
 def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:

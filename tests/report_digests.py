@@ -82,8 +82,14 @@ BICOHERENT = [
 
 NOGO = [
     f"nogo --theta={theta}" + ("" if cutoffs is None else f" --cutoffs {cutoffs}")
-    for theta in ("0", "0.5", "-0.5", "1.7", "-2", "2.5", "-4", "1e-9", "inf", "nan")
-    for cutoffs in (None, "2", "4 8", "3 5 9", "8 4", "16 24 32", "2 3 5 8 13 21 32")
+    for theta in (
+        "0", "0.5", "-0.5", "1.7", "1.9", "2", "-2", "2.5", "-4", "10", "1e-9", "-1e-9",
+        "inf", "nan",
+    )
+    for cutoffs in (
+        None, "2", "3 4", "4 8", "3 5 9", "3 5 7 9", "5 9 13 17", "8 4", "16 24 32",
+        "2 3 5 8 13 21 32",
+    )
 ]
 
 

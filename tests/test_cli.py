@@ -234,9 +234,9 @@ DASHED_VALUE_CASES = [
     ("gram --gamma -0.1-0.6i --level 2", "gram --gamma=-0.1-0.6i --level 2", 0),
     ("block --gamma -0.1-0.6i --level 3", "block --gamma=-0.1-0.6i --level 3", 0),
     ("assemble --gamma -0.1-0.6i --max-level 4", "assemble --gamma=-0.1-0.6i --max-level 4", 0),
-    # at a theta this close to 0 the vacuum still reads as a kernel vector,
-    # so kernel_empty fails
-    ("nogo --theta -1e-9", "nogo --theta=-1e-9", 1),
+    # at a theta this close to 0 the floor 5e-10 lies below KERNEL_TOL, and
+    # kernel_empty expects the one value there that the closed form has
+    ("nogo --theta -1e-9", "nogo --theta=-1e-9", 0),
     ("nogo --theta -0.5 --cutoffs 4 8", "nogo --theta=-0.5 --cutoffs 4 8", 0),
     ("bicoherent --n 4 --alpha -x --symbol -x", "bicoherent --n 4 --alpha=-x --symbol=-x", 0),
     (
@@ -326,6 +326,29 @@ class TestExitCodes:
         names = [item["name"] for item in payload["checks"]]
         assert "kernel_dimension_one" in names
         assert payload["parameters"]["kernel_tol"] == 1e-8
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            "nogo --theta 2 --cutoffs 5 9 13 17",
+            "nogo --theta 0.5 --cutoffs 3 4",
+            "nogo --theta 1.9 --cutoffs 3 5 7 9",
+            "nogo --theta=-1e-9",
+            "nogo --theta 4",
+            "nogo --theta=-4",
+            "nogo --theta 10",
+        ],
+    )
+    def test_nogo_minima_lie_above_the_floor(self, argv, capsys):
+        # sweeps that start at an odd cutoff pass too; the report carries the
+        # floor beside the minima, which lie at or above it
+        assert main(argv.split()) == 0
+        report = ReportDocument.from_json(capsys.readouterr().out)
+        floor = report.matrices["floor"]
+        assert floor.shape == (1, 1)
+        assert floor[0, 0] == fock.closed_form_floor(report.parameters["theta"])
+        assert np.all(report.matrices["min_singular_values"].real >= floor.real)
+        assert [check.name for check in report.checks] == ["floor_bound", "kernel_empty"]
 
     def test_bicoherent_with_symbol(self, capsys):
         assert main(["bicoherent", "--n", "4", "--symbol", "x"]) == 0

@@ -9,18 +9,26 @@ from oracles import (
     raising_matrix,
     stacked_vacuum_conditions,
     triangle_vacuum_conditions,
+    williamson_ladder,
 )
 from pseudofermion.cli import run_nogo
 from pseudofermion.fock import (
     KERNEL_TOL,
     _sweep_singular_values,
+    closed_form_floor,
     nogo_joint_kernel,
 )
 
+# Every theta that the scan tests below sample.
+SUITE_THETAS = (
+    0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.1, -0.1, 0.3, 0.5, -0.5, -0.7, 1.0, 1.9, -1.9,
+    2.0, -2.0, 2.5, -2.5, 4.0, -4.0, 4.5, -4.5,
+)
 
-def closed_form_floor(theta):
-    # the infinite-cutoff floor |theta| / sqrt(2 (1 + sqrt(1 + theta^2/4)))
-    return abs(theta) / np.sqrt(2.0 * (1.0 + np.sqrt(1.0 + theta**2 / 4.0)))
+
+def ladder_floor(theta):
+    # the infinite-cutoff floor, the least value of the Williamson ladder
+    return williamson_ladder(theta, 1)[0]
 
 
 def assert_matches_dense_stack(theta, cutoffs):
@@ -117,10 +125,10 @@ class TestTwoModeRep:
 
 class TestJointKernelScan:
     def test_stack_shape(self):
-        # both conditions on the 10 states nx + ny <= 3, inputs and outputs;
-        # above |theta| = 2 the outputs run to the 15 states nx + ny <= 4
-        assert triangle_vacuum_conditions(0.7, 3).shape == (20, 10)
-        assert triangle_vacuum_conditions(2.0, 3).shape == (20, 10)
+        # both conditions on the 10 inputs nx + ny <= 3, at every theta, and
+        # all of their outputs, the 15 states nx + ny <= 4
+        assert triangle_vacuum_conditions(0.7, 3).shape == (30, 10)
+        assert triangle_vacuum_conditions(2.0, 3).shape == (30, 10)
         assert triangle_vacuum_conditions(-2.5, 3).shape == (30, 10)
 
     def test_undeformed_vacuum_survives(self):
@@ -195,50 +203,76 @@ class TestJointKernelScan:
     @pytest.mark.parametrize("theta", [1e-3, -1e-3, 0.1, -0.1, 0.5, -0.5, 1.9, -1.9])
     def test_floor_matches_closed_form(self, theta):
         # the infinite-cutoff floor is reached to rounding by cutoff 32
-        floor = closed_form_floor(theta)
+        floor = ladder_floor(theta)
         sigma = nogo_joint_kernel(theta, [32]).min_singular_values[0]
         assert abs(sigma - floor) <= 1e-15 * floor
 
     def test_parity_brackets_closed_form(self):
-        # even cutoffs lie at or below the infinite-cutoff floor and odd ones
-        # at or above it, so only sweeps of one parity can be compared
+        # cutoffs of both parities lie at or above the infinite-cutoff floor:
+        # the restriction brackets it from above, so sweeps of mixed parity
+        # compare too
         for theta in np.concatenate([np.linspace(0.1, 2.0, 8), -np.linspace(0.1, 2.0, 8)]):
-            floor = closed_form_floor(theta)
+            floor = ladder_floor(theta)
             cutoffs = list(range(2, 33))
             sigma = nogo_joint_kernel(theta, cutoffs).min_singular_values
             for cutoff, value in zip(cutoffs, sigma):
-                if cutoff % 2 == 0:
-                    assert value <= floor * (1 + 1e-14), (theta, cutoff)
-                else:
-                    assert value >= floor * (1 - 1e-14), (theta, cutoff)
+                assert value >= floor * (1 - 1e-14), (theta, cutoff)
+
+    @pytest.mark.parametrize("theta", SUITE_THETAS)
+    def test_minima_bounded_by_floor(self, theta):
+        # Courant-Fischer for the restriction to growing input spaces: every
+        # minimum at or above the floor, and the minima nonincreasing
+        floor = ladder_floor(theta)
+        sigma = np.array(nogo_joint_kernel(theta, list(range(2, 33))).min_singular_values)
+        assert np.all(sigma >= floor * (1 - 1e-14))
+        assert np.all(np.diff(sigma) <= 1e-14 * floor)
+
+    @pytest.mark.parametrize("theta", [t for t in SUITE_THETAS if abs(t) <= 2.5])
+    def test_lowest_values_match_williamson_ladder(self, theta):
+        # at cutoff 64 the ten smallest singular values meet the closed-form
+        # spectrum of the untruncated stack
+        lowest = np.sort(_sweep_singular_values(theta, [64])[0])[:10]
+        assert np.max(np.abs(lowest - williamson_ladder(theta, 10))) <= 1e-13
+
+    @pytest.mark.parametrize("theta", [*SUITE_THETAS, 1e-150, 30.0, -1e4, 1e6, 1e300, -1e300])
+    def test_closed_form_floor_is_the_ladder_floor(self, theta):
+        # finite at every finite theta, zero only at theta = 0
+        floor = closed_form_floor(theta)
+        assert abs(floor - ladder_floor(theta)) <= 4e-16 * floor
+        assert (floor > 0.0) == (theta != 0.0)
 
     @pytest.mark.parametrize("theta", [4.0, -4.0, 4.5, -4.5])
     def test_creation_regime_keeps_no_vacuum(self, theta):
-        # at theta = 4 the compression to the triangle had an exactly zero
-        # column; the restriction reaches the floor from above instead
-        floor = closed_form_floor(theta)
+        # at theta = 4 a compression to the triangle would have an exactly zero
+        # column, a false vacuum; the restriction reaches the floor from above
+        floor = ladder_floor(theta)
         report = nogo_joint_kernel(theta, [4, 8, 16, 32])
         assert report.kernel_dimension_estimate == 0
         assert abs(report.min_singular_values[-1] - floor) <= 1e-10 * floor
         checks = run_nogo(theta, [4, 8, 12, 16]).checks
-        assert [check.name for check in checks] == ["creation_bound", "kernel_empty"]
+        assert [check.name for check in checks] == ["floor_bound", "kernel_empty"]
         assert all(check.passed for check in checks)
 
     def test_creation_regime_is_an_upper_sequence(self):
         # the restriction to growing input spaces: nonincreasing, and never
-        # below the floor or the creation-operator bound sqrt(|theta| - 2)
+        # below the floor, which lies above the creation-operator bound
+        # sqrt(|theta| - 2)
         for theta in np.concatenate([np.linspace(2.05, 8.0, 8), -np.linspace(2.05, 8.0, 8)]):
-            floor = closed_form_floor(theta)
+            floor = ladder_floor(theta)
             sigma = np.array(nogo_joint_kernel(theta, list(range(2, 25))).min_singular_values)
             assert np.all(np.diff(sigma) <= 1e-14 * sigma[0]), theta
             assert sigma[-1] >= floor * (1 - 1e-14), theta
             assert floor >= np.sqrt(abs(theta) - 2.0), theta
 
-    def test_default_sweep_is_nondecreasing(self):
-        # pfl nogo's verdict at its default cutoffs 4 8 12 16
+    def test_default_sweep_is_nonincreasing(self):
+        # pfl nogo's verdict at its default cutoffs 4 8 12 16: the minima fall
+        # toward the floor, and none lies below it
         for theta in np.concatenate([np.linspace(0.1, 2.0, 20), -np.linspace(0.1, 2.0, 20)]):
-            checks = {check.name: check for check in run_nogo(theta, [4, 8, 12, 16]).checks}
-            assert checks["floor_nondecreasing"].passed, theta
+            sigma = nogo_joint_kernel(theta, [4, 8, 12, 16]).min_singular_values
+            assert np.all(np.diff(sigma) <= 1e-14 * ladder_floor(theta)), theta
+            report = run_nogo(theta, [4, 8, 12, 16])
+            assert [check.name for check in report.checks] == ["floor_bound", "kernel_empty"]
+            assert report.all_pass(), theta
 
     @pytest.mark.parametrize(
         "theta,floor",
@@ -250,10 +284,10 @@ class TestJointKernelScan:
         assert abs(report.min_singular_values[-1] - floor) < 1e-3
 
     def test_deformed_floor_does_not_decay(self):
+        # the minima fall, but never below the closed-form floor
         for theta in (0.3, 0.5, 1.0):
             vals = nogo_joint_kernel(theta, [4, 8, 12, 16]).min_singular_values
-            diffs = np.diff(vals)
-            assert np.all(diffs >= -1e-12)
+            assert np.all(np.array(vals) >= ladder_floor(theta) * (1 - 1e-14))
 
     def test_floor_grows_with_deformation(self):
         floors = [
