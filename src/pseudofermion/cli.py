@@ -27,7 +27,7 @@ import json
 import sys
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable, Iterator, Sequence
 
 import numpy as np
 
@@ -69,14 +69,20 @@ FIXTURE_TOL = 1e-12
 UNIT_SCALE_TOL = 1e-12
 
 
-def serialize_matrix(matrix: np.ndarray) -> list:
-    """Row-major nested lists with each entry as an ``[re, im]`` pair."""
-    arr = np.atleast_2d(np.asarray(matrix, dtype=complex))
-    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+def _matrix_text(matrix: np.ndarray) -> Iterator[str]:
+    """The `json.dumps` text of the matrix's row-major ``[re, im]`` pairs, row by row."""
+    pairs = np.ascontiguousarray(np.atleast_2d(matrix), dtype=complex).view(float)
+    if not np.isfinite(pairs).all():
+        json.dumps(pairs[~np.isfinite(pairs)][0].item(), allow_nan=False)  # raises json's error
+    row = "[" + ",".join(["[%r,%r]"] * (pairs.shape[1] // 2)) + "]"
+    yield "["
+    for i, values in enumerate(pairs):
+        yield ("," + row if i else row) % tuple(values.tolist())
+    yield "]"
 
 
 def deserialize_matrix(rows: list) -> np.ndarray:
-    """Bit-exact inverse of `serialize_matrix`; always a 2-d complex array.
+    """Bit-exact inverse of a report's matrix layout; always a 2-d complex array.
 
     The ``[re, im]`` pairs are reinterpreted in place as complex entries,
     which keeps signed zeros and infinities that ``re + 1j * im`` would not.
@@ -123,17 +129,16 @@ class ReportDocument:
         return all(check.passed for check in self.checks)
 
     def to_json(self) -> str:
-        payload = {
-            "command": self.command,
-            "parameters": self.parameters,
-            "matrices": {
-                name: serialize_matrix(matrix)
-                for name, matrix in self.matrices.items()
-            },
-            "checks": [check.as_json() for check in self.checks],
-            "version": self.version,
-        }
-        return json.dumps(payload, separators=(",", ":"), allow_nan=False)
+        # The text of `json.dumps` of the whole payload, in its order; only
+        # the matrices are written by hand, row by row, never as lists.
+        encode = json.JSONEncoder(separators=(",", ":"), allow_nan=False).encode
+        parts = [encode({"command": self.command, "parameters": self.parameters})[:-1]]
+        parts.append(',"matrices":{')
+        for i, (name, matrix) in enumerate(self.matrices.items()):
+            parts += ("," if i else "", encode(name), ":", *_matrix_text(matrix))
+        checks = [check.as_json() for check in self.checks]
+        parts += ("},", encode({"checks": checks, "version": self.version})[1:])
+        return "".join(parts)
 
     @classmethod
     def from_json(cls, text: str) -> "ReportDocument":
@@ -494,7 +499,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(text)
     else:
         try:
-            args.out.write_text(text + "\n")
+            with args.out.open("w") as handle:
+                print(text, file=handle)
         except OSError as exc:
             print(f"error: cannot write the report to {args.out} ({exc.strerror})", file=sys.stderr)
             return 2

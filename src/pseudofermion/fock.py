@@ -57,7 +57,9 @@ and its singular value stays exactly ``0.0``.  So ``sigma_min(c) >=
 sigma_inf`` and ``sigma_min(c + 1) <= sigma_min(c)`` hold of the computed
 values to a relative ``eps * sigma_max / sigma_inf``: over 210 sampled
 ``|theta|`` from ``1e-9`` to ``1e6`` and cutoffs 2 to 32, neither is off by
-more than ``4.3e-16``.
+more than ``4.3e-16``.  A ``theta != 0`` whose floor is below `MIN_FLOOR`
+``= tiny / eps`` (``1.0e-292``) is refused: LAPACK's bidiagonal SVD stops
+at an absolute error of about ``6 n**2 tiny``, and a minimum may read 0.0.
 """
 
 from __future__ import annotations
@@ -71,6 +73,9 @@ import numpy as np
 
 # A singular value below this counts toward the kernel dimension estimate.
 KERNEL_TOL = 1e-8
+
+# The least closed-form floor of a theta != 0 that the SVD resolves, tiny / eps.
+MIN_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 _SQRT2 = np.sqrt(2.0)
 
@@ -142,12 +147,16 @@ def nogo_joint_kernel(theta: float, cutoffs: Sequence[int]) -> NoGoReport:
     constant ``KERNEL_TOL = 1e-8`` at the largest cutoff.  Because the scan
     is done at finite truncation, a nonzero floor is reported as evidence
     (min singular value not decaying with cutoff), never as a proof.
-    Requires a finite ``theta`` and strictly increasing integer cutoffs of
-    at least 2; a float or a bool is refused, not truncated.
+    Requires a finite ``theta``, zero or with a floor of at least
+    `MIN_FLOOR`, and strictly increasing integer cutoffs of at least 2; a
+    float or a bool is refused, not truncated.
     """
     theta = float(theta)
     if not math.isfinite(theta):
         raise ValueError(f"theta must be finite, got {theta}")
+    if theta and (floor := closed_form_floor(theta)) < MIN_FLOOR:
+        raise ValueError(f"theta = {theta} has the closed-form floor {floor:.4g}, below "
+                         f"the {MIN_FLOOR:.4g} (tiny / eps) that the SVD resolves")
     cutoffs = list(cutoffs)
     for c in cutoffs:
         if isinstance(c, bool) or not isinstance(c, numbers.Integral):

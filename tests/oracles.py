@@ -24,7 +24,10 @@ production routes against them:
   family alone;
 * dense views of a `GlobalOperators` assembly: the direct sum of one block
   matrix over all levels (`direct_sum(ops, "a")`) and the embedded basis
-  vectors (`h_vector`, `e_vector`).
+  vectors (`h_vector`, `e_vector`);
+* a report's matrix layout as nested lists (`serialize_matrix`) and its
+  whole text from one `json.dumps` of those lists (`report_json`), the
+  reference for `cli.ReportDocument.to_json`'s row-by-row encoder.
 
 The recursion and the expansion take factorials and refuse levels outside
 ``[0, overlaps.LEVEL_CAP]`` with the package's message.
@@ -32,6 +35,7 @@ The recursion and the expansion take factorials and refuse levels outside
 
 from __future__ import annotations
 
+import json
 import math
 from dataclasses import dataclass
 
@@ -405,3 +409,21 @@ def embedded(ops, level: int, k: int, dual: bool = False) -> np.ndarray:
     vec = np.zeros(total_dim(ops), dtype=complex)
     vec[ops.offsets[level] : ops.offsets[level] + level + 1] = column
     return vec
+
+
+def serialize_matrix(matrix: np.ndarray) -> list:
+    """Row-major nested lists with each entry as an ``[re, im]`` pair."""
+    arr = np.atleast_2d(np.asarray(matrix, dtype=complex))
+    return np.stack([arr.real, arr.imag], axis=-1).tolist()
+
+
+def report_json(report) -> str:
+    """A `cli.ReportDocument`'s text from one `json.dumps` of its whole payload."""
+    payload = {
+        "command": report.command,
+        "parameters": report.parameters,
+        "matrices": {name: serialize_matrix(matrix) for name, matrix in report.matrices.items()},
+        "checks": [check.as_json() for check in report.checks],
+        "version": report.version,
+    }
+    return json.dumps(payload, separators=(",", ":"), allow_nan=False)

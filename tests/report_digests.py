@@ -14,7 +14,8 @@ byte when their digests do:
 The grid: the README's `pfl` lines; single invocations of every subcommand
 with refused, failing and passing parameters; `assemble` across γ and level
 cutoffs; and `bicoherent` and `nogo` across their parameters, refused ones
-and odd quadrature orders (a node at 0) included.
+and odd quadrature orders (a node at 0) included; the largest reports
+written by ``--out``; and θ down to a subnormal 1e-309.
 """
 
 import contextlib
@@ -80,11 +81,21 @@ BICOHERENT = [
     "bicoherent --n 90 --quad 256 --alpha 0.1*x^2 --symbol x^3",
 ]
 
+# The largest reports once more, written to a file by --out.
+WRITTEN = [
+    f"{line} --out report.json"
+    for line in (
+        "bicoherent --n 90 --quad 256 --alpha 0.1*x^2 --symbol x^3",
+        "block --gamma 0.3+0.2i --level 26",
+        "assemble --gamma=-0.1-0.6i --max-level 20",
+    )
+]
+
 NOGO = [
     f"nogo --theta={theta}" + ("" if cutoffs is None else f" --cutoffs {cutoffs}")
     for theta in (
         "0", "0.5", "-0.5", "1.7", "1.9", "2", "-2", "2.5", "-4", "10", "1e-9", "-1e-9",
-        "inf", "nan",
+        "inf", "nan", "1e-309", "1e-305", "1e-300", "1e-290",
     )
     for cutoffs in (
         None, "2", "3 4", "4 8", "3 5 9", "3 5 7 9", "5 9 13 17", "8 4", "16 24 32",
@@ -102,7 +113,7 @@ def readme_lines() -> list[str]:
 def invocations() -> list[list[str]]:
     """Every argv of the grid, in order, each once."""
     argvs = [shlex.split(line, comments=True)[1:] for line in readme_lines()]
-    argvs += [shlex.split(line) for line in SINGLES + ASSEMBLE + BICOHERENT + NOGO]
+    argvs += [shlex.split(line) for line in SINGLES + ASSEMBLE + BICOHERENT + WRITTEN + NOGO]
     unique = {tuple(argv): None for argv in argvs}
     return [list(argv) for argv in unique]
 

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import pseudofermion
-from oracles import direct_sum
+from oracles import direct_sum, report_json, serialize_matrix
 from pseudofermion import assembly, cli, fixtures, fock
 from pseudofermion.assembly import assemble
 from pseudofermion.blocks import (
@@ -33,7 +34,6 @@ from pseudofermion.cli import (
     run_gram,
     run_nogo,
     run_verify_fixtures,
-    serialize_matrix,
 )
 
 
@@ -61,6 +61,106 @@ class TestSerialization:
                            [complex(np.inf, -np.inf), complex(0.0, 0.0)]])
         rows = json.loads(json.dumps(serialize_matrix(matrix)))
         assert np.array_equal(bits(deserialize_matrix(rows)), bits(matrix))
+
+
+def encoder_cases():
+    """Matrices whose text `to_json` must write as `json.dumps` of the oracle layout."""
+    rng = np.random.default_rng(37)
+    z = rng.normal(size=(7, 5)) + 1j * rng.normal(size=(7, 5))
+    return {
+        "random_complex": z,
+        "random_real": rng.normal(size=(6, 3)) * 10.0 ** rng.integers(-30, 30, size=(6, 3)),
+        "signed_zeros": np.array([[0.0, -0.0], [complex(-0.0, 0.0), complex(0.0, -0.0)]]),
+        "subnormals": np.array([[5e-324, -5e-324, 2.225073858507201e-308, 1e-310 - 3e-320j]]),
+        # repr writes 1e+16 and 1e-05 with an exponent, 1e+15 and 0.0001 without
+        "exponents": np.array([[1e16, 1e-05, 1e15, 1e-4, -1e22, 1.5e300, 1.2345678901234568e17]]),
+        "vector": np.array([1.0, 2.5j, -3.0]),
+        "one_by_one": np.array([[0.5 - 0.25j]]),
+        "scalar": np.float64(-7.25),
+        "integers": np.array([[1, -2], [3, 4]]),
+        "transposed": z.T,
+        "strided": z[::2, ::-2],
+        "fortran_order": np.asfortranarray(z),
+        "no_rows": np.zeros((0, 3)),
+        "no_columns": np.zeros((2, 0)),
+    }
+
+
+def matrix_report(matrices, residual=0.25):
+    return ReportDocument("encode", {"x": [1.5, -0.0]}, matrices, [Check("c", residual, 1e-10)])
+
+
+# The largest reports of the digest grid's kind, built once for the module.
+LARGEST_RUNS = {
+    "bicoherent": lambda: run_bicoherent(90, "0", 256, "x"),
+    "assemble": lambda: run_assemble(-0.1 - 0.6j, 20),
+    "block": lambda: run_block(0.3 + 0.2j, 26),
+}
+
+
+@pytest.fixture(scope="module")
+def largest_reports():
+    return {command: run() for command, run in LARGEST_RUNS.items()}
+
+
+class TestEncoder:
+    @pytest.mark.parametrize("case", sorted(encoder_cases()))
+    def test_matrix_text_matches_json_dumps(self, case):
+        report = matrix_report({"m": encoder_cases()[case], "after": np.eye(2)})
+        assert report.to_json() == report_json(report)
+
+    def test_all_cases_in_one_report(self):
+        report = matrix_report(encoder_cases())
+        text = report.to_json()
+        assert text == report_json(report)
+        assert "1e+16" in text and "1e-05" in text and "-0.0" in text and "5e-324" in text
+
+    def test_empty_matrices_and_checks(self):
+        report = ReportDocument("none", {}, {}, [])
+        assert report.to_json() == report_json(report) == (
+            '{"command":"none","parameters":{},"matrices":{},"checks":[],"version":"pfl-2"}'
+        )
+
+    def test_read_only_phase_gauge_views(self):
+        # a level at a complex gamma reads its matrices through the phase gauge
+        report = run_block(0.3 + 0.2j, 6)
+        assert not any(m.flags.writeable for m in report.matrices.values())
+        assert report.to_json() == report_json(report)
+
+    @pytest.mark.parametrize("command", sorted(LARGEST_RUNS))
+    def test_largest_reports_match_and_round_trip(self, command, largest_reports):
+        report = largest_reports[command]
+        text = report.to_json()
+        assert text == report_json(report)
+        clone = ReportDocument.from_json(text)
+        assert list(clone.matrices) == list(report.matrices)
+        for name, matrix in report.matrices.items():
+            assert np.array_equal(bits(clone.matrices[name]), bits(matrix)), name
+
+    def test_peak_memory_is_a_few_texts(self, largest_reports):
+        # Rows go into the text one at a time: no nested lists of floats.
+        report = largest_reports["bicoherent"]
+        tracemalloc.start()
+        try:
+            text = report.to_json()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(text) > 400_000
+        assert peak <= 4 * len(text)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", ["matrix", "residual"])
+    def test_non_finite_value_raises_as_json_dumps(self, value, where):
+        matrix = np.ones((3, 2), dtype=complex)
+        if where == "matrix":
+            matrix[1, 1] = complex(0.5, value)
+        report = matrix_report({"m": matrix}, value if where == "residual" else 0.25)
+        with pytest.raises(ValueError) as expected:
+            report_json(report)
+        with pytest.raises(ValueError) as raised:
+            report.to_json()
+        assert str(raised.value) == str(expected.value)
 
 
 class TestCheck:

@@ -1,4 +1,5 @@
 import re
+import sys
 
 import numpy as np
 import pytest
@@ -11,9 +12,10 @@ from oracles import (
     triangle_vacuum_conditions,
     williamson_ladder,
 )
-from pseudofermion.cli import run_nogo
+from pseudofermion.cli import main, run_nogo
 from pseudofermion.fock import (
     KERNEL_TOL,
+    MIN_FLOOR,
     _sweep_singular_values,
     closed_form_floor,
     nogo_joint_kernel,
@@ -317,6 +319,26 @@ class TestJointKernelScan:
     def test_rejects_non_finite_theta(self, theta):
         with pytest.raises(ValueError, match="theta"):
             nogo_joint_kernel(theta, [4])
+
+    @pytest.mark.parametrize("theta", [1e-309, -1e-310, 1e-320, 5e-324, 1e-300, 2e-292])
+    def test_rejects_floor_below_svd_resolution(self, theta, capsys):
+        # Below tiny / eps the SVD's absolute floor, about 6 n^2 tiny, can read
+        # a minimum as 0.0: 1e-309 and 1e-320 once failed floor_bound so.
+        with pytest.raises(ValueError, match=r"closed-form floor .* below the 1\.002e-292"):
+            nogo_joint_kernel(theta, [4, 8])
+        assert main(["nogo", f"--theta={theta!r}"]) == 2
+        assert capsys.readouterr().err.startswith(f"error: theta = {theta!r} has the closed-form")
+
+    def test_min_floor_is_tiny_over_eps(self):
+        assert MIN_FLOOR == sys.float_info.min / sys.float_info.epsilon
+        assert closed_form_floor(2e-292) < MIN_FLOOR <= closed_form_floor(2.01e-292)
+
+    @pytest.mark.parametrize("theta", [1e-290, -1e-290, 2.01e-292, -0.0])
+    def test_accepts_floor_at_svd_resolution(self, theta):
+        # every floor at or above MIN_FLOOR passes, here at cutoffs up to 64
+        for cutoffs in ([4, 8, 12, 16], [2, 3], [32, 64]):
+            assert run_nogo(theta, cutoffs).all_pass(), (theta, cutoffs)
+        assert main(["nogo", f"--theta={theta!r}"]) == 0
 
     def test_threshold_is_fixed(self):
         # the kernel dimension counts singular values below KERNEL_TOL only
