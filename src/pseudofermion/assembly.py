@@ -108,9 +108,10 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
         intertwining = max(
             intertwining, max_abs((s_e @ n_op - n_op.conj().T @ s_e) @ h)
         )
-        norms_h.append(float(np.linalg.norm(s_h, 2)))
+        sigma = np.linalg.svd(s_h, compute_uv=False)
+        norms_h.append(float(sigma[0]))
         norms_e.append(float(np.linalg.norm(s_e, 2)))
-        conds_h.append(float(np.linalg.cond(s_h)))
+        conds_h.append(float(sigma[0] / sigma[-1]))
 
     return GlobalOperators(
         max_level=max_level,

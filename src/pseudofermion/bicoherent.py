@@ -3,17 +3,19 @@
 Starting from the orthonormal Legendre functions ``phi_n`` on ``[-1, 1]``
 and a real dressing ``alpha(x)``, the two function families ``Phi_n = e^alpha
 phi_n`` and ``Psi_n = e^{-alpha} phi_n`` stay biorthogonal because the
-dressing cancels in every mixed product.  Pairing them with a biorthogonal
-vector pair ``e_n, h_n`` produces two x-parametrized states
+dressing cancels in every mixed product.  Their values at a point, scaled
+to unit pairing, are two x-parametrized states
 
-    e(x) = (1 / sqrt(Ntilde(x))) sum_n Phi_n(x) e_n,
-    h(x) = (1 / sqrt(Ntilde(x))) sum_n Psi_n(x) h_n,
+    e(x) = Phi(x) / sqrt(Ntilde(x)),    h(x) = Psi(x) / sqrt(Ntilde(x)),
 
-normalized by ``Ntilde(x) = sum_n conj(Phi_n(x)) Psi_n(x)``, which is
-dressing-independent and strictly positive.  Their mixed dyads resolve the
-identity under the unit measure; Gauss-Legendre quadrature makes that
-exact at finite order for the polynomial family, and the same quadrature
-maps classical functions to operators (upper symbols).
+real coefficient rows on the orthonormal basis, normalized by
+``Ntilde(x) = sum_n Phi_n(x) Psi_n(x)``, which is dressing-independent and
+strictly positive.  Their mixed dyads resolve the identity under the unit
+measure; Gauss-Legendre quadrature makes that exact at finite order for the
+polynomial family, and the same quadrature maps classical functions to
+operators (upper symbols).  A family holds no vector pair: a level's pair
+``E, H`` composes with it by one product, the states ``rows @ E.T`` and the
+operator ``E R H^+``.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Callable
 import numpy as np
 from numpy.polynomial.legendre import leggauss, legvander
 
-from .blocks import BlockBasis, max_abs
+from .blocks import max_abs
 
 DEFAULT_QUAD_ORDER = 64
 
@@ -32,8 +34,7 @@ DEFAULT_QUAD_ORDER = 64
 # least ``n_states`` nodes sits many orders below it.
 FAMILY_TOL = 1e-8
 
-# Allowance for rounding: how far a point may lie beyond ``-1`` or ``1``, and
-# the imaginary part of the (real) state normalizer relative to its size.
+# Allowance for rounding: how far a point may lie beyond ``-1`` or ``1``.
 ROUNDING_SLACK = 1e-12
 
 
@@ -63,24 +64,21 @@ def _zero_dressing(x: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class BicoherentFamily:
-    """Dressing, vector bases and quadrature of a family in one bundle.
+    """Dressing and quadrature of a family in one bundle.
 
     The functions are the ``n_states`` orthonormal Legendre polynomials on
     ``[-1, 1]`` (`normalized_legendre`); ``alpha_fn`` maps points to real
-    dressing exponents.  Column ``n`` of ``h_matrix`` / ``e_matrix`` is the
-    vector attached to ``phi_n``.  ``nodes`` and ``weights`` are the
-    Gauss-Legendre rule.
+    dressing exponents.  ``nodes`` and ``weights`` are the Gauss-Legendre
+    rule.
     """
 
     n_states: int
     alpha_fn: Callable
-    h_matrix: np.ndarray
-    e_matrix: np.ndarray
     nodes: np.ndarray
     weights: np.ndarray
 
     def __post_init__(self):
-        for name in ("h_matrix", "e_matrix", "nodes", "weights"):
+        for name in ("nodes", "weights"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
@@ -102,29 +100,26 @@ def _dressed_values(family: BicoherentFamily, xs: np.ndarray):
     with np.errstate(over="ignore", invalid="ignore"):
         phi_d = np.exp(alpha)[:, None] * values
         psi_d = np.exp(-alpha)[:, None] * values
-        ntilde = np.sum(np.conj(phi_d) * psi_d, axis=1)
-    bad = ~(
-        np.abs(ntilde.imag) <= ROUNDING_SLACK * np.maximum(1.0, np.abs(ntilde.real))
-    ) | ~((0.0 < ntilde.real) & (ntilde.real < np.inf))
+        ntilde = np.sum(phi_d * psi_d, axis=1)
+    bad = ~((0.0 < ntilde) & (ntilde < np.inf))
     if np.any(bad):
         raise ValueError(
             f"state normalizer must be finite and strictly positive, got {ntilde[bad][0]} "
             f"at x = {xs[bad][0]}"
         )
-    return phi_d, psi_d, ntilde.real
+    return phi_d, psi_d, ntilde
 
 
 def build_family(
     n_states: int,
     alpha_fn: Callable | None = None,
-    basis: BlockBasis | None = None,
     quad_order: int = DEFAULT_QUAD_ORDER,
 ) -> BicoherentFamily:
     """Assemble a family and certify its quadrature biorthogonality.
 
     The functions are always the orthonormal Legendre family on ``[-1, 1]``,
     integrated by Gauss-Legendre quadrature with ``quad_order`` nodes.
-    Defaults: zero dressing and the self-dual orthonormal vector basis.
+    Default: zero dressing.
     Raises ValueError if the mixed function overlaps fail to reproduce the
     identity under the quadrature (fewer than ``n_states`` nodes) or if the
     normalizer fails positivity at any node.
@@ -137,28 +132,11 @@ def build_family(
     if alpha_fn is None:
         alpha_fn = _zero_dressing
 
-    if basis is None:
-        h = np.eye(n_states, dtype=complex)
-        e = np.eye(n_states, dtype=complex)
-    else:
-        if basis.dim != n_states:
-            raise ValueError(
-                f"vector basis dimension {basis.dim} does not match n_states {n_states}"
-            )
-        h, e = basis.h_matrix, basis.e_matrix
-
     nodes, weights = leggauss(quad_order)
-    family = BicoherentFamily(
-        n_states=n_states,
-        alpha_fn=alpha_fn,
-        h_matrix=h,
-        e_matrix=e,
-        nodes=nodes,
-        weights=weights,
-    )
+    family = BicoherentFamily(n_states, alpha_fn, nodes, weights)
 
     phi_d, psi_d, _ = _dressed_values(family, nodes)
-    overlaps = (np.conj(psi_d) * weights[:, None]).T @ phi_d
+    overlaps = (psi_d * weights[:, None]).T @ phi_d
     if not max_abs(overlaps - np.eye(n_states)) <= FAMILY_TOL:
         raise ValueError(
             "function families are not biorthonormal under the quadrature "
@@ -173,8 +151,9 @@ def states_at(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The dressed state pairs at an array of points, one state per row.
 
-    Returns ``(e_states, h_states)``, each of shape ``(len(xs), n_states)``;
-    row ``q`` holds ``e(x_q)`` and ``h(x_q)``, and ``<e(x_q), h(x_q)> = 1``.
+    Returns ``(e_states, h_states)``, real arrays of shape
+    ``(len(xs), n_states)``; row ``q`` holds the coefficients of ``e(x_q)``
+    and ``h(x_q)`` on the orthonormal basis, and ``<e(x_q), h(x_q)> = 1``.
     A scalar is one point.  Raises ValueError if any point lies outside
     ``[-1, 1]``.
     """
@@ -184,19 +163,18 @@ def states_at(
         raise ValueError(f"x = {xs[outside][0]} outside domain [-1.0, 1.0]")
     phi_d, psi_d, ntilde = _dressed_values(family, xs)
     root = np.sqrt(ntilde)[:, None]
-    e_states = phi_d @ family.e_matrix.T / root
-    h_states = psi_d @ family.h_matrix.T / root
-    return e_states, h_states
+    return phi_d / root, psi_d / root
 
 
 def _integrate_dyads(family: BicoherentFamily, factors: np.ndarray) -> np.ndarray:
     # sum_q w_q factor_q Ntilde_q |e(x_q)><h(x_q)|.  The normalizer cancels
     # against the 1/sqrt(Ntilde) of each state, which leaves
-    # E (Phi^T diag(w factor) conj(Psi)) H^+; it is still evaluated so that
-    # its positivity is validated at every node.
+    # Phi^T diag(w factor) Psi; it is still evaluated so that its positivity
+    # is validated at every node.  `np.einsum` calls no BLAS, so the bits do
+    # not depend on the BLAS thread count.
     phi_d, psi_d, _ = _dressed_values(family, family.nodes)
     weighted = phi_d.T * (family.weights * factors)
-    return family.e_matrix @ (weighted @ psi_d.conj()) @ family.h_matrix.conj().T
+    return np.einsum("iq,qj->ij", weighted, psi_d)
 
 
 def resolution_of_identity(family: BicoherentFamily) -> tuple[np.ndarray, float]:

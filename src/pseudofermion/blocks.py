@@ -129,8 +129,9 @@ class BlockBasis:
     Column ``k`` of ``h_matrix`` is the primal vector ``h_k``; column ``k``
     of ``e_matrix`` is its dual ``e_k``, normalized so that
     ``e_matrix^+ h_matrix = 1``.  Both are read from ``core`` at ``phase``
-    (`overlaps.phase_gauge`): given matrices are their own core at phase 0;
-    `realize_basis_cholesky` keeps its pair at ``|gamma|``.
+    (`overlaps.phase_gauge`): given matrices are validated and copied into
+    their own core at phase 0; `realize_basis_cholesky` hands over its
+    ``|gamma|`` core as it is, certified by `verify_block_system`.
     """
 
     level: int
@@ -140,12 +141,11 @@ class BlockBasis:
     phase: float = 0.0
 
     def __post_init__(self):
-        dim = self.level + 1
         pair = self.__dict__.pop("h_matrix", None), self.__dict__.pop("e_matrix", None)
         if pair[0] is None and pair[1] is None:
-            pair = self.core["h_matrix"], self.core["e_matrix"]
-        else:
-            object.__setattr__(self, "phase", 0.0)
+            return
+        dim = self.level + 1
+        object.__setattr__(self, "phase", 0.0)
         h, e = (np.array(m, dtype=complex) for m in pair)
         if h.shape != (dim, dim) or e.shape != (dim, dim):
             raise ValueError(
@@ -208,12 +208,12 @@ def realize_basis_cholesky(gram: GramBlock) -> BlockBasis:
     ``h_matrix`` is the Cholesky factor ``gram.factor``, taken from its
     closed form rather than by factoring the Gram matrix: upper triangular
     with positive diagonal and ``h_matrix^+ h_matrix`` equal to the Gram
-    matrix.  The dual family is the inverse adjoint.  Both are formed from
-    ``gram.core_factor`` at ``|gamma|`` and read at ``gamma`` through the
-    phase gauge.  The Gram matrix itself is never formed: the gate reads
-    its exact least eigenvalue ``(1 - |gamma|)^M`` and raises
-    `PositivityError` when that is not above `POSITIVITY_TOL`, so the
-    verdict depends on ``(|gamma|, M)`` alone.
+    matrix.  The dual family is the inverse adjoint.  The core holds
+    ``gram.core_factor`` itself and that inverse adjoint, at ``|gamma|``,
+    read at ``gamma`` through the phase gauge.  The Gram matrix itself is
+    never formed: the gate reads its exact least eigenvalue
+    ``(1 - |gamma|)^M`` and raises `PositivityError` when that is not above
+    `POSITIVITY_TOL`, so the verdict depends on ``(|gamma|, M)`` alone.
     """
     min_eig = gram.min_eigenvalue()
     if min_eig <= POSITIVITY_TOL:
@@ -223,7 +223,7 @@ def realize_basis_cholesky(gram: GramBlock) -> BlockBasis:
             "(deformation magnitude too close to 1)"
         )
     h = gram.core_factor
-    core = {"h_matrix": h, "e_matrix": np.linalg.inv(h).conj().T}
+    core = {"h_matrix": h, "e_matrix": _read_only(np.conj(np.linalg.inv(h).T, order="C"))}
     return BlockBasis(gram.level, core=core, phase=cmath.phase(gram.gamma))
 
 

@@ -239,8 +239,8 @@ def _complex_param(value: complex) -> list:
     return [value.real, value.imag]
 
 
-def _checks(residuals: dict, prefix: str = "", tolerance: float = EQUALITY_TOL) -> list:
-    return [Check(prefix + name, residual, tolerance) for name, residual in residuals.items()]
+def _checks(residuals: dict, prefix: str = "") -> list:
+    return [Check(prefix + name, residual, EQUALITY_TOL) for name, residual in residuals.items()]
 
 
 def run_gram(gamma: complex, level: int) -> ReportDocument:

@@ -14,7 +14,8 @@ byte when their digests do:
 The grid: the README's `pfl` lines; single invocations of every subcommand
 with refused, failing and passing parameters; `assemble` across γ and level
 cutoffs; and `bicoherent` and `nogo` across their parameters, refused ones
-and odd quadrature orders (a node at 0) included; the largest reports
+and odd quadrature orders (a node at 0) included, and every family,
+dressing and symbol of the benchmark's `cli` workload; the largest reports
 written by ``--out``; and θ down to a subnormal 1e-309.
 """
 
@@ -79,6 +80,12 @@ BICOHERENT = [
 ] + [
     "bicoherent --n 5 --alpha 0.3*x --symbol x",
     "bicoherent --n 90 --quad 256 --alpha 0.1*x^2 --symbol x^3",
+] + [
+    # The families, dressings and symbols of the benchmark's `cli` workload.
+    f"bicoherent --n {n} --quad {quad} --alpha {alpha} --symbol {symbol}"
+    for (n, quad), alpha, symbol in itertools.product(
+        [(90, 256), (25, 64)], ["0", "0.3*x", "0.5*x^2"], ["x", "x^2", "1", "0.5*x+0.25"]
+    )
 ]
 
 # The largest reports once more, written to a file by --out.

@@ -10,7 +10,8 @@ from pseudofermion.bicoherent import (
     states_at,
     upper_symbol,
 )
-from pseudofermion.blocks import BlockBasis, fixture_basis
+from pseudofermion.blocks import fixture_basis, realize_basis_cholesky
+from pseudofermion.overlaps import gram_block
 
 
 def jacobi_offdiagonal(n):
@@ -35,12 +36,13 @@ class TestFamilyConstruction:
     def test_pairing_is_unity(self):
         family = build_family(4)
         e_states, h_states = states_at(family, [-0.9, -0.25, 0.0, 0.5, 0.99])
+        # coefficient rows on the orthonormal basis, real
+        assert e_states.dtype == h_states.dtype == np.float64
         for e_state, h_state in zip(e_states, h_states):
             assert abs(np.vdot(e_state, h_state) - 1.0) <= 1e-12
 
     def test_batch_matches_single_points(self):
-        basis = fixture_basis(2, 0.4)
-        family = build_family(3, alpha_fn=lambda x: 0.3 * x, basis=basis)
+        family = build_family(3, alpha_fn=lambda x: 0.3 * x)
         e_states, h_states = states_at(family, family.nodes)
         assert e_states.shape == h_states.shape == (family.nodes.size, 3)
         for x, e_row, h_row in zip(family.nodes, e_states, h_states):
@@ -66,21 +68,26 @@ class TestFamilyConstruction:
             h_dressed, np.exp(-0.3 * xs)[:, None] * h_plain, atol=1e-15, rtol=1e-14
         )
 
-    def test_biorthogonal_pair_basis(self):
-        basis = fixture_basis(2, 0.4)
-        family = build_family(3, basis=basis)
-        operator, residual = resolution_of_identity(family)
-        assert residual <= 1e-10
-        np.testing.assert_allclose(operator, np.eye(3), atol=1e-10, rtol=0)
-        (e_state,), (h_state,) = states_at(family, 0.2)
+    @pytest.mark.parametrize(
+        "basis",
+        [
+            fixture_basis(1, 0.5),
+            fixture_basis(2, 0.4),
+            realize_basis_cholesky(gram_block(2, 0.3 + 0.2j)),
+        ],
+        ids=["fixture-m1", "fixture-m2", "cholesky-m2"],
+    )
+    def test_level_pair_composes(self, basis):
+        # A level's pair (E, H) gives bicoherent states E e(x), H h(x) and
+        # maps the quadrature operator R to E R H^+.
+        e, h = basis.e_matrix, basis.h_matrix
+        family = build_family(basis.dim, alpha_fn=lambda x: 0.3 * x)
+        operator, _ = resolution_of_identity(family)
+        composed = e @ operator @ h.conj().T
+        np.testing.assert_allclose(composed, np.eye(basis.dim), atol=1e-10, rtol=0)
+        e_rows, h_rows = states_at(family, 0.2)
+        (e_state,), (h_state,) = e_rows @ e.T, h_rows @ h.T
         assert abs(np.vdot(e_state, h_state) - 1.0) <= 1e-12
-
-    def test_explicit_pair_tuple(self):
-        basis = fixture_basis(1, 0.5)
-        pair = BlockBasis(level=1, h_matrix=basis.h_matrix, e_matrix=basis.e_matrix)
-        family = build_family(2, basis=pair)
-        _, residual = resolution_of_identity(family)
-        assert residual <= 1e-10
 
     def test_odd_state_vanishes_at_origin(self):
         values = normalized_legendre(3)(np.array([0.0]))
@@ -167,11 +174,16 @@ class TestValidation:
 
     @pytest.mark.parametrize(
         "setting",
-        [{"phi_fn": normalized_legendre(3)}, {"domain": (0.0, 2.0)}],
-        ids=["phi_fn", "domain"],
+        [
+            {"phi_fn": normalized_legendre(3)},
+            {"domain": (0.0, 2.0)},
+            {"basis": fixture_basis(2, 0.4)},
+        ],
+        ids=["phi_fn", "domain", "basis"],
     )
     def test_family_and_interval_are_fixed(self, setting):
-        # always the orthonormal Legendre family on [-1, 1]
+        # always the orthonormal Legendre family on [-1, 1], with no vector
+        # pair: a level's pair composes with its states (test_level_pair_composes)
         with pytest.raises(TypeError):
             build_family(3, **setting)
 
@@ -188,8 +200,3 @@ class TestValidation:
     def test_rejects_bad_state_count(self):
         with pytest.raises(ValueError):
             build_family(0)
-
-    def test_rejects_mismatched_basis(self):
-        basis = fixture_basis(1, 0.5)
-        with pytest.raises(ValueError):
-            build_family(3, basis=basis)

@@ -59,6 +59,17 @@ class TestRealizations:
             basis.e_matrix.conj().T @ basis.h_matrix, np.eye(3), atol=1e-12, rtol=0
         )
 
+    @pytest.mark.parametrize("gamma", [0.5, 0.3 + 0.2j])
+    def test_cholesky_core_holds_the_factor(self, gamma):
+        # The core keeps the Gram factor itself, uncopied, beside its
+        # read-only, C-contiguous inverse adjoint.
+        gram = gram_block(4, gamma)
+        core = realize_basis_cholesky(gram).core
+        assert core["h_matrix"] is gram.core_factor
+        e = core["e_matrix"]
+        assert e.flags.c_contiguous and not e.flags.writeable
+        np.testing.assert_array_equal(e, np.linalg.inv(gram.core_factor).conj().T)
+
     def test_cholesky_identity_at_zero(self):
         basis = realize_basis_cholesky(gram_block(4, 0.0))
         np.testing.assert_allclose(basis.h_matrix, np.eye(5), atol=1e-15, rtol=0)

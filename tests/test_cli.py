@@ -734,6 +734,9 @@ class TestThreadDeterminism:
         [
             ["block", "--gamma", "0.7", "--level", "20"],
             ["assemble", "--gamma", "0.3+0.2i", "--max-level", "12"],
+            # Its 90 x 256 x 90 quadrature product is the largest of the grid.
+            ["bicoherent", "--n", "90", "--quad", "256", "--alpha", "0.1*x^2",
+             "--symbol", "x^3"],
         ],
     )
     def test_byte_identical_across_openblas_threads(self, argv):
