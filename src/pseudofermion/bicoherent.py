@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
-from numpy.polynomial.legendre import leggauss, legvander
 
 from .blocks import max_abs
 
@@ -47,6 +46,8 @@ def normalized_legendre(n_states: int) -> Callable:
     """
     if n_states < 1:
         raise ValueError(f"n_states must be >= 1, got {n_states}")
+    # Imported where used: a caller that evaluates no family never loads it.
+    from numpy.polynomial.legendre import legvander
     scale = np.sqrt((2.0 * np.arange(n_states) + 1.0) / 2.0)
 
     def phi(x: np.ndarray) -> np.ndarray:
@@ -132,6 +133,7 @@ def build_family(
     if alpha_fn is None:
         alpha_fn = _zero_dressing
 
+    from numpy.polynomial.legendre import leggauss
     nodes, weights = leggauss(quad_order)
     family = BicoherentFamily(n_states, alpha_fn, nodes, weights)
 

@@ -21,7 +21,6 @@ on the diagonal at offsets ``M(M+1)/2``.
 
 from __future__ import annotations
 
-import argparse
 import ast
 import json
 import sys
@@ -231,6 +230,7 @@ def _parse_complex(text: str) -> complex:
     try:
         return complex(text.replace("i", "j"))
     except ValueError:
+        import argparse
         raise argparse.ArgumentTypeError(f"cannot parse complex number {text!r}")
 
 
@@ -461,7 +461,9 @@ _DASHED_VALUE_OPTIONS = {flag for _, options in _SUBCOMMANDS.values() for flag, 
 
 def build_parser() -> argparse.ArgumentParser:
     # Options are spelled out in full: an abbreviation such as --gam would
-    # escape the joining of dashed values in `main`.
+    # escape the joining of dashed values in `main`.  argparse is imported
+    # here, so that a caller that parses no command line never loads it.
+    import argparse
     parser = argparse.ArgumentParser(
         prog="pfl",
         description="Certified constructions of finite pseudo-fermion structures",
