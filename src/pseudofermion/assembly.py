@@ -35,10 +35,11 @@ class GlobalOperators:
     range of the level-``M`` projection.  A dense global operator is the
     direct sum of one block matrix over the levels; nothing here forms it.
 
-    ``action_residual`` is scaled by the global ladder norms and each
-    level's basis norm; the other residuals are absolute max-norms; norms
-    and condition numbers are spectral, one per level block of ``S_h`` and
-    ``S_e``.
+    Every residual and norm is read from the levels' ``|gamma|`` cores,
+    ``block_systems[M].core``.  ``action_residual`` is scaled by the global
+    ladder norms and each level's basis norm; the other residuals are
+    absolute max-norms; norms and condition numbers are spectral, one per
+    level block of ``S_h`` and ``S_e``.
     """
 
     max_level: int
@@ -57,8 +58,10 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
     """Build the direct-sum system up to ``max_level`` and certify it.
 
     Every level is realized in the Cholesky gauge of its overlap Gram
-    matrix, `blocks.realize_basis_cholesky`, and its ``a, b, h, e, S_h,
-    S_e`` are read at ``gamma`` once.  From them:
+    matrix, `blocks.realize_basis_cholesky`, and certified on its
+    ``|gamma|`` core, the ``a, b, h, e, N, S_h, S_e`` that
+    `blocks.verify_block_system` reads, so every residual and norm below
+    depends on ``(|gamma|, max_level)`` alone.  From those cores:
 
     * ``action_residual``, the defect of the square-root ladder action of
       ``A, B, A^+, B^+`` on every basis vector, taken block by block but
@@ -78,20 +81,17 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
     """
     gamma = complex(gamma)
     _check_level(max_level)
-    systems, reads = [], []
-    for level in range(max_level + 1):
-        system = build_block_system(realize_basis_cholesky(gram_block(level, gamma)))
-        systems.append(system)
-        # Each read at gamma is a phase-gauge product: take every matrix once.
-        reads.append((system.a, system.b, system.basis.h_matrix,
-                      system.basis.e_matrix, system.S_h, system.S_e))
+    systems = tuple(build_block_system(realize_basis_cholesky(gram_block(m, gamma)))
+                    for m in range(max_level + 1))
+    cores = [s.core for s in systems]
 
     # Global scales max|A|, max|B|: a direct sum's max-norm is its largest block's.
-    norm_a = max(max_abs(a) for a, *_ in reads)
-    norm_b = max(max_abs(b) for _, b, *_ in reads)
+    norm_a, norm_b = (max(max_abs(core[k]) for core in cores) for k in "ab")
     action = resolution = intertwining = 0.0
     norms_h, norms_e, conds_h = [], [], []
-    for a, b, h, e, s_h, s_e in reads:
+    for core in cores:
+        a, b, h, e, n_op, s_h, s_e = (
+            core[k] for k in ("a", "b", "h_matrix", "e_matrix", "N", "S_h", "S_e"))
         dim = len(h)
         down = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
         norm_h, norm_e = max_abs(h), max_abs(e)
@@ -102,12 +102,8 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
             relative_residual(a.conj().T @ e - e @ down.T, norm_a, norm_e),
             relative_residual(b.conj().T @ e - e @ down, norm_b, norm_e),
         )
-        # N as b a from the ladders at gamma, the product the dense B A forms.
-        n_op = b @ a
         resolution = max(resolution, max_abs(e @ h.conj().T - np.eye(dim)))
-        intertwining = max(
-            intertwining, max_abs((s_e @ n_op - n_op.conj().T @ s_e) @ h)
-        )
+        intertwining = max(intertwining, max_abs((s_e @ n_op - n_op.conj().T @ s_e) @ h))
         sigma = np.linalg.svd(s_h, compute_uv=False)
         norms_h.append(float(sigma[0]))
         norms_e.append(float(np.linalg.norm(s_e, 2)))
@@ -116,7 +112,7 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
     return GlobalOperators(
         max_level=max_level,
         gamma=gamma,
-        block_systems=tuple(systems),
+        block_systems=systems,
         offsets=tuple(m * (m + 1) // 2 for m in range(max_level + 1)),
         action_residual=action,
         resolution_residual=resolution,

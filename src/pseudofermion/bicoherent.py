@@ -70,27 +70,30 @@ class BicoherentFamily:
     The functions are the ``n_states`` orthonormal Legendre polynomials on
     ``[-1, 1]`` (`normalized_legendre`); ``alpha_fn`` maps points to real
     dressing exponents.  ``nodes`` and ``weights`` are the Gauss-Legendre
-    rule.
+    rule; ``phi_nodes`` and ``psi_nodes`` are the dressed ``Phi`` and ``Psi``
+    at the nodes, one node per row, as `build_family` validated them.
     """
 
     n_states: int
     alpha_fn: Callable
     nodes: np.ndarray
     weights: np.ndarray
+    phi_nodes: np.ndarray
+    psi_nodes: np.ndarray
 
     def __post_init__(self):
-        for name in ("nodes", "weights"):
+        for name in ("nodes", "weights", "phi_nodes", "psi_nodes"):
             arr = np.asarray(getattr(self, name))
             arr.setflags(write=False)
             object.__setattr__(self, name, arr)
 
 
-def _dressed_values(family: BicoherentFamily, xs: np.ndarray):
+def _dressed_values(n_states: int, alpha_fn: Callable, xs: np.ndarray):
     # Returns (Phi, Psi, Ntilde) at the given points, validating the
     # dressing's shape and realness and the normalizer's positivity.
     xs = np.atleast_1d(np.asarray(xs, dtype=float))
-    values = normalized_legendre(family.n_states)(xs)
-    alpha = np.asarray(family.alpha_fn(xs))
+    values = normalized_legendre(n_states)(xs)
+    alpha = np.asarray(alpha_fn(xs))
     if alpha.shape != xs.shape:
         raise ValueError(f"dressing returned shape {alpha.shape}, expected {xs.shape}")
     if np.iscomplexobj(alpha) and np.any(np.abs(alpha.imag) > 0.0):
@@ -135,17 +138,12 @@ def build_family(
 
     from numpy.polynomial.legendre import leggauss
     nodes, weights = leggauss(quad_order)
-    family = BicoherentFamily(n_states, alpha_fn, nodes, weights)
-
-    phi_d, psi_d, _ = _dressed_values(family, nodes)
-    overlaps = (psi_d * weights[:, None]).T @ phi_d
-    if not max_abs(overlaps - np.eye(n_states)) <= FAMILY_TOL:
-        raise ValueError(
-            "function families are not biorthonormal under the quadrature "
-            f"(defect {max_abs(overlaps - np.eye(n_states)):.3e}); "
-            "raise quad_order or fix the family"
-        )
-    return family
+    phi_d, psi_d, _ = _dressed_values(n_states, alpha_fn, nodes)
+    defect = max_abs((psi_d * weights[:, None]).T @ phi_d - np.eye(n_states))
+    if not defect <= FAMILY_TOL:
+        raise ValueError("function families are not biorthonormal under the quadrature "
+                         f"(defect {defect:.3e}); raise quad_order or fix the family")
+    return BicoherentFamily(n_states, alpha_fn, nodes, weights, phi_d, psi_d)
 
 
 def states_at(
@@ -163,7 +161,7 @@ def states_at(
     outside = ~((-1.0 - ROUNDING_SLACK <= xs) & (xs <= 1.0 + ROUNDING_SLACK))
     if np.any(outside):
         raise ValueError(f"x = {xs[outside][0]} outside domain [-1.0, 1.0]")
-    phi_d, psi_d, ntilde = _dressed_values(family, xs)
+    phi_d, psi_d, ntilde = _dressed_values(family.n_states, family.alpha_fn, xs)
     root = np.sqrt(ntilde)[:, None]
     return phi_d / root, psi_d / root
 
@@ -171,12 +169,10 @@ def states_at(
 def _integrate_dyads(family: BicoherentFamily, factors: np.ndarray) -> np.ndarray:
     # sum_q w_q factor_q Ntilde_q |e(x_q)><h(x_q)|.  The normalizer cancels
     # against the 1/sqrt(Ntilde) of each state, which leaves
-    # Phi^T diag(w factor) Psi; it is still evaluated so that its positivity
-    # is validated at every node.  `np.einsum` calls no BLAS, so the bits do
+    # Phi^T diag(w factor) Psi.  `np.einsum` calls no BLAS, so the bits do
     # not depend on the BLAS thread count.
-    phi_d, psi_d, _ = _dressed_values(family, family.nodes)
-    weighted = phi_d.T * (family.weights * factors)
-    return np.einsum("iq,qj->ij", weighted, psi_d)
+    weighted = family.phi_nodes.T * (family.weights * factors)
+    return np.einsum("iq,qj->ij", weighted, family.psi_nodes)
 
 
 def resolution_of_identity(family: BicoherentFamily) -> tuple[np.ndarray, float]:

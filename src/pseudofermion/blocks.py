@@ -131,7 +131,8 @@ class BlockBasis:
     ``e_matrix^+ h_matrix = 1``.  Both are read from ``core`` at ``phase``
     (`overlaps.phase_gauge`): given matrices are validated and copied into
     their own core at phase 0; `realize_basis_cholesky` hands over its
-    ``|gamma|`` core as it is, certified by `verify_block_system`.
+    ``|gamma|`` core as it is, certified by `verify_block_system`.  Given
+    neither, or both, it raises ValueError.
     """
 
     level: int
@@ -142,10 +143,15 @@ class BlockBasis:
 
     def __post_init__(self):
         pair = self.__dict__.pop("h_matrix", None), self.__dict__.pop("e_matrix", None)
-        if pair[0] is None and pair[1] is None:
+        given = [name for name, value in zip(("h_matrix", "e_matrix", "core", "phase"),
+                                             (*pair, self.core, self.phase or None))
+                 if value is not None]
+        if given not in (["h_matrix", "e_matrix"], ["core"], ["core", "phase"]):
+            raise ValueError("BlockBasis takes an h_matrix, e_matrix pair or a core at a "
+                             f"phase, got {', '.join(given) or 'neither'}")
+        if self.core is not None:
             return
         dim = self.level + 1
-        object.__setattr__(self, "phase", 0.0)
         h, e = (np.array(m, dtype=complex) for m in pair)
         if h.shape != (dim, dim) or e.shape != (dim, dim):
             raise ValueError(

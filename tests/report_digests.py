@@ -13,7 +13,7 @@ byte when their digests do:
 
 The grid: the README's `pfl` lines; single invocations of every subcommand
 with refused, failing and passing parameters; `assemble` across γ and level
-cutoffs; and `bicoherent` and `nogo` across their parameters, refused ones
+cutoffs, one modulus rotated by three phases among them; and `bicoherent` and `nogo` across their parameters, refused ones
 and odd quadrature orders (a node at 0) included, and every family,
 dressing and symbol of the benchmark's `cli` workload; the largest reports
 written by ``--out``; and θ down to a subnormal 1e-309.
@@ -64,6 +64,13 @@ ASSEMBLE = [
     f"assemble --gamma={gamma} --max-level {level}"
     for gamma in ("0.5", "-0.5", "0.05", "0.7", "0.3+0.2i", "-0.1-0.6i")
     for level in (0, 1, 4, 7, 12, 13, 20, 30, 31)
+]
+# One exact modulus at three phases, so that a diff of two trees shows a
+# change that moves a residual or a verdict with the phase of gamma.
+ASSEMBLE += [
+    f"assemble --gamma={gamma} --max-level {level}"
+    for gamma in ("0.7", "0.7i", "-0.7i")
+    for level in (10, 18)
 ]
 
 BICOHERENT = [

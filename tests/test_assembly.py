@@ -1,3 +1,4 @@
+import cmath
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ from oracles import direct_sum, e_vector, h_vector, lowering_matrix, total_dim
 from pseudofermion import assembly
 from pseudofermion.assembly import assemble
 from pseudofermion.blocks import PositivityError, max_abs, relative_residual
+from pseudofermion.cli import run_assemble
 from pseudofermion.overlaps import LEVEL_CAP
 
 
@@ -174,6 +176,28 @@ class TestAssemble:
             e_vector(ops, -1, 0)
 
 
+# Each gamma is an exact modulus rotated by a phase; the certificate reads the
+# |gamma| cores alone, so it must not move with the phase.
+PHASES = (math.pi / 2, math.pi, -math.pi / 2, 0.7)
+CERTIFICATE = ("action_residual", "resolution_residual", "intertwining_residual",
+               "s_h_block_norms", "s_e_block_norms", "s_h_block_conditions")
+
+
+class TestPhaseIndependence:
+    @pytest.mark.parametrize("modulus", [0.5, 0.7])
+    @pytest.mark.parametrize("max_level", [10, 18, 20])
+    def test_certificate_depends_on_modulus_alone(self, modulus, max_level):
+        for gamma in (cmath.rect(modulus, phase) for phase in PHASES):
+            ops, reference = assemble(gamma, max_level), assemble(abs(gamma), max_level)
+            for name in CERTIFICATE:
+                assert getattr(ops, name) == getattr(reference, name), (gamma, name)
+
+    def test_report_verdicts_depend_on_modulus_alone(self):
+        # The two differ only in the phase, which global_resolution reads as
+        # 1.164e-10 (failing) at 0.7i and 2.246e-11 at 0.7 if taken at gamma.
+        assert run_assemble(0.7j, 18).checks == run_assemble(0.7, 18).checks
+
+
 class TestResolutionReport:
     """The resolution, intertwining and metric fields of an assembly."""
 
@@ -208,7 +232,7 @@ class TestResolutionReport:
 # |gamma| = 0.9 admits levels up to 11: (1 - 0.9)^12 sits on the gate's floor.
 DENSE_GRID = [(g, m) for g in (0.5, 0.3 + 0.2j) for m in (0, 4, 12)] + [
     (0.9, m) for m in (0, 4, 11)
-]
+] + [(-0.3133 + 0.4438j, 12), (0.1568 + 0.4631j, 12)]
 
 
 class TestDenseOracle:
@@ -224,10 +248,13 @@ class TestDenseOracle:
     )
     def test_matches_dense_construction(self, gamma, max_level):
         ops = assemble(gamma, max_level)
-        big_a, big_b, big_n, action, resolution, intertwining = dense_assembly(ops)
+        big_a, big_b, big_n, *_ = dense_assembly(ops)
         assert np.array_equal(direct_sum(ops, "a"), big_a)
         assert np.array_equal(direct_sum(ops, "b"), big_b)
         assert max_abs(direct_sum(ops, "N") - big_n) <= 1e-15 * max_abs(big_n)
+        # The residuals are certified on the |gamma| cores, so their dense
+        # oracle is the same tower's at |gamma|.
+        *_, action, resolution, intertwining = dense_assembly(assemble(abs(gamma), max_level))
         # Each pair is one rounding error summed in two orders.  The
         # intertwining residual is absolute, so its floor is one rounding
         # unit of its largest term, max|S_e| max|N| max|h| over the blocks.

@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import math
 
@@ -116,6 +117,21 @@ class TestRealizations:
             BlockBasis(level=1, h_matrix=np.eye(2), e_matrix=2.0 * np.eye(2))
         with pytest.raises(ValueError, match="matrices"):
             BlockBasis(level=2, h_matrix=np.eye(2), e_matrix=np.eye(2))
+
+    def test_basis_needs_a_pair_or_a_core(self):
+        # Without either, every later read (repr included) would index None.
+        with pytest.raises(ValueError, match="pair or a core at a phase, got neither$"):
+            BlockBasis(2)
+        with pytest.raises(ValueError, match="got phase$"):
+            BlockBasis(2, phase=0.3)
+
+    def test_basis_refuses_a_pair_with_a_core_or_phase(self):
+        # A pair would otherwise replace the core and reset the phase to 0.
+        cholesky = realize_basis_cholesky(gram_block(2, 0.3 + 0.4j))
+        with pytest.raises(ValueError, match="got h_matrix, e_matrix, core, phase$"):
+            dataclasses.replace(cholesky, phase=0.3)
+        with pytest.raises(ValueError, match="got h_matrix, e_matrix, phase$"):
+            BlockBasis(2, cholesky.h_matrix, cholesky.e_matrix, phase=0.3)
 
     def test_basis_matrices_read_only(self):
         basis = fixture_basis(1, 0.5)
