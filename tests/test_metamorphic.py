@@ -1,16 +1,19 @@
 """Metamorphic relations of the Cholesky-gauge level systems, without mpmath.
 
-A level at ``gamma = |gamma| e^(i phi)`` is built and certified once at
-``|gamma|`` and read at ``gamma`` through the phase gauge ``P = diag(p_k)``,
-``p_k = e^(i k phi)``.  These tests hold that design to exact relations over
-drawn points of the envelope: the residuals depend on ``|gamma|`` alone,
-every matrix is its ``|gamma|`` value conjugated by ``P`` (with the ladders'
-own phase on ``a`` and ``b``), conjugating ``gamma`` conjugates the system,
-the positivity gate refuses exactly where ``(1 - |gamma|)^M`` is not above
-its floor, the Gram block keeps the complex-arithmetic values bit for bit at
-every ``gamma``, and at real ``gamma`` so do the basis and ladders.  On
-``FORWARD_GRID`` the outputs are compared with the complex-arithmetic route
-at ``gamma``.
+A level at ``gamma`` is built and certified once at ``|gamma|`` and read at
+``gamma`` through the phase gauge, whose weight on entry ``(j, k)`` is
+``w_d = gamma^d / |gamma|^d``, ``d = k - j`` (shifted by one on the ladders
+``a`` and ``b``), and ``w_-d = conj(w_d)``.  These tests hold that design to
+exact relations over drawn points of the envelope: the residuals depend on
+``|gamma|`` alone, every matrix is its ``|gamma|`` value times the weights,
+the Gram block included, conjugating ``gamma`` conjugates the system, the
+positivity gate refuses exactly where ``(1 - |gamma|)^M`` is not above its
+floor, and at real ``gamma >= 0`` the Gram block, basis and ladders keep the
+complex-arithmetic values bit for bit.  Over the whole envelope, the `gram`,
+`block` and `assemble` reports carry the same checks at ``gamma`` rotated
+in the plane as at ``|gamma|``, and at a negative real ``gamma`` every
+report matrix is real.  On ``FORWARD_GRID`` the outputs are compared with
+the complex-arithmetic route at ``gamma``.
 """
 
 import cmath
@@ -28,7 +31,8 @@ from pseudofermion.blocks import (
     realize_basis_cholesky,
     verify_block_system,
 )
-from pseudofermion.overlaps import LEVEL_CAP, gram_block
+from pseudofermion.cli import run_assemble, run_block, run_gram
+from pseudofermion.overlaps import LEVEL_CAP, gram_block, phase_gauge
 from test_blocks import FORWARD_GRID, forward_error, mpmath_reference
 
 EPS = np.finfo(float).eps
@@ -43,8 +47,8 @@ DRAWS = list(
     )
 )
 
-# Matrix fields read through the gauge, with the row (-1) or column (+1)
-# shift of p that carries the ladders' own phase.
+# Matrix fields read through the gauge, with the shift of d by -1 (a) or
+# +1 (b) that carries the ladders' own phase.
 GAUGED = (
     ("a", -1), ("b", 1), ("N", 0), ("S_h", 0), ("S_e", 0),
     ("sqrt_S_e", 0), ("n_selfadjoint", 0), ("c_matrix", 0),
@@ -65,12 +69,16 @@ def residuals(gamma, m):
     return system if isinstance(system, str) else verify_block_system(system)
 
 
-def gauge_weights(phase, dim, shift=0):
-    """``conj(p_j) p_k`` with the row or column index of ``p`` shifted."""
-    p = np.exp(1j * phase * np.arange(dim + 1))
-    rows = p[1:] if shift < 0 else p[:dim]
-    cols = p[1:] if shift > 0 else p[:dim]
-    return np.outer(rows.conj(), cols)
+def gauge_weights(gamma, dim, shift=0):
+    """``w_d = gamma^d / |gamma|^d`` at ``d = k - j + shift``, ``w_-d = conj(w_d)``.
+
+    Python's complex powers of ``gamma`` and of ``|gamma|``, one weight per
+    ``|d|``: the core's ``|gamma|^d`` are complex powers too.
+    """
+    w = np.array([gamma**d / complex(abs(gamma)) ** d for d in range(dim + 1)])
+    w = np.concatenate([w[:0:-1].conj(), w])
+    j = np.arange(dim)
+    return w[dim + shift + j[None, :] - j[:, None]]
 
 
 def at(r, phi):
@@ -97,14 +105,13 @@ def test_matrices_are_the_modulus_level_in_the_phase_gauge():
             continue
         built += 1
         core = level(abs(gamma), m)
-        phase, dim = cmath.phase(gamma), m + 1
         pairs = [(getattr(system, n), getattr(core, n), s) for n, s in GAUGED]
         pairs += [
             (system.basis.h_matrix, core.basis.h_matrix, 0),
             (system.basis.e_matrix, core.basis.e_matrix, 0),
         ]
         for got, modulus, shift in pairs:
-            expected = modulus * gauge_weights(phase, dim, shift)
+            expected = modulus * gauge_weights(gamma, m + 1, shift)
             assert np.all(np.abs(got - expected) <= 4 * EPS * np.abs(expected)), (gamma, m)
         assert np.array_equal(system.anticommutator_diagonal, core.anticommutator_diagonal)
     assert built >= 400
@@ -180,16 +187,15 @@ def test_real_deformation_keeps_complex_route_bits():
             assert np.array_equal(getattr(generic, name), reference[name]), (r, m, name)
 
 
-def test_complex_deformation_keeps_complex_route_bits():
-    # Away from real gamma >= 0 the Gram block is not read through the phase
-    # gauge: its factor is the closed form evaluated at gamma itself.
+def test_gram_block_is_its_modulus_block_in_the_gauge():
+    # The one route from |gamma| to gamma: the Gram factor and matrix at
+    # gamma are the |gamma| block's, read through `phase_gauge`, bit for bit.
     points = [(at(r, phi), m) for r, phi, m in DRAWS]
     points += [(-r, m) for r, _, m in DRAWS[::5]]
     for gamma, m in points:
-        gram = gram_block(m, gamma)
-        reference = complex_route(gamma, m)
-        assert np.array_equal(gram.matrix, reference["matrix"]), (gamma, m)
-        assert np.array_equal(gram.factor, reference["factor"]), (gamma, m)
+        gram, core = gram_block(m, gamma), gram_block(m, abs(gamma))
+        assert np.array_equal(gram.factor, phase_gauge(core.factor, gamma)), (gamma, m)
+        assert np.array_equal(gram.matrix, phase_gauge(core.matrix, gamma)), (gamma, m)
 
 
 # The envelope: |gamma| in 0.1 .. 0.9 and every level up to the cap.
@@ -211,6 +217,61 @@ def test_gate_depends_on_modulus_and_level_only(phase):
         assert ((r, m) in refused) == exact, (gamma, m)
     assert refused == {(r, m) for r, m in ENVELOPE if (1.0 - r) ** m <= POSITIVITY_TOL}
     assert len(refused) == 40
+
+
+def test_gauge_at_a_tiny_deformation():
+    # gamma^d and |gamma|^d underflow to zero from d = 2 on here, which would
+    # make 0/0 weights; scaled by one power of two, the weights stay i^d.
+    assert np.array_equal(phase_gauge(np.ones((4, 4)), 1e-200j)[0], [1, 1j, -1, -1j])
+    report = run_block(1e-200j, 6)
+    assert all(np.isfinite(matrix).all() for matrix in report.matrices.values())
+
+
+# Rotations of gamma: the first three leave |gamma| unchanged bit for bit.
+ROTATIONS = (1j, -1, -1j, cmath.exp(0.7j))
+
+
+def outcome(run, gamma, m):
+    """Check names, verdicts, residuals and `gram`'s least eigenvalue, or the refusal."""
+    try:
+        report = run(gamma, m)
+    except ValueError as exc:
+        return str(exc)
+    checks = [(check.name, check.passed, check.residual) for check in report.checks]
+    return checks, report.matrices.get("min_eigenvalue", np.zeros(1)).tolist()
+
+
+@pytest.mark.parametrize("run", [run_gram, run_block, run_assemble],
+                         ids=["gram", "block", "assemble"])
+def test_reports_are_independent_of_the_phase(run):
+    # Every report at gamma carries the checks of the report at |gamma|.
+    for r, m in ENVELOPE:
+        references = {}
+        for rotation in ROTATIONS:
+            gamma = r * rotation
+            if abs(gamma) not in references:
+                references[abs(gamma)] = outcome(run, abs(gamma), m)
+            assert outcome(run, gamma, m) == references[abs(gamma)], (gamma, m)
+
+
+@pytest.mark.parametrize("r", [0.1, 0.5, 0.7])
+@pytest.mark.parametrize("run, size", [(run_gram, 20), (run_block, 20), (run_assemble, 14)],
+                         ids=["gram", "block", "assemble"])
+def test_reports_at_negative_deformation_are_real(run, size, r):
+    # Every weight of the gauge at -r is exactly +-1: each matrix is the one
+    # at r times (-1)^d, with d = k - j shifted by -1 on a and +1 on b.
+    negative, positive = run(-r, size), run(r, size)
+    assert list(negative.matrices) == list(positive.matrices)
+    for name, got in negative.matrices.items():
+        got, expected = np.atleast_2d(got), np.atleast_2d(positive.matrices[name]).real
+        assert not got.imag.any(), name
+        if name in ("anticommutator_diagonal", "min_eigenvalue") or "_block_" in name:
+            sign = 1.0
+        else:
+            j, k = np.indices(got.shape)
+            shift = {"a": -1, "b": 1}.get(name.rpartition(":")[2], 0)
+            sign = (-1.0) ** (k - j + shift)
+        assert np.array_equal(got.real, sign * expected), name
 
 
 def complex_level(gamma, m):
