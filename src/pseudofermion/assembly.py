@@ -7,7 +7,8 @@ same pass certifies the tower block by block: the ladder action, the
 resolution of identity and the intertwining ``S_e N = N^+ S_e``.  The
 frame operators' per-block norms grow with the level for any nonzero
 deformation, which is the finite-size witness that the global frame
-operators need not stay bounded.
+operators need not stay bounded; they are read from the singular values
+of each level's ``h``, and nothing here is factored.
 """
 
 from __future__ import annotations
@@ -59,8 +60,9 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
 
     Every level is realized in the Cholesky gauge of its overlap Gram
     matrix, `blocks.realize_basis_cholesky`, and certified on its
-    ``|gamma|`` core, the ``a, b, h, e, N, S_h, S_e`` that
-    `blocks.verify_block_system` reads, so every residual and norm below
+    ``|gamma|`` core, the ``a, b, h, e, N, S_e`` that
+    `blocks.verify_block_system` reads and the singular values of ``h``
+    that `blocks.build_block_system` keeps, so every residual and norm below
     depends on ``(|gamma|, max_level)`` alone.  From those cores:
 
     * ``action_residual``, the defect of the square-root ladder action of
@@ -72,7 +74,8 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
       to each primal vector, which is the vector-wise form in which the
       identity actually holds;
     * the spectral norms of every ``S_h`` and ``S_e`` block and the
-      condition numbers of the ``S_h`` blocks.
+      condition numbers of the ``S_h`` blocks: with ``sigma`` the singular
+      values of ``h``, ``sigma_0^2``, ``sigma_min^-2`` and their product.
 
     All are block diagonal, so each residual is the largest over the
     blocks.  A failing residual does not raise: the caller compares it
@@ -88,10 +91,9 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
     # Global scales max|A|, max|B|: a direct sum's max-norm is its largest block's.
     norm_a, norm_b = (max(max_abs(core[k]) for core in cores) for k in "ab")
     action = resolution = intertwining = 0.0
-    norms_h, norms_e, conds_h = [], [], []
     for core in cores:
-        a, b, h, e, n_op, s_h, s_e = (
-            core[k] for k in ("a", "b", "h_matrix", "e_matrix", "N", "S_h", "S_e"))
+        a, b, h, e, n_op, s_e = (
+            core[k] for k in ("a", "b", "h_matrix", "e_matrix", "N", "S_e"))
         dim = len(h)
         down = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
         norm_h, norm_e = max_abs(h), max_abs(e)
@@ -104,10 +106,8 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
         )
         resolution = max(resolution, max_abs(e @ h.conj().T - np.eye(dim)))
         intertwining = max(intertwining, max_abs((s_e @ n_op - n_op.conj().T @ s_e) @ h))
-        sigma = np.linalg.svd(s_h, compute_uv=False)
-        norms_h.append(float(sigma[0]))
-        norms_e.append(float(np.linalg.norm(s_e, 2)))
-        conds_h.append(float(sigma[0] / sigma[-1]))
+    # S_h = h h^+ and S_e = S_h^-1: their norms are powers of the extreme singular values of h.
+    top, least = (np.array([core["sigma_h"][end] for core in cores]) for end in (0, -1))
 
     return GlobalOperators(
         max_level=max_level,
@@ -117,7 +117,7 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
         action_residual=action,
         resolution_residual=resolution,
         intertwining_residual=intertwining,
-        s_h_block_norms=tuple(norms_h),
-        s_e_block_norms=tuple(norms_e),
-        s_h_block_conditions=tuple(conds_h),
+        s_h_block_norms=tuple((top**2).tolist()),
+        s_e_block_norms=tuple((least**-2.0).tolist()),
+        s_h_block_conditions=tuple(((top / least) ** 2).tolist()),
     )

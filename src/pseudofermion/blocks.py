@@ -22,9 +22,12 @@ Error model: a Cholesky level at ``gamma`` is built and certified once, at
 ``|gamma|``.  The positivity gate reads the exact least Gram eigenvalue
 ``(1 - |gamma|)^M``, and every check of `verify_block_system` runs on that
 core, in float64 from ``N = b a`` on, so the level's residuals and verdicts
-depend on ``(|gamma|, M)`` alone.  Each matrix read at ``gamma``, like the
-Gram block, is the core times the weights ``gamma^d / |gamma|^d`` of
-`overlaps.phase_gauge`: 30 eps from exact, and exactly ``+-1`` at ``gamma < 0``.
+depend on ``(|gamma|, M)`` alone.  The roots of ``S_e`` come from one SVD of
+``h``, never from the formed ``S_e``, so `PositivityError` comes only from
+the gate or from an ``h`` singular in float64.  Each matrix read at
+``gamma``, like the Gram block, is the core times the weights ``gamma^d /
+|gamma|^d`` of `overlaps.phase_gauge`: 30 eps from exact, and exactly ``+-1``
+at ``gamma < 0``.
 """
 
 from __future__ import annotations
@@ -80,21 +83,6 @@ def _worst_level(defect: np.ndarray, scale: np.ndarray) -> float:
     # `relative_residual` of every level slice of a stack, each against its
     # own scale (the product of that level's norms); the worst level.
     return float((np.abs(defect).max(axis=(1, 2)) / np.maximum(1.0, scale)).max())
-
-
-def _positive_sqrt_pair(matrix: np.ndarray, subject: str) -> tuple[np.ndarray, np.ndarray]:
-    # The positive square root of a Hermitian matrix and its inverse, from
-    # one eigendecomposition; ``subject`` names the matrix in the
-    # PositivityError raised when it is not positive definite.
-    vals, vecs = np.linalg.eigh(matrix)
-    if vals[0] <= POSITIVITY_TOL:
-        raise PositivityError(
-            f"{subject} is not positive definite: min eigenvalue {vals[0]:.3e}"
-        )
-    # Sum_k f(l_k) v_k v_k^+ is invariant under eigenspace unitaries: phases reach no output.
-    root = (vecs * np.sqrt(vals)) @ vecs.conj().T
-    inv_root = (vecs * (1.0 / np.sqrt(vals))) @ vecs.conj().T
-    return root, inv_root
 
 
 class _AtGamma:
@@ -180,7 +168,8 @@ class BlockSystem:
     ``anticommutator_diagonal`` lists the coefficients of ``{a, b}`` in
     the mixed dyad expansion over ``|e_k><h_k|``.  Each matrix is read from
     ``core`` at the basis gamma; ``core`` also holds the basis pair,
-    ``inv_sqrt_S_e``, ``{a, b}`` and ``e^+ {a, b} h`` for the checks.
+    ``inv_sqrt_S_e``, ``{a, b}`` and ``e^+ {a, b} h`` for the checks, and
+    ``sigma_h``, the descending singular values of ``h`` that form both roots.
     The matrices are not constructor fields: what is reported is always
     the core that `verify_block_system` certifies.
     """
@@ -296,20 +285,27 @@ def build_block_system(basis: BlockBasis) -> BlockSystem:
     is exact.  ``anticommutator_diagonal`` is the real diagonal of the
     mixed-dyad expansion ``e^+ {a, b} h``; its off-diagonal part is
     reported by `verify_block_system` as ``anticommutator_offdiag``.
-    Raises `PositivityError` if the dual frame operator fails positive
-    definiteness.
+    ``sqrt_S_e = U Sigma^-1 U^+`` and its inverse ``U Sigma U^+`` come from one
+    SVD ``h = U Sigma V^+``, as ``S_e = (h h^+)^-1`` to `DUAL_TOL`; the formed
+    ``S_e``, of condition ``kappa(h)^2``, is never factored.  Raises
+    `PositivityError`, naming the least singular value, if ``h`` is singular:
+    that value is below the smallest normal number, whose reciprocal overflows.
     """
     h, e = basis.core["h_matrix"], basis.core["e_matrix"]
     a, b = _ladders(h, e)
     if not (h.imag.any() or e.imag.any()):
         h, e, a, b = (np.ascontiguousarray(m.real) for m in (h, e, a, b))
-    n_op, s_e = b @ a, e @ e.conj().T
-    root, inv_root = _positive_sqrt_pair(s_e, "dual frame operator")
+    n_op = b @ a
+    u, sigma, _ = np.linalg.svd(h)
+    if not sigma[-1] >= np.finfo(float).tiny:
+        raise PositivityError(f"primal family h is singular: least singular value {sigma[-1]:.3e}")
+    root, inv_root = (u / sigma) @ u.conj().T, (u * sigma) @ u.conj().T
     anti = a @ b + b @ a
     core = dict(
-        h_matrix=h, e_matrix=e, a=a, b=b, N=n_op, S_h=h @ h.conj().T, S_e=s_e,
-        sqrt_S_e=root, inv_sqrt_S_e=inv_root, n_selfadjoint=root @ n_op @ inv_root,
-        c_matrix=root @ h, anticommutator=anti, mixed=e.conj().T @ anti @ h,
+        h_matrix=h, e_matrix=e, a=a, b=b, N=n_op, S_h=h @ h.conj().T, S_e=e @ e.conj().T,
+        sqrt_S_e=root, inv_sqrt_S_e=inv_root, sigma_h=sigma,
+        n_selfadjoint=root @ n_op @ inv_root, c_matrix=root @ h,
+        anticommutator=anti, mixed=e.conj().T @ anti @ h,
     )
     for m in core.values():
         m.setflags(write=False)

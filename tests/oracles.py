@@ -8,7 +8,8 @@ production routes against them:
   references for `overlaps.gram_block` and for `sym_power`;
 * `sym_power`, the binomial double sum of one level's ``Sym^M(T)`` in one
   vectorized call, the reference for `overlaps.sym_powers` and for the Gram
-  factor;
+  factor, and `cholesky_polar`, the 2x2 ``P`` and ``U`` whose ``Sym^M`` are a
+  Cholesky level's ``sqrt_S_e`` and ``c_matrix``;
 * the truncated single-mode ladder matrices (`lowering_matrix`,
   `raising_matrix`), the dense two-mode Fock representation built from them,
   the stacked vacuum conditions, and that stack on the inputs ``nx + ny <=
@@ -20,8 +21,8 @@ production routes against them:
   (`deformed_number_operators_by_level`), one `sym_power` call per level,
   the reference for `blocks.deformed_number_operators`' batched pass;
 * `synthesize_ladders`, the ladders of any `BlockBasis` read at its gamma,
-  the positive square root of a Hermitian matrix and a basis from a primal
-  family alone;
+  the positive square root of a Hermitian matrix by its eigendecomposition
+  and a basis from a primal family alone;
 * dense views of a `GlobalOperators` assembly: the direct sum of one block
   matrix over all levels (`direct_sum(ops, "a")`) and the embedded basis
   vectors (`h_vector`, `e_vector`);
@@ -46,8 +47,8 @@ from pseudofermion.blocks import (
     POSITIVITY_TOL,
     BlockBasis,
     DeformedLevelOperators,
+    PositivityError,
     _ladders,
-    _positive_sqrt_pair,
     max_abs,
     relative_residual,
 )
@@ -184,6 +185,21 @@ def sym_power(t: np.ndarray, level: int) -> np.ndarray:
     )
     norm = np.sqrt(_BINOMIAL[level, k][None, :] / _BINOMIAL[level, k][:, None])
     return terms.sum(axis=2) * norm
+
+
+def cholesky_polar(r: float) -> tuple[np.ndarray, np.ndarray]:
+    """``P = (R1 R1^T)^(-1/2)`` and the rotation ``U = P R1`` at ``|gamma| = r``.
+
+    ``R1 = [[1, r], [0, s]]``, ``s = sqrt(1 - r^2)``, is the level-1 Cholesky
+    factor, and ``Sym^M(R1)`` the level-M one, so ``sym_power(P, M)`` is that
+    level's ``sqrt_S_e`` and ``sym_power(U, M)`` its ``c_matrix``.  ``R1 R1^T =
+    1 + r F`` with the reflection ``F = [[r, s], [s, -r]]``, so any function of
+    it is ``(f(1+r) + f(1-r)) / 2 + (f(1+r) - f(1-r)) / 2 F``.
+    """
+    s = math.sqrt(1.0 - r * r)
+    plus, minus = 1.0 / math.sqrt(1.0 + r), 1.0 / math.sqrt(1.0 - r)
+    p = (plus + minus) / 2 * np.eye(2) + (plus - minus) / 2 * np.array([[r, s], [s, -r]])
+    return p, p @ np.array([[1.0, r], [0.0, s]])
 
 
 def deformed_number_operators_by_level(
@@ -362,8 +378,15 @@ def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:
 
 
 def hermitian_sqrt(matrix: np.ndarray) -> np.ndarray:
-    """Unique positive square root of a Hermitian positive-definite matrix."""
-    return _positive_sqrt_pair(matrix, "matrix")[0]
+    """Unique positive square root of a Hermitian positive-definite matrix.
+
+    From its eigendecomposition; raises `PositivityError` when the least
+    eigenvalue is not above `POSITIVITY_TOL`.
+    """
+    vals, vecs = np.linalg.eigh(matrix)
+    if vals[0] <= POSITIVITY_TOL:
+        raise PositivityError(f"matrix is not positive definite: min eigenvalue {vals[0]:.3e}")
+    return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
 def basis_from_h(level: int, h_matrix: np.ndarray) -> BlockBasis:

@@ -12,7 +12,9 @@ byte when their digests do:
     diff parent.txt change.txt
 
 The grid: the README's `pfl` lines; single invocations of every subcommand
-with refused, failing and passing parameters; `assemble` across γ and level
+with refused, failing and passing parameters, `block` and `assemble` where a
+computed eigenvalue of ``S_e`` once refused them, and `block` where ``c`` was
+once certified with its largest error; `assemble` across γ and level
 cutoffs, one modulus rotated by three phases among them; `gram` at three
 points of the envelope's edge, each at phase 0 and rotated by π/2, π, −π/2
 and 0.7, and `gram` and `block` at a negative real γ; `bicoherent` and
@@ -63,6 +65,11 @@ SINGLES = [
     "assemble --gamma 0.6-0.3i --max-level 8",
     "gram --gamma 0.3+0.4i --level 5",
     *(f"{cmd} --gamma 0.5 --level {level}" for cmd in ("gram", "block") for level in (-1, 31)),
+    # Once refused on a computed eigenvalue of S_e, and the worst certified c.
+    "block --gamma 0.7 --level 22",
+    "block --gamma 0.6 --level 30",
+    "block --gamma 0.8 --level 13",
+    "assemble --gamma 0.6 --max-level 30",
 ]
 
 ASSEMBLE = [

@@ -221,6 +221,18 @@ class TestResolutionReport:
         duals = np.asarray(ops.s_e_block_norms)
         np.testing.assert_allclose(duals, (1 - r) ** -level, atol=0, rtol=1e-10)
 
+    # kappa(S_h) reaches 1.2e18 at (0.6, 30): from the singular values of h,
+    # not from a factored S_h or S_e, the norms stay near their closed forms.
+    @pytest.mark.parametrize("gamma, max_level", [(0.5, 30), (0.6, 30), (0.7, 22)])
+    def test_block_norms_at_high_levels_match_closed_forms(self, gamma, max_level):
+        ops = assemble(gamma, max_level)
+        r, level = abs(gamma), np.arange(max_level + 1.0)
+        np.testing.assert_allclose(ops.s_h_block_norms, (1 + r) ** level, atol=0, rtol=1e-14)
+        np.testing.assert_allclose(ops.s_e_block_norms, (1 - r) ** -level, atol=0, rtol=1e-9)
+        np.testing.assert_allclose(
+            ops.s_h_block_conditions, ((1 + r) / (1 - r)) ** level, atol=0, rtol=1e-9
+        )
+
     @pytest.mark.parametrize("gamma", [0.9, -0.9, 0.54 + 0.72j, -0.54 - 0.72j])
     def test_condition_number_growth(self, gamma):
         conds = np.asarray(assemble(gamma, 4).s_h_block_conditions)
@@ -241,6 +253,12 @@ class TestDenseOracle:
         # rounds to 9.99999999999997e-13, not above POSITIVITY_TOL = 1e-12.
         with pytest.raises(PositivityError, match=r"level 12 .* 1\.000e-12"):
             assemble(0.9, 12)
+
+    def test_refusal_is_the_gram_gate(self):
+        # S_e = e e^+ is positive by construction: the only refusal is the
+        # gate's, at the first level with (1 - 0.7)^M <= 1e-12.
+        with pytest.raises(PositivityError, match=r"^gram matrix at level 23 "):
+            assemble(0.7, 30)
 
     # The ids name the realization: every level is in the Cholesky gauge.
     @pytest.mark.parametrize(

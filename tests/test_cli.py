@@ -406,6 +406,27 @@ class TestExitCodes:
             assert captured.out == "", argv
             assert captured.err.startswith("error: "), argv
 
+    @pytest.mark.parametrize("argv", [
+        "block --gamma 0.7 --level 22", "block --gamma 0.6 --level 30",
+        "assemble --gamma 0.6 --max-level 30",
+    ])
+    def test_ill_conditioned_level_fails_named_checks(self, argv, capsys):
+        # S_e = e e^+ is positive by construction: these levels are built, and
+        # they fail named checks instead of being refused.
+        assert main(argv.split()) == 1
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        failed = [item["name"] for item in json.loads(captured.out)["checks"] if not item["pass"]]
+        assert failed[-1].endswith("n_eigenbasis")
+
+    def test_fixture_refusal_names_the_kernel_dual(self, capsys):
+        # The level-2 fixture's e has condition 2e10 here; the null space of
+        # b^+ is what float64 cannot resolve, and the refusal says so.
+        assert main(["verify-fixtures", "--gamma", "1e-5"]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: null space of the adjoint raising matrix is not one-dimensional"
+        )
+
     def test_honest_check_failure(self, monkeypatch, capsys):
         # A spurious zero singular value makes kernel_empty fail without any
         # parameter being invalid.

@@ -22,6 +22,7 @@ import math
 import numpy as np
 import pytest
 
+from envelope_summary import ENVELOPE
 from oracles import lowering_matrix
 from pseudofermion.blocks import (
     POSITIVITY_TOL,
@@ -196,10 +197,6 @@ def test_gram_block_is_its_modulus_block_in_the_gauge():
         gram, core = gram_block(m, gamma), gram_block(m, abs(gamma))
         assert np.array_equal(gram.factor, phase_gauge(core.factor, gamma)), (gamma, m)
         assert np.array_equal(gram.matrix, phase_gauge(core.matrix, gamma)), (gamma, m)
-
-
-# The envelope: |gamma| in 0.1 .. 0.9 and every level up to the cap.
-ENVELOPE = [(r / 10, m) for r in range(1, 10) for m in range(1, LEVEL_CAP + 1)]
 
 
 @pytest.mark.parametrize("phase", [0.0, 0.7, math.pi])
