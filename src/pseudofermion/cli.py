@@ -293,7 +293,8 @@ def run_nogo(theta: float, cutoffs: Sequence[int]) -> ReportDocument:
     else:
         # Every minimum of the restriction lies at or above the floor, and the
         # untruncated spectrum has one value below KERNEL_TOL exactly when the
-        # floor does: its next, sqrt(floor^2 + w-), exceeds 1 (`fock`).
+        # floor does: its next, sqrt(floor^2 + w-), is at least sqrt(1.464)
+        # (`fock` module docstring, Sectors).
         checks = [
             Check("floor_bound", 1.0 - smallest / floor if smallest < floor else 0.0,
                   UNIT_SCALE_TOL),

@@ -42,24 +42,53 @@ holds the input states ``N = |m|, |m| + 2, ..., <= c``; its block is two
 real bidiagonals stacked, ``L_+`` into sector ``m - 1`` and ``L_-`` into
 sector ``m + 1``, and every output row belongs to one sector's block.  The
 stack's singular values are therefore those of the ``2c + 1`` blocks, each
-at most ``c + 2`` rows by ``floor(c/2) + 1`` columns.  A sweep builds the
-blocks of all its cutoffs in one pass, and one batched values-only SVD
-takes those of one column count across the sweep.  The dense complex stack
-is formed only by the tests, as the oracle.
+at most ``c + 2`` rows by ``floor(c/2) + 1`` columns.  The Williamson quanta
+carry angular momentum too, ``w-`` the sign of theta and ``w+`` the other,
+so sector ``m`` of the untruncated ``B^+ B`` starts at ``E0 + |m| w-`` when
+``m`` has the sign of theta and at ``E0 + |m| w+`` otherwise.  By
+Courant-Fischer every block of sector ``m``, at every cutoff, has its least
+singular value at or above
+
+    LB_m = sqrt(sigma_inf^2 + |m| w-),   w- = 4 / (sqrt(4 + theta^2) + |theta|)
+
+(`_sector_bounds`; ``w-`` so written does not cancel, and ``sigma_inf``
+from `closed_form_floor` does not overflow), and approaches it as ``c``
+grows when ``m`` has the sign of theta.  ``sigma_inf^2 + w-`` is at least
+1.464 (near ``|theta| = 1.15``), so the untruncated stack has at most one
+singular value below `KERNEL_TOL`, and has one exactly when ``sigma_inf``
+is below it.
+
+Two passes.  A sweep factors sector 0 of every cutoff first.  One more call
+then factors each sector ``m != 0`` whose ``LB_m``, less the error margin
+below, does not exceed both that cutoff's sector-0 minimum and
+`KERNEL_TOL`.  A sector left out holds neither the cutoff's minimum nor a
+value below `KERNEL_TOL`, and no block's values depend on the blocks that
+share its call, so the minima and the kernel count are those of all ``2c +
+1`` blocks, bit for bit.  The second pass first runs at ``|theta| =
+4.333``, at cutoffs 2 and 3; below that a sweep makes one SVD per distinct
+sector-0 width.  Within a call, the blocks of one column count go to one
+batched values-only SVD, zero rows padding each to the most rows among
+them.  The dense complex stack is formed only by the tests, as the oracle.
 
 Error model.  Each block's SVD is backward stable, and the zero rows that
 pad it to its batch move none of its values, so every singular value is
-within a few ``eps * sigma_max`` of the dense stack's.  Nothing is squared
-into ``B^+ B``, which would lose a small singular value to ``eps *
-sigma_max**2 / sigma``: at ``theta = 1e-9`` the minimum ``5e-10`` keeps
-its relative accuracy.  At ``theta = 0`` the vacuum column is exactly zero,
-and its singular value stays exactly ``0.0``.  So ``sigma_min(c) >=
-sigma_inf`` and ``sigma_min(c + 1) <= sigma_min(c)`` hold of the computed
-values to a relative ``eps * sigma_max / sigma_inf``: over 210 sampled
-``|theta|`` from ``1e-9`` to ``1e6`` and cutoffs 2 to 32, neither is off by
-more than ``4.3e-16``.  A ``theta != 0`` whose floor is below `MIN_FLOOR`
-``= tiny / eps`` (``1.0e-292``) is refused: LAPACK's bidiagonal SVD stops
-at an absolute error of about ``6 n**2 tiny``, and a minimum may read 0.0.
+within a few ``eps * sigma_max`` of the dense stack's.  The margin is ``32
+eps`` times an a-priori bound on a block's ``sigma_max``: no count on the
+inputs ``N <= c`` exceeds ``c``, nor ``c + 1`` after a raising, so ``|L_+-|
+<= (|sqrt2 -+ t| + |t|) sqrt(c + 1)`` and ``sigma_max <= (2 + |theta|)
+sqrt(c + 1)``.  Measured, no block's least value lies more than ``1.3 eps
+sigma_max`` below ``LB_m``, over 27 theta from 0 to ``1e6`` and cutoffs 2
+to 32.  Nothing is squared into ``B^+ B``, which would lose a small
+singular value to ``eps * sigma_max**2 / sigma``: at ``theta = 1e-9`` the
+minimum ``5e-10`` keeps its relative accuracy.  At ``theta = 0`` the
+vacuum column is exactly zero, and its singular value stays exactly
+``0.0``.  So ``sigma_min(c) >= sigma_inf`` and ``sigma_min(c + 1) <=
+sigma_min(c)`` hold of the computed values to a relative ``eps * sigma_max
+/ sigma_inf``: over 210 sampled ``|theta|`` from ``1e-9`` to ``1e6`` and
+cutoffs 2 to 32, neither is off by more than ``4.3e-16``.  A ``theta !=
+0`` whose floor is below `MIN_FLOOR` ``= tiny / eps`` (``1.0e-292``) is
+refused: LAPACK's bidiagonal SVD stops at an absolute error of about ``6
+n**2 tiny``, and a minimum may read 0.0.
 """
 
 from __future__ import annotations
@@ -79,6 +108,10 @@ MIN_FLOOR = np.finfo(float).tiny / np.finfo(float).eps
 
 _SQRT2 = np.sqrt(2.0)
 
+# A block's computed singular values lie within this multiple of its largest
+# of the exact ones (module docstring, Error model).
+_SVD_ERROR = 32 * np.finfo(float).eps
+
 
 def closed_form_floor(theta: float) -> float:
     """``sigma_inf = |theta| / sqrt(2 (1 + sqrt(1 + theta^2/4)))`` (module docstring)."""
@@ -95,16 +128,25 @@ class NoGoReport:
     kernel_dimension_estimate: int
 
 
-def _sweep_singular_values(theta: float, cutoffs: Sequence[int]) -> list[np.ndarray]:
-    # Every singular value of the stack at each cutoff of the sweep (module
-    # docstring): one block per cutoff c and sector m = -c..c, whose column j
-    # is the state N = |m| + 2 j <= c and whose rows are L+'s outputs in
-    # sector m - 1, then L-'s in sector m + 1, each in order of N <= c + 1.
+def _sector_bounds(theta: float, cutoff: int) -> np.ndarray:
+    """``LB_m = sqrt(sigma_inf^2 + |m| w-)`` for ``|m| = 0..cutoff`` (module docstring)."""
+    w_minus = 4.0 / (math.hypot(2.0, theta) + abs(theta))
+    return np.sqrt(closed_form_floor(theta) ** 2 + np.arange(cutoff + 1) * w_minus)
+
+
+def _block_singular_values(
+    theta: float, cutoff: np.ndarray, sector: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    # Every singular value of the blocks (cutoff[i], sector[i]), and the index
+    # i of each value's block (module docstring): the block of cutoff c and
+    # sector m, whose column j is the state N = |m| + 2 j <= c and whose rows
+    # are L+'s outputs in sector m - 1, then L-'s in sector m + 1, each in
+    # order of N <= c + 1.
     t = theta / (2.0 * _SQRT2)
-    # The blocks (c, m) run by column count: those of one count fill one slab
-    # of `flat`, zero rows padding each to the most rows among them.
-    pairs = np.concatenate([[np.full(2 * c + 1, c), np.arange(-c, c + 1)] for c in cutoffs], axis=1)
-    cutoff, sector = pairs[:, np.argsort(pairs[0] - np.abs(pairs[1]), kind="stable")]
+    # The blocks run by column count: those of one count fill one slab of
+    # `flat`, zero rows padding each to the most rows among them.
+    order = np.argsort(cutoff - np.abs(sector), kind="stable")
+    cutoff, sector = cutoff[order], sector[order]
     cols, below = (cutoff - np.abs(sector)) // 2 + 1, (cutoff + 1 - np.abs(sector - 1)) // 2 + 1
     rows = below + (cutoff + 1 - np.abs(sector + 1)) // 2 + 1
     widths, first, count = np.unique(cols, return_index=True, return_counts=True)
@@ -120,19 +162,25 @@ def _sweep_singular_values(theta: float, cutoffs: Sequence[int]) -> list[np.ndar
     out_shell = shell + np.array([[-1], [1], [-1], [1]])
     out_m = m + np.array([[-1], [-1], [1], [1]])
     coefficient = np.array([[_SQRT2 - t], [t], [_SQRT2 + t], [-t]])
-    value = coefficient * np.sqrt(np.stack([plus, minus + 1, minus, plus + 1]))
+    value = coefficient * np.sqrt(np.array([plus, minus + 1, minus, plus + 1]))
     # Every output lies at N <= c + 1; a lowering of an empty mode has none.
     ok = np.abs(out_m) <= out_shell
     row = (out_shell - np.abs(out_m)) // 2 + (out_m > m) * below[block]
     flat = np.zeros(size.sum())
     flat[(start[block] + row * cols[block] + j)[ok]] = value[ok]
-    # One values-only SVD per slab; each cutoff reads its own blocks' values.
+    # One values-only SVD per slab.
     slabs = zip(np.split(flat, start[first[1:]]), count, widths)
     values = np.concatenate(
         [np.linalg.svd(s.reshape(n, -1, w), compute_uv=False).ravel() for s, n, w in slabs]
     )
-    owner = np.repeat(cutoff, cols)
-    return [values[owner == c] for c in cutoffs]
+    return values, np.repeat(order, cols)
+
+
+def _least_per_block(values: np.ndarray, block: np.ndarray, count: int) -> np.ndarray:
+    # The least value of each block 0..count-1, a NaN kept: one reduction,
+    # which unlike np.minimum.at raises no floating-point warning on a NaN.
+    order = np.argsort(block, kind="stable")
+    return np.minimum.reduceat(values[order], np.searchsorted(block[order], np.arange(count)))
 
 
 def nogo_joint_kernel(theta: float, cutoffs: Sequence[int]) -> NoGoReport:
@@ -142,11 +190,13 @@ def nogo_joint_kernel(theta: float, cutoffs: Sequence[int]) -> NoGoReport:
     keeping every output ``N <= c + 1`` (module docstring), so each minimum
     lies at or above `closed_form_floor` and the minima do not increase;
     the computed values keep this to within a few ``eps * sigma_max``.
-    One values-only SVD per block column count serves the whole sweep.  The
-    kernel dimension estimate counts singular values below the module
-    constant ``KERNEL_TOL = 1e-8`` at the largest cutoff.  Because the scan
-    is done at finite truncation, a nonzero floor is reported as evidence
-    (min singular value not decaying with cutoff), never as a proof.
+    Sector 0 of every cutoff is factored first, and then, in one more call,
+    only the sectors whose Williamson bound does not rule them out (module
+    docstring, Two passes).  The kernel dimension estimate counts singular
+    values below the module constant ``KERNEL_TOL = 1e-8`` at the largest
+    cutoff.  Because the scan is done at finite truncation, a nonzero floor
+    is reported as evidence (min singular value not decaying with cutoff),
+    never as a proof.
     Requires a finite ``theta``, zero or with a floor of at least
     `MIN_FLOOR`, and strictly increasing integer cutoffs of at least 2; a
     float or a bool is refused, not truncated.
@@ -169,10 +219,26 @@ def nogo_joint_kernel(theta: float, cutoffs: Sequence[int]) -> NoGoReport:
     if any(b <= a for a, b in zip(cutoffs, cutoffs[1:])):
         raise ValueError(f"cutoffs must be strictly increasing, got {cutoffs}")
 
-    svals = _sweep_singular_values(theta, cutoffs)
+    # Pass 1: sector 0 of every cutoff, block i at cutoffs[i].
+    top = np.array(cutoffs)
+    values, owner = _block_singular_values(theta, top, np.zeros_like(top))
+    least = _least_per_block(values, owner, top.size)
+    # Pass 2: each sector m != 0 of cutoffs[i] whose bound LB_m, less the SVD's
+    # error margin, does not clear both least[i] and KERNEL_TOL; a NaN clears
+    # nothing.  A sector left out holds neither the minimum nor a value below
+    # KERNEL_TOL (module docstring).
+    margin = _SVD_ERROR * (2.0 + abs(theta)) * np.sqrt(top + 1.0)
+    bound = _sector_bounds(theta, cutoffs[-1])[1:] - margin[:, None]
+    clears = bound > np.maximum(least, KERNEL_TOL)[:, None]
+    i, k = np.nonzero(~clears & (np.arange(cutoffs[-1]) < top[:, None]))
+    if i.size:
+        i = np.tile(i, 2)
+        more, block = _block_singular_values(theta, top[i], np.concatenate([k + 1, -k - 1]))
+        values, owner = np.concatenate([values, more]), np.concatenate([owner, i[block]])
+        least = _least_per_block(values, owner, top.size)
     return NoGoReport(
         theta=theta,
         cutoffs=tuple(cutoffs),
-        min_singular_values=tuple(float(s.min()) for s in svals),
-        kernel_dimension_estimate=int(np.sum(svals[-1] < KERNEL_TOL)),
+        min_singular_values=tuple(least.tolist()),
+        kernel_dimension_estimate=int(np.sum(values[owner == top.size - 1] < KERNEL_TOL)),
     )

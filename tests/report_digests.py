@@ -21,7 +21,8 @@ and 0.7, and `gram` and `block` at a negative real γ; `bicoherent` and
 `nogo` across their parameters, refused ones and odd quadrature orders (a
 node at 0) included, and every family, dressing and symbol of the
 benchmark's `cli` workload; the largest reports written by ``--out``; and θ
-down to a subnormal 1e-309.  A diff of two trees then shows any report at
+from a subnormal 1e-309 up to 1e6, where a sweep factors the sectors that
+the Williamson bound leaves in.  A diff of two trees then shows any report at
 a rotated γ that moves.
 """
 
@@ -130,6 +131,9 @@ NOGO = [
     for theta in (
         "0", "0.5", "-0.5", "1.7", "1.9", "2", "-2", "2.5", "-4", "10", "1e-9", "-1e-9",
         "inf", "nan", "1e-309", "1e-305", "1e-300", "1e-290",
+        # The creation regime, where a sweep's second pass factors the
+        # sectors that the Williamson bound leaves in, with wide margins.
+        "4.5", "30", "-100", "1e4", "1e6",
     )
     for cutoffs in (
         None, "2", "3 4", "4 8", "3 5 9", "3 5 7 9", "5 9 13 17", "8 4", "16 24 32",

@@ -12,11 +12,13 @@ from oracles import (
     triangle_vacuum_conditions,
     williamson_ladder,
 )
+from pseudofermion import fock
 from pseudofermion.cli import main, run_nogo
 from pseudofermion.fock import (
     KERNEL_TOL,
     MIN_FLOOR,
-    _sweep_singular_values,
+    _block_singular_values,
+    _sector_bounds,
     closed_form_floor,
     nogo_joint_kernel,
 )
@@ -26,6 +28,30 @@ SUITE_THETAS = (
     0.0, 1e-9, -1e-9, 1e-3, -1e-3, 0.1, -0.1, 0.3, 0.5, -0.5, -0.7, 1.0, 1.9, -1.9,
     2.0, -2.0, 2.5, -2.5, 4.0, -4.0, 4.5, -4.5,
 )
+
+
+# The scan's thetas and some far into the creation regime, where the second
+# pass runs and its error margins are wide.
+BOUND_THETAS = (*SUITE_THETAS, 10.0, -30.0, 100.0, 1e4, 1e6)
+
+SWEEPS = (list(range(2, 33)), [2, 3, 5, 8, 13, 21, 32])
+
+EPS = np.finfo(float).eps
+
+
+def all_blocks(cutoffs):
+    # every sector -c..c of every cutoff c, as the block routine takes them
+    cutoff = np.repeat(cutoffs, [2 * c + 1 for c in cutoffs])
+    sector = np.concatenate([np.arange(-c, c + 1) for c in cutoffs])
+    return cutoff, sector
+
+
+def all_sector_values(theta, cutoffs):
+    # every singular value of the stack at each cutoff of the sweep, from one
+    # call of the block routine on all 2c + 1 sectors of every cutoff
+    cutoff, sector = all_blocks(cutoffs)
+    values, block = _block_singular_values(theta, cutoff, sector)
+    return [values[cutoff[block] == c] for c in cutoffs]
 
 
 def ladder_floor(theta):
@@ -38,7 +64,7 @@ def assert_matches_dense_stack(theta, cutoffs):
     # only the smallest, against the dense complex SVD of the truncated stack,
     # to a backward-stable bound; the report's minima and kernel count too.
     report = nogo_joint_kernel(theta, cutoffs)
-    sweep = _sweep_singular_values(theta, cutoffs)
+    sweep = all_sector_values(theta, cutoffs)
     assert len(sweep) == len(cutoffs)
     for cutoff, values, minimum in zip(cutoffs, sweep, report.min_singular_values):
         dense = np.sort(np.linalg.svd(triangle_vacuum_conditions(theta, cutoff), compute_uv=False))
@@ -233,7 +259,7 @@ class TestJointKernelScan:
     def test_lowest_values_match_williamson_ladder(self, theta):
         # at cutoff 64 the ten smallest singular values meet the closed-form
         # spectrum of the untruncated stack
-        lowest = np.sort(_sweep_singular_values(theta, [64])[0])[:10]
+        lowest = np.sort(all_sector_values(theta, [64])[0])[:10]
         assert np.max(np.abs(lowest - williamson_ladder(theta, 10))) <= 1e-13
 
     @pytest.mark.parametrize("theta", [*SUITE_THETAS, 1e-150, 30.0, -1e4, 1e6, 1e300, -1e300])
@@ -344,3 +370,67 @@ class TestJointKernelScan:
         # the kernel dimension counts singular values below KERNEL_TOL only
         with pytest.raises(TypeError):
             nogo_joint_kernel(0.3, [4], kernel_tol=10.0)
+
+
+class TestSectorBound:
+    """The Williamson bound on each sector, and the two passes it lets a sweep make."""
+
+    @pytest.mark.parametrize("theta", BOUND_THETAS)
+    def test_bound_holds_on_every_block(self, theta):
+        # Courant-Fischer on the sector: each block's least computed value is
+        # at or above LB_m, to the SVD's 32 eps sigma_max
+        cutoff, sector = all_blocks(list(range(2, 33)))
+        values, block = _block_singular_values(theta, cutoff, sector)
+        least, largest = np.full(cutoff.size, np.inf), np.zeros(cutoff.size)
+        np.minimum.at(least, block, values)
+        np.maximum.at(largest, block, values)
+        bound = _sector_bounds(theta, 32)[np.abs(sector)]
+        assert np.all(least >= bound - 32 * EPS * largest)
+
+    @pytest.mark.parametrize("theta", SUITE_THETAS)
+    def test_bound_is_met_on_the_sign_of_theta(self, theta):
+        # at cutoff 64 the sectors |m| <= 2 whose sign is theta's reach LB_m
+        sector = np.array([m for m in (-2, -1, 0, 1, 2) if m * theta >= 0])
+        values, block = _block_singular_values(theta, np.full(sector.size, 64), sector)
+        least = np.array([values[block == i].min() for i in range(sector.size)])
+        assert np.max(np.abs(least - _sector_bounds(theta, 2)[np.abs(sector)])) <= 1e-12
+
+    @pytest.mark.parametrize("cutoffs", SWEEPS)
+    @pytest.mark.parametrize("theta", BOUND_THETAS)
+    def test_pruned_report_equals_all_sectors(self, theta, cutoffs):
+        # a skipped sector holds neither a minimum nor a value below KERNEL_TOL
+        sweep = all_sector_values(theta, cutoffs)
+        report = nogo_joint_kernel(theta, cutoffs)
+        assert report.min_singular_values == tuple(float(values.min()) for values in sweep)
+        assert report.kernel_dimension_estimate == int(np.sum(sweep[-1] < KERNEL_TOL))
+
+    @staticmethod
+    def factored_blocks(monkeypatch, theta, cutoffs):
+        # the number of blocks of each call of the block routine in one sweep
+        calls, block_values = [], fock._block_singular_values
+
+        def counting(theta, cutoff, sector):
+            calls.append(cutoff.size)
+            return block_values(theta, cutoff, sector)
+
+        monkeypatch.setattr(fock, "_block_singular_values", counting)
+        nogo_joint_kernel(theta, cutoffs)
+        return calls
+
+    def test_second_pass_runs_in_the_creation_regime(self, monkeypatch):
+        calls = self.factored_blocks(monkeypatch, 10.0, [2, 5, 9])
+        assert len(calls) == 2 and calls[0] == 3 and calls[1] > 0
+
+    @pytest.mark.parametrize("cutoffs", SWEEPS)
+    @pytest.mark.parametrize("theta", [t for t in SUITE_THETAS if abs(t) <= 4.0])
+    def test_one_block_per_cutoff_up_to_theta_4(self, monkeypatch, theta, cutoffs):
+        assert self.factored_blocks(monkeypatch, theta, cutoffs) == [len(cutoffs)]
+
+    def test_first_excited_bound_exceeds_one(self):
+        # sigma_inf^2 + w- >= 1 (least 1.464, near |theta| = 1.15): at every
+        # theta the untruncated stack holds at most one value below
+        # KERNEL_TOL, and LB_1 is finite, with no overflow from 1e-300 to 1e300
+        for theta in np.concatenate([np.logspace(-300, 300, 6001), -np.logspace(-300, 300, 6001)]):
+            bound = _sector_bounds(theta, 1)
+            assert np.all(np.isfinite(bound)), theta
+            assert bound[1] ** 2 >= 1.0, theta
