@@ -19,6 +19,7 @@ import numpy as np
 
 from .blocks import (
     BlockSystem,
+    _ladder_shifts,
     build_block_system,
     max_abs,
     realize_basis_cholesky,
@@ -94,17 +95,16 @@ def assemble(gamma: complex, max_level: int) -> GlobalOperators:
     for core in cores:
         a, b, h, e, n_op, s_e = (
             core[k] for k in ("a", "b", "h_matrix", "e_matrix", "N", "S_e"))
-        dim = len(h)
-        down = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+        (h_down, h_up), (e_down, e_up) = _ladder_shifts(h), _ladder_shifts(e)
         norm_h, norm_e = max_abs(h), max_abs(e)
         action = max(
             action,
-            relative_residual(a @ h - h @ down, norm_a, norm_h),
-            relative_residual(b @ h - h @ down.T, norm_b, norm_h),
-            relative_residual(a.conj().T @ e - e @ down.T, norm_a, norm_e),
-            relative_residual(b.conj().T @ e - e @ down, norm_b, norm_e),
+            relative_residual(a @ h - h_down, norm_a, norm_h),
+            relative_residual(b @ h - h_up, norm_b, norm_h),
+            relative_residual(a.conj().T @ e - e_up, norm_a, norm_e),
+            relative_residual(b.conj().T @ e - e_down, norm_b, norm_e),
         )
-        resolution = max(resolution, max_abs(e @ h.conj().T - np.eye(dim)))
+        resolution = max(resolution, max_abs(e @ h.conj().T - np.eye(len(h))))
         intertwining = max(intertwining, max_abs((s_e @ n_op - n_op.conj().T @ s_e) @ h))
     # S_h = h h^+ and S_e = S_h^-1: their norms are powers of the extreme singular values of h.
     top, least = (np.array([core["sigma_h"][end] for core in cores]) for end in (0, -1))

@@ -22,12 +22,14 @@ Error model: a Cholesky level at ``gamma`` is built and certified once, at
 ``|gamma|``.  The positivity gate reads the exact least Gram eigenvalue
 ``(1 - |gamma|)^M``, and every check of `verify_block_system` runs on that
 core, in float64 from ``N = b a`` on, so the level's residuals and verdicts
-depend on ``(|gamma|, M)`` alone.  The roots of ``S_e`` come from one SVD of
-``h``, never from the formed ``S_e``, so `PositivityError` comes only from
-the gate or from an ``h`` singular in float64.  Each matrix read at
-``gamma``, like the Gram block, is the core times the weights ``gamma^d /
-|gamma|^d`` of `overlaps.phase_gauge`: 30 eps from exact, and exactly ``+-1``
-at ``gamma < 0``.
+depend on ``(|gamma|, M)`` alone.  The ladder and spectrum identities read
+``x D``, ``x D^+`` (``D`` the ``sqrt(k)`` shift) and ``x diag(0..M)`` as
+shifted, scaled columns, bit for bit the dense products.  The roots of
+``S_e`` come from one SVD of ``h``, never from the formed ``S_e``, so
+`PositivityError` comes only from the gate or from an ``h`` singular in
+float64.  Each matrix read at ``gamma``, like the Gram block, is the core
+times the weights ``gamma^d / |gamma|^d`` of `overlaps.phase_gauge`: 30 eps
+from exact, and exactly ``+-1`` at ``gamma < 0``.
 """
 
 from __future__ import annotations
@@ -230,14 +232,13 @@ def fixture_basis(level: int, gamma: float) -> BlockBasis:
     return BlockBasis(level, h(gamma), e(gamma))
 
 
-def _ladders(h: np.ndarray, e: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    # a = (H D) E^+ and b = (H D^+) E^+, the mixed dyads sum sqrt(k)
-    # |h_(k-1)><e_k| and sum sqrt(k+1) |h_(k+1)><e_k|: H D is H with its
-    # columns shifted right by one and scaled by sqrt(k), H D^+ shifted left.
-    root = np.sqrt(np.arange(1, len(h)))
-    shifted = np.zeros((2, *h.shape), dtype=h.dtype)
-    shifted[0, :, 1:], shifted[1, :, :-1] = h[:, :-1] * root, h[:, 1:] * root
-    return tuple(shifted @ e.conj().T)
+def _ladder_shifts(x: np.ndarray) -> np.ndarray:
+    # x D and x D^+ stacked, D the sqrt(k) superdiagonal: the columns of x
+    # shifted right (left) by one and scaled by sqrt(k), bit for bit.
+    root = np.sqrt(np.arange(1, len(x)))
+    shifted = np.zeros((2, *x.shape), dtype=x.dtype)
+    shifted[0, :, 1:], shifted[1, :, :-1] = x[:, :-1] * root, x[:, 1:] * root
+    return shifted
 
 
 def dual_basis_by_kernel(h_matrix: np.ndarray, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -292,7 +293,8 @@ def build_block_system(basis: BlockBasis) -> BlockSystem:
     that value is below the smallest normal number, whose reciprocal overflows.
     """
     h, e = basis.core["h_matrix"], basis.core["e_matrix"]
-    a, b = _ladders(h, e)
+    # a = (h D) e^+ and b = (h D^+) e^+: sum sqrt(k) |h_(k-1)><e_k| and its mirror.
+    a, b = _ladder_shifts(h) @ e.conj().T
     if not (h.imag.any() or e.imag.any()):
         h, e, a, b = (np.ascontiguousarray(m.real) for m in (h, e, a, b))
     n_op = b @ a
@@ -324,8 +326,8 @@ def verify_block_system(system: BlockSystem) -> dict[str, float]:
         "sqrt_S_e", "inv_sqrt_S_e", "n_selfadjoint", "c_matrix", "anticommutator", "mixed"))
     dim = system.basis.dim
     eye = np.eye(dim)
-    ladder = np.diag(np.arange(dim, dtype=float))
-    d_down = np.diag(np.sqrt(np.arange(1.0, dim)), 1)
+    h_down, h_up = _ladder_shifts(h)
+    k = np.arange(dim, dtype=float)
 
     nil_a = np.linalg.matrix_power(a, dim)
     nil_b = np.linalg.matrix_power(b, dim)
@@ -340,12 +342,10 @@ def verify_block_system(system: BlockSystem) -> dict[str, float]:
         "nilpotency_a": relative_residual(nil_a, *([na] * dim)),
         "nilpotency_b": relative_residual(nil_b, *([nb] * dim)),
         "biorthonormality": relative_residual(e.conj().T @ h - eye, ne, nh),
-        "ladder_action_a": relative_residual(a @ h - h @ d_down, na, nh),
-        "ladder_action_b": relative_residual(b @ h - h @ d_down.T, nb, nh),
-        "spectrum_N": relative_residual(n_op @ h - h @ ladder, nn, nh),
-        "spectrum_N_adjoint": relative_residual(
-            n_op.conj().T @ e - e @ ladder, nn, ne
-        ),
+        "ladder_action_a": relative_residual(a @ h - h_down, na, nh),
+        "ladder_action_b": relative_residual(b @ h - h_up, nb, nh),
+        "spectrum_N": relative_residual(n_op @ h - h * k, nn, nh),
+        "spectrum_N_adjoint": relative_residual(n_op.conj().T @ e - e * k, nn, ne),
         "inverse_pair": relative_residual(s_h @ s_e - eye, ns_h, ns_e),
         "intertwining_e": relative_residual(s_e @ n_op - n_op.conj().T @ s_e, ns_e, nn),
         "intertwining_h": relative_residual(n_op @ s_h - s_h @ n_op.conj().T, ns_h, nn),
@@ -355,10 +355,8 @@ def verify_block_system(system: BlockSystem) -> dict[str, float]:
         "resolution_he": relative_residual(h @ e.conj().T - eye, nh, ne),
         "sqrt_consistency": relative_residual(root @ root - s_e, nroot, nroot),
         "n_hermiticity": relative_residual(herm - herm.conj().T, nroot, nn, ninv),
-        "n_spectrum": relative_residual(
-            eig_n - np.arange(dim, dtype=float), nroot, nn, ninv
-        ),
-        "n_eigenbasis": relative_residual(herm @ c - c @ ladder, nherm, nc),
+        "n_spectrum": relative_residual(eig_n - k, nroot, nn, ninv),
+        "n_eigenbasis": relative_residual(herm @ c - c * k, nherm, nc),
         # c is formed as sqrt_S_e @ h, so its backward error scales with
         # that factor product, not with the O(1) entries of c itself.
         "c_orthonormality": relative_residual(c.conj().T @ c - eye, nroot, nh, nroot, nh),

@@ -24,7 +24,7 @@ from __future__ import annotations
 import ast
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -52,7 +52,7 @@ from .blocks import (
     verify_block_system,
 )
 from .fock import KERNEL_TOL, closed_form_floor, nogo_joint_kernel
-from .overlaps import gram_block
+from .overlaps import GramBlock, gram_block
 
 SCHEMA_VERSION = "pfl-2"
 
@@ -244,9 +244,10 @@ def _checks(residuals: dict, prefix: str = "") -> list:
 
 
 def run_gram(gamma: complex, level: int) -> ReportDocument:
-    gram = gram_block(level, gamma).matrix
+    block = gram_block(level, gamma)
+    gram, core = block.matrix, GramBlock(level, abs(gamma), block.core_factor).matrix
     # From the |gamma| matrix: the gauge at gamma is unitary and moves no eigenvalue.
-    min_eig = float(np.linalg.eigvalsh(gram_block(level, abs(gamma)).matrix)[0])
+    min_eig = float(np.linalg.eigvalsh(core)[0])
     checks = [
         Check("gram_hermitian", relative_residual(gram - gram.conj().T, gram), EQUALITY_TOL),
         Check("gram_positive_definite", max(0.0, POSITIVITY_TOL - min_eig), 0.0),

@@ -48,7 +48,7 @@ from pseudofermion.blocks import (
     BlockBasis,
     DeformedLevelOperators,
     PositivityError,
-    _ladders,
+    _ladder_shifts,
     max_abs,
     relative_residual,
 )
@@ -373,7 +373,7 @@ def synthesize_ladders(basis: BlockBasis) -> tuple[np.ndarray, np.ndarray]:
     ``b h_k = sqrt(k+1) h_{k+1}`` with ``a h_0 = b h_M = 0``.  ``H^-1`` is
     read as ``E^+``, which `BlockBasis` holds to be the inverse.
     """
-    a, b = _ladders(basis.core["h_matrix"], basis.core["e_matrix"])
+    a, b = _ladder_shifts(basis.core["h_matrix"]) @ basis.core["e_matrix"].conj().T
     return phase_gauge(a, basis.gamma, -1), phase_gauge(b, basis.gamma, 1)
 
 

@@ -10,6 +10,7 @@ from pseudofermion.blocks import (
     EQUALITY_TOL,
     BlockBasis,
     PositivityError,
+    _ladder_shifts,
     anticommutator_reference,
     build_block_system,
     deformed_number_operators,
@@ -29,7 +30,7 @@ from oracles import (
     sym_power,
     synthesize_ladders,
 )
-from pseudofermion.overlaps import LEVEL_CAP, NCBosonParams, gram_block, sym_powers
+from pseudofermion.overlaps import LEVEL_CAP, NCBosonParams, gram_block, phase_gauge, sym_powers
 from envelope_summary import ENVELOPE, outcome, relative_error
 from test_overlaps import coefficient_matrix
 
@@ -169,6 +170,33 @@ class TestLadders:
             np.testing.assert_allclose(a @ h[:, k], down, atol=1e-12, rtol=0)
             up = math.sqrt(k + 1) * h[:, k + 1] if k < 4 else np.zeros(5)
             np.testing.assert_allclose(b @ h[:, k], up, atol=1e-12, rtol=0)
+
+
+def assert_shifts_are_products(x):
+    # x D and x D^+ by the helper, bit for bit the products with the dense D.
+    d = np.diag(np.sqrt(np.arange(1.0, len(x))), 1)
+    down, up = _ladder_shifts(x)
+    assert np.array_equal(down, x @ d) and np.array_equal(up, x @ d.T)
+
+
+class TestLadderShifts:
+    @pytest.mark.parametrize("modulus", [0.3, 0.7])
+    @pytest.mark.parametrize("phase", [0.0, 0.7])
+    def test_cores_of_every_level(self, modulus, phase):
+        # Every level, the gate's refusals included: e is the inverse adjoint
+        # that realize_basis_cholesky forms.  At phase 0.7 they are complex.
+        gamma = modulus * complex(math.cos(phase), math.sin(phase))
+        for level in range(LEVEL_CAP + 1):
+            h = gram_block(level, modulus).core_factor
+            e = np.conj(np.linalg.inv(h).T, order="C")
+            assert_shifts_are_products(phase_gauge(h, gamma))
+            assert_shifts_are_products(phase_gauge(e, gamma))
+
+    def test_complex_fixture_pairs(self):
+        for h, e in ((fixtures.fixture_h_m1, fixtures.fixture_e_m1),
+                     (fixtures.fixture_h_m2, fixtures.fixture_e_m2)):
+            assert_shifts_are_products(h(0.3))
+            assert_shifts_are_products(e(0.3))
 
 
 class TestDualByKernel:
