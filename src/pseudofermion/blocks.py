@@ -302,7 +302,7 @@ def build_block_system(basis: BlockBasis) -> BlockSystem:
     if not sigma[-1] >= np.finfo(float).tiny:
         raise PositivityError(f"primal family h is singular: least singular value {sigma[-1]:.3e}")
     root, inv_root = (u / sigma) @ u.conj().T, (u * sigma) @ u.conj().T
-    anti = a @ b + b @ a
+    anti = a @ b + n_op
     core = dict(
         h_matrix=h, e_matrix=e, a=a, b=b, N=n_op, S_h=h @ h.conj().T, S_e=e @ e.conj().T,
         sqrt_S_e=root, inv_sqrt_S_e=inv_root, sigma_h=sigma,
@@ -329,9 +329,8 @@ def verify_block_system(system: BlockSystem) -> dict[str, float]:
     h_down, h_up = _ladder_shifts(h)
     k = np.arange(dim, dtype=float)
 
-    nil_a = np.linalg.matrix_power(a, dim)
-    nil_b = np.linalg.matrix_power(b, dim)
-    eig_n = np.sort(np.linalg.eigvalsh(herm))
+    nil_a, nil_b = np.linalg.matrix_power(np.stack((a, b)), dim)
+    eig_n = np.linalg.eigvalsh(herm)  # ascending, as numpy returns them
 
     # Each factor's max-norm is taken once and passed on as a float.
     na, nb, nh, ne, nn = (max_abs(m) for m in (a, b, h, e, n_op))
@@ -361,7 +360,7 @@ def verify_block_system(system: BlockSystem) -> dict[str, float]:
         # that factor product, not with the O(1) entries of c itself.
         "c_orthonormality": relative_residual(c.conj().T @ c - eye, nroot, nh, nroot, nh),
         "anticommutator_offdiag": relative_residual(
-            mixed - np.diag(np.real(np.diag(mixed))), ne, nanti, nh
+            mixed - np.diag(system.anticommutator_diagonal), ne, nanti, nh
         ),
         "anticommutator_values": relative_residual(
             system.anticommutator_diagonal - anticommutator_reference(system.level),

@@ -52,7 +52,7 @@ from .blocks import (
     verify_block_system,
 )
 from .fock import KERNEL_TOL, closed_form_floor, nogo_joint_kernel
-from .overlaps import GramBlock, gram_block
+from .overlaps import GramBlock, gram_block, phase_gauge
 
 SCHEMA_VERSION = "pfl-2"
 
@@ -245,9 +245,9 @@ def _checks(residuals: dict, prefix: str = "") -> list:
 
 def run_gram(gamma: complex, level: int) -> ReportDocument:
     block = gram_block(level, gamma)
-    gram, core = block.matrix, GramBlock(level, abs(gamma), block.core_factor).matrix
-    # From the |gamma| matrix: the gauge at gamma is unitary and moves no eigenvalue.
-    min_eig = float(np.linalg.eigvalsh(core)[0])
+    # Formed once, at |gamma|; the gauge at gamma is unitary and moves no eigenvalue.
+    core = GramBlock(level, abs(gamma), block.core_factor).matrix
+    gram, min_eig = phase_gauge(core, block.gamma), float(np.linalg.eigvalsh(core)[0])
     checks = [
         Check("gram_hermitian", relative_residual(gram - gram.conj().T, gram), EQUALITY_TOL),
         Check("gram_positive_definite", max(0.0, POSITIVITY_TOL - min_eig), 0.0),

@@ -228,11 +228,10 @@ def gram_block(level: int, gamma: complex) -> GramBlock:
     """
     _check_level(level)
     gamma = complex(gamma)
-    NCBosonParams.from_gamma(gamma)  # refuses |gamma| >= 1 and NaN
-    # C(j, i) vanishes below the diagonal, which zeroes the lower triangle;
-    # the clipped offset only keeps the other indices in range there.  One
-    # power per exponent, gathered over the offsets.
-    s = math.sqrt(1.0 - abs(gamma) ** 2)
+    # s from the canonical pair, which refuses |gamma| >= 1 and NaN.  C(j, i) is
+    # zero below the diagonal, zeroing the lower triangle, where the clipped offset
+    # only keeps indices in range.  One power per exponent, gathered over offsets.
+    s = NCBosonParams.from_gamma(gamma).beta_y.real
     k = np.arange(level + 1)
     rows, cols = k[:, None], k[None, :]
     offset = np.maximum(cols - rows, 0)

@@ -13,7 +13,8 @@ level core, and the script prints:
   their closed forms ``Sym^M(U)`` and ``Sym^M(P)`` (`oracles.cholesky_polar`),
   relative to max(1, largest entry).
 
-It is informational and gates nothing:
+The script is informational and gates nothing; the flip list is pinned in
+tier-1 by `test_blocks.py::TestOneUlpFlips`.  Run it with:
 
     PYTHONPATH=src python3 tests/envelope_summary.py
 """
@@ -58,8 +59,14 @@ def verdict(result) -> tuple:
     return detail if system is not None else detail.partition(":")[0]
 
 
+def flips(r: float, m: int, result) -> bool:
+    """Whether the outcome ``result`` at (r, m) changes when |γ| moves by one ulp either way."""
+    neighbours = (math.nextafter(r, 0.0), math.nextafter(r, 1.0))
+    return any(verdict(outcome(q, m)) != verdict(result) for q in neighbours)
+
+
 def main() -> None:
-    counts, refusals, first, flips = Counter(), Counter(), Counter(), []
+    counts, refusals, first, flipping = Counter(), Counter(), Counter(), []
     worst = {"c_matrix": (0.0, None), "sqrt_S_e": (0.0, None)}
     wrong = Counter()
     for r, m in ENVELOPE:
@@ -77,9 +84,8 @@ def main() -> None:
                 err = relative_error(system.core[name], sym_power(t, m))
                 wrong[name] += err > 1e-11
                 worst[name] = max(worst[name], (err, (r, m)), key=lambda item: item[0])
-        neighbours = (math.nextafter(r, 0.0), math.nextafter(r, 1.0))
-        if any(verdict(outcome(q, m)) != verdict((system, detail)) for q in neighbours):
-            flips.append((r, m))
+        if flips(r, m, (system, detail)):
+            flipping.append((r, m))
 
     print(f"envelope: |gamma| 0.1 .. 0.9 x M 1 .. {LEVEL_CAP} at phase 0, {len(ENVELOPE)} points")
     print(", ".join(f"{key} {counts[key]}" for key in ("certified", "refused", "failing")))
@@ -87,7 +93,7 @@ def main() -> None:
         print(f"  refused {count}: {message}")
     for name, count in first.most_common():
         print(f"  first failing check {name}: {count}")
-    print(f"one-ulp flips of |gamma|: {len(flips)}: {', '.join(map(str, flips))}")
+    print(f"one-ulp flips of |gamma|: {len(flipping)}: {', '.join(map(str, flipping))}")
     for name, (err, point) in worst.items():
         print(f"certified {name} against its closed form: worst {err:.2e} at {point}, "
               f"{wrong[name]} points above 1e-11")

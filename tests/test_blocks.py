@@ -31,7 +31,7 @@ from oracles import (
     synthesize_ladders,
 )
 from pseudofermion.overlaps import LEVEL_CAP, NCBosonParams, gram_block, phase_gauge, sym_powers
-from envelope_summary import ENVELOPE, outcome, relative_error
+from envelope_summary import ENVELOPE, flips, outcome, relative_error
 from test_overlaps import coefficient_matrix
 
 GAMMA_GRID = [0.0, 0.1, 0.5, 0.9, 0.5 + 0.3j]
@@ -314,6 +314,17 @@ class TestForwardError:
         else:
             assert forward_error(system, ref, "c_matrix") <= 1e-11
 
+    # The certified points with the worst n: 5.5e-11 at (0.4, 25) and 3.2e-11
+    # at (0.7, 16), where a, c and sqrt_S_e are within 1.2e-12.
+    @pytest.mark.parametrize("gamma, level", [(0.4, 25), (0.7, 16)])
+    def test_certified_points_carry_accurate_matrices(self, gamma, level):
+        system = cholesky_system(level, gamma)
+        residuals = verify_block_system(system)
+        assert max(residuals.values()) <= EQUALITY_TOL, residuals
+        ref = mpmath_reference(complex(gamma), level)
+        for key in ("a", "c_matrix", "n_selfadjoint", "sqrt_S_e"):
+            assert forward_error(system, ref, key) <= 1e-10, key
+
 
 def mpmath_least_gram_eigenvalue(gamma: complex, level: int) -> float:
     """Least eigenvalue of the level Gram matrix ``R^+ R``, in 50 digits.
@@ -381,6 +392,16 @@ class TestSingularValueRoots:
         message = r"h is singular: least singular value 0\.000e\+00"
         with pytest.raises(PositivityError, match=message):
             build_block_system(basis)
+
+
+class TestOneUlpFlips:
+    def test_flipping_points_of_the_envelope(self):
+        # The envelope points whose refusal or set of failing checks changes
+        # when |gamma| moves by one ulp either way: the residuals of these
+        # checks sit on EQUALITY_TOL there.
+        flipping = [(r, m) for r, m in ENVELOPE if flips(r, m, outcome(r, m))]
+        assert flipping == [(0.4, 26), (0.5, 21), (0.6, 18), *((0.6, m) for m in range(26, 31)),
+                            (0.8, 14), (0.9, 12)]
 
 
 class TestBlockSystem:
@@ -536,6 +557,11 @@ def reference_suite(core, diagonal, level):
     }
 
 
+def assert_matches_reference_suite(system):
+    reference = reference_suite(system.core, system.anticommutator_diagonal, system.level)
+    assert verify_block_system(system) == reference
+
+
 class TestSuiteNormsTakenOnce:
     # (0.7, 20) and (0.5, 26) fail some checks: failing residuals must
     # keep their exact values too.
@@ -545,9 +571,22 @@ class TestSuiteNormsTakenOnce:
          (0.7, 20), (0.5, 26)],
     )
     def test_matches_per_check_norms_bitwise(self, gamma, level):
-        system = cholesky_system(level, gamma)
-        reference = reference_suite(system.core, system.anticommutator_diagonal, level)
-        assert verify_block_system(system) == reference
+        assert_matches_reference_suite(cholesky_system(level, gamma))
+
+    # Complex cores off the Cholesky path: the stacked nilpotency power and
+    # the unsorted spectrum must agree with the per-matrix oracle there too.
+    @pytest.mark.parametrize("level", [1, 2])
+    @pytest.mark.parametrize("gamma", [1e-3, 0.4])
+    def test_fixture_cores_match_bitwise(self, level, gamma):
+        assert_matches_reference_suite(build_block_system(fixture_basis(level, gamma)))
+
+    @pytest.mark.parametrize("seed, level", list(enumerate((1, 3, 6))))
+    def test_random_complex_pairs_match_bitwise(self, seed, level):
+        # A seeded, well-conditioned complex h and its inverse adjoint.
+        rng = np.random.default_rng(seed)
+        dim = level + 1
+        h = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)) + 3.0 * np.eye(dim)
+        assert_matches_reference_suite(build_block_system(basis_from_h(level, h)))
 
     @pytest.mark.parametrize("level", [1, 20, 30])
     def test_one_norm_per_factor(self, level, monkeypatch):
