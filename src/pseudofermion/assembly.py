@@ -13,8 +13,6 @@ of each level's ``h``, and nothing here is factored.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .blocks import (
@@ -25,11 +23,10 @@ from .blocks import (
     realize_basis_cholesky,
     relative_residual,
 )
-from .overlaps import _check_level, gram_block
+from .overlaps import _check_level, _Record, gram_block
 
 
-@dataclass(frozen=True)
-class GlobalOperators:
+class GlobalOperators(_Record):
     """Direct-sum ladder system over levels ``0 .. max_level`` and its certificate.
 
     ``block_systems[M]`` holds the level-``M`` operators; they act on the
@@ -44,16 +41,16 @@ class GlobalOperators:
     level block of ``S_h`` and ``S_e``.
     """
 
-    max_level: int
-    gamma: complex
-    block_systems: tuple[BlockSystem, ...]
-    offsets: tuple[int, ...]
-    action_residual: float
-    resolution_residual: float
-    intertwining_residual: float
-    s_h_block_norms: tuple[float, ...]
-    s_e_block_norms: tuple[float, ...]
-    s_h_block_conditions: tuple[float, ...]
+    def __init__(self, max_level: int, gamma: complex, block_systems: tuple[BlockSystem, ...],
+                 offsets: tuple[int, ...], action_residual: float, resolution_residual: float,
+                 intertwining_residual: float, s_h_block_norms: tuple[float, ...],
+                 s_e_block_norms: tuple[float, ...], s_h_block_conditions: tuple[float, ...]):
+        vars(self).update(
+            max_level=max_level, gamma=gamma, block_systems=block_systems, offsets=offsets,
+            action_residual=action_residual, resolution_residual=resolution_residual,
+            intertwining_residual=intertwining_residual, s_h_block_norms=s_h_block_norms,
+            s_e_block_norms=s_e_block_norms, s_h_block_conditions=s_h_block_conditions,
+        )
 
 
 def assemble(gamma: complex, max_level: int) -> GlobalOperators:

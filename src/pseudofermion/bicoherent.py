@@ -20,12 +20,12 @@ operator ``E R H^+``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
 
-from .blocks import max_abs
+from .blocks import _read_only, max_abs
+from .overlaps import _Record
 
 DEFAULT_QUAD_ORDER = 64
 
@@ -63,8 +63,7 @@ def _zero_dressing(x: np.ndarray) -> np.ndarray:
     return np.zeros_like(np.asarray(x, dtype=float))
 
 
-@dataclass(frozen=True)
-class BicoherentFamily:
+class BicoherentFamily(_Record):
     """Dressing and quadrature of a family in one bundle.
 
     The functions are the ``n_states`` orthonormal Legendre polynomials on
@@ -74,18 +73,11 @@ class BicoherentFamily:
     at the nodes, one node per row, as `build_family` validated them.
     """
 
-    n_states: int
-    alpha_fn: Callable
-    nodes: np.ndarray
-    weights: np.ndarray
-    phi_nodes: np.ndarray
-    psi_nodes: np.ndarray
-
-    def __post_init__(self):
-        for name in ("nodes", "weights", "phi_nodes", "psi_nodes"):
-            arr = np.asarray(getattr(self, name))
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+    def __init__(self, n_states: int, alpha_fn: Callable, nodes: np.ndarray,
+                 weights: np.ndarray, phi_nodes: np.ndarray, psi_nodes: np.ndarray):
+        vars(self).update(n_states=n_states, alpha_fn=alpha_fn, nodes=_read_only(nodes),
+                          weights=_read_only(weights), phi_nodes=_read_only(phi_nodes),
+                          psi_nodes=_read_only(psi_nodes))
 
 
 def _dressed_values(n_states: int, alpha_fn: Callable, xs: np.ndarray):

@@ -35,12 +35,13 @@ from exact, and exactly ``+-1`` at ``gamma < 0``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fixtures
-from .overlaps import GramBlock, NCBosonParams, _check_level, dsym, phase_gauge, sym_powers
+from .overlaps import (
+    GramBlock, NCBosonParams, _check_level, _Record, dsym, phase_gauge, sym_powers,
+)
 
 # Relative residual ceiling for equality checks; positivity is an absolute
 # eigenvalue floor.  Dense double-precision algebra at dimension <= 10.
@@ -89,8 +90,7 @@ def _worst_level(defect: np.ndarray, scale: np.ndarray) -> float:
 
 class _AtGamma:
     # A level matrix read at gamma, derived on every read from the |gamma|
-    # ``core`` through `phase_gauge`.  `BlockBasis` keywords land in the
-    # instance dict until its ``__post_init__`` moves them into the core.
+    # ``core`` through `phase_gauge`.
 
     def __init__(self, shift: int = 0):
         self.shift = shift
@@ -100,7 +100,7 @@ class _AtGamma:
 
     def __get__(self, obj, owner=None):
         if obj is None:
-            return None
+            return self
         return phase_gauge(obj.core[self.name], obj.gamma, self.shift)
 
 
@@ -110,8 +110,7 @@ def _read_only(matrix) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class BlockBasis:
+class BlockBasis(_Record):
     """A biorthogonal pair of vector families at one level.
 
     Column ``k`` of ``h_matrix`` is the primal vector ``h_k``; column ``k``
@@ -123,44 +122,41 @@ class BlockBasis:
     Given neither, or both, it raises ValueError.
     """
 
-    level: int
-    h_matrix: np.ndarray = _AtGamma()
-    e_matrix: np.ndarray = _AtGamma()
-    core: dict | None = None
-    gamma: complex = 0.0
+    h_matrix = _AtGamma()
+    e_matrix = _AtGamma()
 
-    def __post_init__(self):
-        pair = self.__dict__.pop("h_matrix", None), self.__dict__.pop("e_matrix", None)
+    def __init__(self, level: int, h_matrix: np.ndarray | None = None,
+                 e_matrix: np.ndarray | None = None, core: dict | None = None,
+                 gamma: complex = 0.0):
         given = [name for name, value in zip(("h_matrix", "e_matrix", "core", "gamma"),
-                                             (*pair, self.core, self.gamma or None))
+                                             (h_matrix, e_matrix, core, gamma or None))
                  if value is not None]
         if given not in (["h_matrix", "e_matrix"], ["core"], ["core", "gamma"]):
             raise ValueError("BlockBasis takes an h_matrix, e_matrix pair or a core at a "
                              f"gamma, got {', '.join(given) or 'neither'}")
-        if self.core is not None:
-            return
-        dim = self.level + 1
-        h, e = (np.array(m, dtype=complex) for m in pair)
-        if h.shape != (dim, dim) or e.shape != (dim, dim):
-            raise ValueError(
-                f"level {self.level} needs {dim}x{dim} matrices, "
-                f"got {h.shape} and {e.shape}"
-            )
-        defect = e.conj().T @ h - np.eye(dim)
-        if not relative_residual(defect, e, h) <= DUAL_TOL:
-            raise ValueError(
-                "families are not biorthonormal: "
-                f"max |<e_j, h_k> - delta_jk| = {max_abs(defect):.3e}"
-            )
-        object.__setattr__(self, "core", {"h_matrix": _read_only(h), "e_matrix": _read_only(e)})
+        if core is None:
+            dim = level + 1
+            h, e = np.array(h_matrix, dtype=complex), np.array(e_matrix, dtype=complex)
+            if h.shape != (dim, dim) or e.shape != (dim, dim):
+                raise ValueError(
+                    f"level {level} needs {dim}x{dim} matrices, "
+                    f"got {h.shape} and {e.shape}"
+                )
+            defect = e.conj().T @ h - np.eye(dim)
+            if not relative_residual(defect, e, h) <= DUAL_TOL:
+                raise ValueError(
+                    "families are not biorthonormal: "
+                    f"max |<e_j, h_k> - delta_jk| = {max_abs(defect):.3e}"
+                )
+            core = {"h_matrix": _read_only(h), "e_matrix": _read_only(e)}
+        vars(self).update(level=level, core=core, gamma=gamma)
 
     @property
     def dim(self) -> int:
         return self.level + 1
 
 
-@dataclass(frozen=True)
-class BlockSystem:
+class BlockSystem(_Record):
     """All level operators derived from one basis realization.
 
     ``N = b a`` satisfies ``N h_k = k h_k``; ``S_h = H H^+`` and
@@ -176,9 +172,6 @@ class BlockSystem:
     the core that `verify_block_system` certifies.
     """
 
-    basis: BlockBasis
-    core: dict
-    anticommutator_diagonal: np.ndarray
     a = _AtGamma(-1)
     b = _AtGamma(1)
     N = _AtGamma()
@@ -187,6 +180,9 @@ class BlockSystem:
     sqrt_S_e = _AtGamma()
     n_selfadjoint = _AtGamma()
     c_matrix = _AtGamma()
+
+    def __init__(self, basis: BlockBasis, core: dict, anticommutator_diagonal: np.ndarray):
+        vars(self).update(basis=basis, core=core, anticommutator_diagonal=anticommutator_diagonal)
 
     @property
     def gamma(self) -> complex:
@@ -369,8 +365,7 @@ def verify_block_system(system: BlockSystem) -> dict[str, float]:
     }
 
 
-@dataclass(frozen=True)
-class DeformedLevelOperators:
+class DeformedLevelOperators(_Record):
     """Deformed number operators restricted to one total level.
 
     Matrices are written in the orthonormal product basis of the level,
@@ -379,17 +374,11 @@ class DeformedLevelOperators:
     though ``m1`` and ``m2`` separately are non-normal.
     """
 
-    level: int
-    gamma: complex
-    m1: np.ndarray
-    m2: np.ndarray
-    h_total: np.ndarray
-    action_residual: float
-    commutator_residual: float
-
-    def __post_init__(self):
-        for name in ("m1", "m2", "h_total"):
-            object.__setattr__(self, name, _read_only(getattr(self, name)))
+    def __init__(self, level: int, gamma: complex, m1: np.ndarray, m2: np.ndarray,
+                 h_total: np.ndarray, action_residual: float, commutator_residual: float):
+        vars(self).update(level=level, gamma=gamma, m1=_read_only(m1), m2=_read_only(m2),
+                          h_total=_read_only(h_total), action_residual=action_residual,
+                          commutator_residual=commutator_residual)
 
 
 def deformed_number_operators(params: NCBosonParams, level: int) -> DeformedLevelOperators:

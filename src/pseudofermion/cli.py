@@ -5,8 +5,11 @@ joint-kernel sweep, direct-sum assembly, dressed state family, or the
 closed-form reference comparison), serializes the resulting matrices, and
 attaches a list of named checks, each carrying its residual and tolerance.
 Exit status is 0 when every check passes, 1 when any fails, and 2 for
-unusable parameters or a report that cannot be written.  Reports are
-deterministic: identical parameters yield byte-identical output.
+unusable parameters or a report that cannot be written, to its ``--out``
+path or to stdout.  Reports are deterministic: identical parameters yield
+byte-identical output.  ``pfl`` and ``python -m pseudofermion.cli`` run
+`exit_main`: once the report and stderr are flushed, the process exits
+without the interpreter's teardown.
 
 Reports are strict compact JSON, with no whitespace between tokens and no
 NaN or infinity: a report that would hold one, whether from a parameter or
@@ -23,8 +26,8 @@ from __future__ import annotations
 
 import ast
 import json
+import os
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterator, Sequence
 
@@ -52,7 +55,7 @@ from .blocks import (
     verify_block_system,
 )
 from .fock import KERNEL_TOL, closed_form_floor, nogo_joint_kernel
-from .overlaps import GramBlock, gram_block, phase_gauge
+from .overlaps import GramBlock, _Record, gram_block, phase_gauge
 
 SCHEMA_VERSION = "pfl-2"
 
@@ -89,17 +92,11 @@ def deserialize_matrix(rows: list) -> np.ndarray:
     return np.asarray(rows, dtype=float).view(complex)[..., 0]
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(_Record):
     """One named certification: passes iff ``residual <= tolerance``."""
 
-    name: str
-    residual: float
-    tolerance: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "residual", float(self.residual))
-        object.__setattr__(self, "tolerance", float(self.tolerance))
+    def __init__(self, name: str, residual: float, tolerance: float):
+        vars(self).update(name=name, residual=float(residual), tolerance=float(tolerance))
 
     @property
     def passed(self) -> bool:
@@ -114,15 +111,16 @@ class Check:
         }
 
 
-@dataclass
-class ReportDocument:
-    """Serializable record of one command invocation."""
+class ReportDocument(_Record):
+    """Serializable record of one command invocation; its fields may be reassigned."""
 
-    command: str
-    parameters: dict
-    matrices: dict
-    checks: list
-    version: str = SCHEMA_VERSION
+    __setattr__, __delattr__ = object.__setattr__, object.__delattr__
+    __hash__ = None
+
+    def __init__(self, command: str, parameters: dict, matrices: dict, checks: list,
+                 version: str = SCHEMA_VERSION):
+        vars(self).update(command=command, parameters=parameters, matrices=matrices,
+                          checks=checks, version=version)
 
     def all_pass(self) -> bool:
         return all(check.passed for check in self.checks)
@@ -500,17 +498,30 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: the {args.command} report holds a non-finite value ({exc})", file=sys.stderr)
         return 2
 
-    if args.out is None:
-        print(text)
-    else:
-        try:
+    try:
+        if args.out is None:
+            print(text)
+            sys.stdout.flush()
+        else:
             with args.out.open("w") as handle:
                 print(text, file=handle)
-        except OSError as exc:
-            print(f"error: cannot write the report to {args.out} ({exc.strerror})", file=sys.stderr)
-            return 2
+    except OSError as exc:
+        where = args.out or "stdout"
+        print(f"error: cannot write the report to {where} ({exc.strerror})", file=sys.stderr)
+        return 2
     return 0 if report.all_pass() else 1
 
 
+def exit_main() -> None:
+    """The ``pfl`` entry: `main`'s exit code through `os._exit`, with no teardown.
+
+    `main` has flushed the report; stderr is flushed here.  An exception out
+    of `main`, argparse's SystemExit included, exits the usual way.
+    """
+    code = main()
+    sys.stderr.flush()
+    os._exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    exit_main()

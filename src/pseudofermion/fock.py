@@ -95,10 +95,11 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
+
+from .overlaps import _Record
 
 # A singular value below this counts toward the kernel dimension estimate.
 KERNEL_TOL = 1e-8
@@ -118,14 +119,13 @@ def closed_form_floor(theta: float) -> float:
     return abs(theta) / math.sqrt(2.0 * (1.0 + math.hypot(1.0, theta / 2.0)))
 
 
-@dataclass(frozen=True)
-class NoGoReport:
+class NoGoReport(_Record):
     """Singular-value sweep of the stacked vacuum conditions."""
 
-    theta: float
-    cutoffs: tuple[int, ...]
-    min_singular_values: tuple[float, ...]
-    kernel_dimension_estimate: int
+    def __init__(self, theta: float, cutoffs: tuple[int, ...],
+                 min_singular_values: tuple[float, ...], kernel_dimension_estimate: int):
+        vars(self).update(theta=theta, cutoffs=cutoffs, min_singular_values=min_singular_values,
+                          kernel_dimension_estimate=kernel_dimension_estimate)
 
 
 def _sector_bounds(theta: float, cutoff: int) -> np.ndarray:

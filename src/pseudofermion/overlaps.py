@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -55,8 +54,31 @@ _BINOMIAL = np.array(
 )
 
 
-@dataclass(frozen=True)
-class NCBosonParams:
+class _Record:
+    """Fields stored once, by a subclass ``__init__`` through ``vars(self)``.
+
+    Records of one type compare equal, and hash, by their fields, and read
+    as ``Name(field=value, ...)``; assignment and deletion raise
+    AttributeError.  Plain classes: defining one generates no code.
+    """
+
+    def __setattr__(self, name, value=None):
+        raise AttributeError(f"{type(self).__name__} fields are read-only: {name!r}")
+
+    __delattr__ = __setattr__
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(vars(self).values()))
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={value!r}" for name, value in vars(self).items())
+        return f"{type(self).__qualname__}({fields})"
+
+
+class NCBosonParams(_Record):
     """Combination coefficients defining the deformed pair ``A1, A2``.
 
     ``A1 = alpha_x a_x + alpha_y a_y`` and ``A2 = beta_x a_x + beta_y a_y``
@@ -65,14 +87,9 @@ class NCBosonParams:
     coefficient vectors and is always recomputed from them.
     """
 
-    alpha_x: complex
-    alpha_y: complex
-    beta_x: complex
-    beta_y: complex
-
-    def __post_init__(self):
-        for name in ("alpha_x", "alpha_y", "beta_x", "beta_y"):
-            object.__setattr__(self, name, complex(getattr(self, name)))
+    def __init__(self, alpha_x: complex, alpha_y: complex, beta_x: complex, beta_y: complex):
+        vars(self).update(alpha_x=complex(alpha_x), alpha_y=complex(alpha_y),
+                          beta_x=complex(beta_x), beta_y=complex(beta_y))
         norm_a = abs(self.alpha_x) ** 2 + abs(self.alpha_y) ** 2
         norm_b = abs(self.beta_x) ** 2 + abs(self.beta_y) ** 2
         if not (abs(norm_a - 1.0) <= NORM_TOL and abs(norm_b - 1.0) <= NORM_TOL):
@@ -110,8 +127,7 @@ class NCBosonParams:
         )
 
 
-@dataclass(frozen=True)
-class GramBlock:
+class GramBlock(_Record):
     """Overlap matrix of the level-``M`` excitation vectors, held as one factor.
 
     ``core_factor``, the closed-form factor at ``|gamma|``, is the only array
@@ -122,9 +138,8 @@ class GramBlock:
     Entry ``(j, k)`` of ``matrix`` is ``<Phi_{M-j, j}, Phi_{M-k, k}>``.
     """
 
-    level: int
-    gamma: complex
-    core_factor: np.ndarray
+    def __init__(self, level: int, gamma: complex, core_factor: np.ndarray):
+        vars(self).update(level=level, gamma=gamma, core_factor=core_factor)
 
     @property
     def factor(self) -> np.ndarray:

@@ -1,4 +1,3 @@
-import dataclasses
 import functools
 import math
 
@@ -132,7 +131,7 @@ class TestRealizations:
         # A pair would otherwise replace the core and drop the gamma it is read at.
         cholesky = realize_basis_cholesky(gram_block(2, 0.3 + 0.4j))
         with pytest.raises(ValueError, match="got h_matrix, e_matrix, core, gamma$"):
-            dataclasses.replace(cholesky, gamma=0.3j)
+            BlockBasis(2, cholesky.h_matrix, cholesky.e_matrix, cholesky.core, 0.3j)
         with pytest.raises(ValueError, match="got h_matrix, e_matrix, gamma$"):
             BlockBasis(2, cholesky.h_matrix, cholesky.e_matrix, gamma=0.3j)
 

@@ -1,4 +1,4 @@
-import dataclasses
+import contextlib
 import json
 import os
 import subprocess
@@ -16,6 +16,7 @@ from pseudofermion import assembly, cli, fixtures, fock
 from pseudofermion.assembly import assemble
 from pseudofermion.blocks import (
     EQUALITY_TOL,
+    BlockSystem,
     build_block_system,
     dual_basis_by_kernel,
     fixture_basis,
@@ -490,7 +491,7 @@ class TestExitCodes:
         def perturbed(basis):
             system = build_block_system(basis)
             core = {**system.core, "a": system.core["a"] + 1e-6}
-            return dataclasses.replace(system, core=core)
+            return BlockSystem(system.basis, core, system.anticommutator_diagonal)
 
         monkeypatch.setattr(assembly, "build_block_system", perturbed)
         assert assemble(0.4, 2).action_residual > EQUALITY_TOL
@@ -767,15 +768,88 @@ class TestThreadDeterminism:
         ],
     )
     def test_byte_identical_across_openblas_threads(self, argv):
-        src = str(Path(pseudofermion.__file__).resolve().parents[1])
         outputs = []
         for threads in ("1", "2"):
-            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
-            env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
-            run = subprocess.run(
-                [sys.executable, "-m", "pseudofermion.cli", *argv],
-                env=env, capture_output=True, check=False,
-            )
+            run = run_entry(argv, OPENBLAS_NUM_THREADS=threads)
             assert run.stdout and run.returncode in (0, 1), run.stderr
             outputs.append((run.returncode, run.stdout))
         assert outputs[0] == outputs[1]
+
+
+def run_entry(argv, stdout=subprocess.PIPE, **env):
+    """``python -m pseudofermion.cli argv``, the ``pfl`` entry, with ``env`` added."""
+    src = str(Path(pseudofermion.__file__).resolve().parents[1])
+    env = dict(os.environ, **env)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "pseudofermion.cli", *argv],
+        env=env, stdout=stdout, stderr=subprocess.PIPE, check=False,
+    )
+
+
+def unwritable(kind):
+    """A descriptor that refuses every write: ``/dev/full``, or a pipe with no reader."""
+    if kind == "/dev/full":
+        return os.open(kind, os.O_WRONLY)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    return write_end
+
+
+GRAM_3 = ["gram", "--gamma", "0.5", "--level", "3"]
+
+
+class TestSubprocessEntry:
+    """`exit_main`, which ends the process without the interpreter's teardown,
+    gives what `main` gives in-process: the stdout bytes, the ``--out`` bytes,
+    the first stderr line and the exit code."""
+
+    @pytest.mark.parametrize(
+        "argv,to_file,code",
+        [
+            (GRAM_3, False, 0),
+            (GRAM_3, True, 0),
+            (["assemble", "--gamma", "0.5", "--max-level", "20"], False, 1),
+            (["assemble", "--gamma", "0.5", "--max-level", "20"], True, 1),
+            (["gram", "--gamma", "1.5", "--level", "3"], False, 2),
+            # The largest report of the digest grid, about 230 kB through a pipe.
+            (["bicoherent", "--n", "90", "--quad", "256"], False, 0),
+        ],
+    )
+    def test_matches_main(self, argv, to_file, code, tmp_path, capsys):
+        target = tmp_path / "report.json"
+        argv = [*argv, "--out", str(target)] if to_file else argv
+
+        def outcome(returncode, out, err):
+            report = target.read_bytes() if target.exists() else None
+            target.unlink(missing_ok=True)
+            return returncode, out, report, err.splitlines()[:1]
+
+        expected = outcome(main(argv), *(text.encode() for text in capsys.readouterr()))
+        run = run_entry(argv)
+        assert outcome(run.returncode, run.stdout, run.stderr) == expected
+        assert expected[0] == code
+        assert bool(expected[1] or expected[2]) == (code != 2)
+
+    @pytest.mark.parametrize(
+        "kind,reason", [("/dev/full", "No space left on device"), ("pipe", "Broken pipe")]
+    )
+    def test_unwritable_stdout_exits_2(self, kind, reason, capsys):
+        # A report that cannot reach stdout is a write error, not a failed check.
+        if kind == "/dev/full" and not os.path.exists(kind):
+            pytest.skip("no /dev/full")
+        handle = open(unwritable(kind), "w")
+        with contextlib.redirect_stdout(handle):
+            code = main(GRAM_3)
+        with contextlib.suppress(OSError):
+            handle.close()
+        err = capsys.readouterr().err
+
+        fd = unwritable(kind)
+        run = run_entry(GRAM_3, stdout=fd)
+        os.close(fd)
+        assert code == run.returncode == 2
+        # One line: no traceback, and no second flush at teardown.
+        assert err == run.stderr.decode() == (
+            f"error: cannot write the report to stdout ({reason})\n"
+        )

@@ -2,13 +2,18 @@
 and what importing the package loads."""
 
 import ast
+import dataclasses
+import inspect
 import json
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import pseudofermion
+from pseudofermion import cli
 
 
 def test_star_import_gives_the_names_init_imports():
@@ -65,3 +70,31 @@ def test_cli_import_loads_every_package_module():
     loaded = fresh_modules("import pseudofermion.cli")
     for name in ("overlaps", "blocks", "assembly", "fock", "bicoherent", "fixtures", "cli"):
         assert f"pseudofermion.{name}" in loaded
+
+
+def test_no_code_generation_at_import():
+    # The record classes are plain classes: importing the package generates
+    # and execs no dataclass code, in `pfl` or in a benchmark worker.
+    baseline = fresh_modules("import numpy")
+    assert "dataclasses" not in fresh_modules("import pseudofermion.cli") - baseline
+    public = [getattr(pseudofermion, name) for name in pseudofermion.__all__]
+    classes = [obj for obj in [*public, cli.Check, cli.ReportDocument] if inspect.isclass(obj)]
+    assert len(classes) == 11
+    assert not any(dataclasses.is_dataclass(cls) for cls in classes)
+
+
+def test_records_are_immutable_values():
+    check = cli.Check("c", 1, 2)
+    assert check == cli.Check("c", 1.0, 2.0) != cli.Check("d", 1.0, 2.0)
+    assert hash(check) == hash(cli.Check("c", 1.0, 2.0))
+    assert repr(check) == "Check(name='c', residual=1.0, tolerance=2.0)"
+    for record, field in ((check, "residual"), (pseudofermion.gram_block(2, 0.5), "level")):
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+        with pytest.raises(AttributeError):
+            delattr(record, field)
+    assert repr(pseudofermion.gram_block(2, 0.5)).startswith("GramBlock(level=2, gamma=(0.5+0j), ")
+    # A report is built up and may be changed, like the mutable record it was.
+    report = cli.ReportDocument("gram", {}, {}, [check])
+    report.checks = []
+    assert report == cli.ReportDocument("gram", {}, {}, [])
