@@ -44,7 +44,7 @@ from .overlaps import (
 )
 
 # Relative residual ceiling for equality checks; positivity is an absolute
-# eigenvalue floor.  Dense double-precision algebra at dimension <= 10.
+# eigenvalue floor.  Dense double-precision algebra at dimension <= 31 (LEVEL_CAP + 1).
 EQUALITY_TOL = 1e-10
 POSITIVITY_TOL = 1e-12
 
@@ -168,8 +168,9 @@ class BlockSystem(_Record):
     ``core`` at the basis gamma; ``core`` also holds the basis pair,
     ``inv_sqrt_S_e``, ``{a, b}`` and ``e^+ {a, b} h`` for the checks, and
     ``sigma_h``, the descending singular values of ``h`` that form both roots.
-    The matrices are not constructor fields: what is reported is always
-    the core that `verify_block_system` certifies.
+    Of the matrices, only ``anticommutator_diagonal`` is a constructor
+    field, which `pfl block` reports and `verify_block_system` reads as
+    given; every other reported matrix is read from the certified core.
     """
 
     a = _AtGamma(-1)

@@ -238,6 +238,7 @@ def _complex_param(value: complex) -> list:
 
 
 def _checks(residuals: dict, prefix: str = "") -> list:
+    # The one tolerance of a library residual; a check built elsewhere names its own.
     return [Check(prefix + name, residual, EQUALITY_TOL) for name, residual in residuals.items()]
 
 
@@ -246,15 +247,12 @@ def run_gram(gamma: complex, level: int) -> ReportDocument:
     # Formed once, at |gamma|; the gauge at gamma is unitary and moves no eigenvalue.
     core = GramBlock(level, abs(gamma), block.core_factor).matrix
     gram, min_eig = phase_gauge(core, block.gamma), float(np.linalg.eigvalsh(core)[0])
-    checks = [
-        Check("gram_hermitian", relative_residual(gram - gram.conj().T, gram), EQUALITY_TOL),
-        Check("gram_positive_definite", max(0.0, POSITIVITY_TOL - min_eig), 0.0),
-    ]
     return ReportDocument(
         command="gram",
         parameters={"gamma": _complex_param(gamma), "level": level},
         matrices={"gram": gram, "min_eigenvalue": np.array([[min_eig]])},
-        checks=checks,
+        checks=[*_checks({"gram_hermitian": relative_residual(gram - gram.conj().T, gram)}),
+                Check("gram_positive_definite", max(0.0, POSITIVITY_TOL - min_eig), 0.0)],
     )
 
 
@@ -314,11 +312,9 @@ def run_nogo(theta: float, cutoffs: Sequence[int]) -> ReportDocument:
 
 def run_assemble(gamma: complex, max_level: int) -> ReportDocument:
     ops = assemble(gamma, max_level)
-    checks = [
-        Check("ladder_actions", ops.action_residual, EQUALITY_TOL),
-        Check("global_resolution", ops.resolution_residual, EQUALITY_TOL),
-        Check("global_intertwining_on_basis", ops.intertwining_residual, EQUALITY_TOL),
-    ]
+    checks = _checks({"ladder_actions": ops.action_residual,
+                      "global_resolution": ops.resolution_residual,
+                      "global_intertwining_on_basis": ops.intertwining_residual})
     norms = np.asarray(ops.s_h_block_norms)
     if abs(ops.gamma) > 0.0 and max_level >= 1:
         checks.append(
@@ -345,46 +341,24 @@ def run_assemble(gamma: complex, max_level: int) -> ReportDocument:
 def run_bicoherent(
     n_states: int, alpha_text: str, quad_order: int, symbol_text: str | None
 ) -> ReportDocument:
-    alpha_fn = parse_expression(alpha_text)
-    family = build_family(n_states, alpha_fn=alpha_fn, quad_order=quad_order)
-
+    family = build_family(n_states, alpha_fn=parse_expression(alpha_text), quad_order=quad_order)
     e_states, h_states = states_at(family, family.nodes)
     pairing = max_abs(np.sum(e_states.conj() * h_states, axis=1) - 1.0)
     operator, residual = resolution_of_identity(family)
-    checks = [
-        Check("pairing_unity", pairing, UNIT_SCALE_TOL),
-        Check("resolution_identity", residual, EQUALITY_TOL),
-    ]
-    matrices = {"resolution_operator": operator}
-    parameters = {
-        "n": n_states,
-        "alpha": alpha_text,
-        "quad": quad_order,
-        "symbol": symbol_text,
-    }
+    matrices, residuals = {"resolution_operator": operator}, {"resolution_identity": residual}
     if symbol_text is not None:
         symbol_fn = parse_expression(symbol_text)
-        symbol_op = upper_symbol(family, symbol_fn)
-        matrices["upper_symbol"] = symbol_op
-        checks.append(
-            Check(
-                "upper_symbol_hermitian",
-                max_abs(symbol_op - symbol_op.conj().T),
-                EQUALITY_TOL,
-            )
-        )
+        matrices["upper_symbol"] = symbol_op = upper_symbol(family, symbol_fn)
+        residuals["upper_symbol_hermitian"] = max_abs(symbol_op - symbol_op.conj().T)
         values = symbol_fn(family.nodes)
         if float(np.ptp(values)) == 0.0:
             expected = float(values[0]) * np.eye(n_states)
-            checks.append(
-                Check(
-                    "upper_symbol_constant",
-                    max_abs(symbol_op - expected),
-                    EQUALITY_TOL,
-                )
-            )
+            residuals["upper_symbol_constant"] = max_abs(symbol_op - expected)
     return ReportDocument(
-        command="bicoherent", parameters=parameters, matrices=matrices, checks=checks
+        command="bicoherent",
+        parameters={"n": n_states, "alpha": alpha_text, "quad": quad_order, "symbol": symbol_text},
+        matrices=matrices,
+        checks=[Check("pairing_unity", pairing, UNIT_SCALE_TOL), *_checks(residuals)],
     )
 
 
@@ -408,8 +382,7 @@ def run_verify_fixtures(gamma: float) -> ReportDocument:
         checks.append(Check(f"{tag}:nilpotency_order", nilpotency, FIXTURE_TOL))
         e_kernel = dual_basis_by_kernel(basis.h_matrix, system.a, system.b)
         kernel_dual = relative_residual(e_kernel - basis.e_matrix, basis.e_matrix)
-        checks.append(Check(f"{tag}:kernel_dual", kernel_dual, EQUALITY_TOL))
-        checks += _checks(residuals, f"{tag}:")
+        checks += _checks({"kernel_dual": kernel_dual, **residuals}, f"{tag}:")
         distance = max_abs(system.core["anticommutator"] - np.eye(level + 1))
         if level == 1:
             checks.append(Check("m1:anticommutator_identity", distance, FIXTURE_TOL))

@@ -54,12 +54,26 @@ _BINOMIAL = np.array(
 )
 
 
+def _same(x, y) -> bool:
+    # Field equality by value: arrays by `np.array_equal`, the dicts, lists
+    # and tuples that may hold them entry by entry.
+    if isinstance(x, np.ndarray) or isinstance(y, np.ndarray):
+        return np.array_equal(x, y)
+    if isinstance(x, dict) and isinstance(y, dict):
+        return x.keys() == y.keys() and all(_same(x[k], y[k]) for k in x)
+    if isinstance(x, (list, tuple)) and type(y) is type(x):
+        return len(x) == len(y) and all(map(_same, x, y))
+    return bool(x == y)
+
+
 class _Record:
     """Fields stored once, by a subclass ``__init__`` through ``vars(self)``.
 
-    Records of one type compare equal, and hash, by their fields, and read
-    as ``Name(field=value, ...)``; assignment and deletion raise
-    AttributeError.  Plain classes: defining one generates no code.
+    Records of one type compare equal by their fields' values, arrays
+    included, and hash by their fields, and read as ``Name(field=value,
+    ...)``; assignment and deletion raise AttributeError.  A record that
+    holds an array is unhashable: `hash` raises TypeError.  Plain classes:
+    defining one generates no code.
     """
 
     def __setattr__(self, name, value=None):
@@ -68,7 +82,7 @@ class _Record:
     __delattr__ = __setattr__
 
     def __eq__(self, other):
-        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+        return _same(vars(self), vars(other)) if type(other) is type(self) else NotImplemented
 
     def __hash__(self):
         return hash(tuple(vars(self).values()))

@@ -1,6 +1,8 @@
 import contextlib
+import importlib
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -24,6 +26,7 @@ from pseudofermion.blocks import (
 )
 from pseudofermion.cli import (
     FIXTURE_TOL,
+    UNIT_SCALE_TOL,
     Check,
     ReportDocument,
     deserialize_matrix,
@@ -555,6 +558,22 @@ class TestExitCodes:
         assert info.value.code == 2
         capsys.readouterr()
 
+    def test_unparsable_complex_refused_by_argparse(self, capsys):
+        with pytest.raises(SystemExit) as info:
+            main(["gram", "--gamma", "abc", "--level", "2"])
+        assert info.value.code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.splitlines()[-1] == (
+            "pfl gram: error: argument --gamma: cannot parse complex number 'abc'"
+        )
+
+    def test_unparsable_expression_exits_2(self, capsys):
+        assert main(["bicoherent", "--n", "3", "--alpha", "x+"]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot parse expression 'x+'") and err.count("\n") == 1
+
     def test_complex_gamma_accepted(self, capsys):
         for argv in (
             ["gram", "--gamma", "0.3+0.2i", "--level", "2"],
@@ -596,6 +615,63 @@ class TestExitCodes:
             main(argv.split())
         assert info.value.code == 2
         assert "error: " in capsys.readouterr().err
+
+
+# `verify_block_system`'s residuals, in report order.
+LEVEL_SUITE = [
+    "nilpotency_a", "nilpotency_b", "biorthonormality", "ladder_action_a", "ladder_action_b",
+    "spectrum_N", "spectrum_N_adjoint", "inverse_pair", "intertwining_e", "intertwining_h",
+    "map_h_to_e", "map_e_to_h", "resolution_eh", "resolution_he", "sqrt_consistency",
+    "n_hermiticity", "n_spectrum", "n_eigenbasis", "c_orthonormality",
+    "anticommutator_offdiag", "anticommutator_values",
+]
+FIXTURE_MATCHES = {1: ["a", "b", "N", "S_h", "S_e", "sqrt_S_e", "n", "c"],
+                   2: ["a", "b", "N", "S_h", "S_e"]}
+FIXTURE_WITNESS = {1: "m1:anticommutator_identity", 2: "m2:anticommutator_apart_from_identity"}
+BICOHERENT = ["pairing_unity", "resolution_identity"]
+
+CHECK_NAMES = {
+    "gram --gamma 0.5 --level 3": ["gram_hermitian", "gram_positive_definite"],
+    "block --gamma 0.3+0.2i --level 3": LEVEL_SUITE,
+    "nogo --theta 0": ["vacuum_survives", "kernel_dimension_one"],
+    "nogo --theta 0.5": ["floor_bound", "kernel_empty"],
+    "assemble --gamma 0.5 --max-level 2": [
+        "ladder_actions", "global_resolution", "global_intertwining_on_basis",
+        "s_h_norm_growth", *(f"level{m}:{name}" for m in range(3) for name in LEVEL_SUITE),
+    ],
+    "bicoherent --n 3": BICOHERENT,
+    "bicoherent --n 3 --symbol x": [*BICOHERENT, "upper_symbol_hermitian"],
+    "bicoherent --n 3 --symbol 1": [*BICOHERENT, "upper_symbol_hermitian",
+                                    "upper_symbol_constant"],
+    "verify-fixtures --gamma 0.4": [
+        name
+        for m in (1, 2)
+        for name in (*(f"m{m}:{key}_matches" for key in FIXTURE_MATCHES[m]),
+                     f"m{m}:nilpotency_order", f"m{m}:kernel_dual",
+                     *(f"m{m}:{key}" for key in LEVEL_SUITE), FIXTURE_WITNESS[m])
+    ],
+}
+
+# The checks that name their own tolerance; every other is held to EQUALITY_TOL.
+OWN_TOLERANCE = {
+    "gram_positive_definite": 0.0, "kernel_dimension_one": 0.0, "kernel_empty": 0.0,
+    "s_h_norm_growth": 0.0, "m2:anticommutator_apart_from_identity": 0.0,
+    "vacuum_survives": UNIT_SCALE_TOL, "floor_bound": UNIT_SCALE_TOL,
+    "pairing_unity": UNIT_SCALE_TOL, "m1:anticommutator_identity": FIXTURE_TOL,
+    **{f"m{m}:{key}_matches": FIXTURE_TOL for m in (1, 2) for key in FIXTURE_MATCHES[m]},
+    "m1:nilpotency_order": FIXTURE_TOL, "m2:nilpotency_order": FIXTURE_TOL,
+}
+
+
+@pytest.mark.parametrize("argv", CHECK_NAMES)
+def test_ordered_check_names_and_tolerances(argv, capsys):
+    # Every report path, each optional check included: the names in report
+    # order, and the tolerance each is held to.
+    assert main(argv.split()) == 0
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert [item["name"] for item in checks] == CHECK_NAMES[argv]
+    for item in checks:
+        assert item["tolerance"] == OWN_TOLERANCE.get(item["name"], EQUALITY_TOL), item
 
 
 def refuse_constant(name):
@@ -803,6 +879,13 @@ class TestSubprocessEntry:
     """`exit_main`, which ends the process without the interpreter's teardown,
     gives what `main` gives in-process: the stdout bytes, the ``--out`` bytes,
     the first stderr line and the exit code."""
+
+    def test_installed_script_runs_exit_main(self):
+        # The `pfl` script that an install writes calls this entry point.
+        text = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+        scripts = re.search(r"^\[project\.scripts\]\n(.*?)(?=^\[|\Z)", text, re.M | re.S)
+        module, function = re.search(r'^pfl = "([\w.]+):(\w+)"$', scripts[1], re.M).groups()
+        assert getattr(importlib.import_module(module), function) is cli.exit_main
 
     @pytest.mark.parametrize(
         "argv,to_file,code",

@@ -10,10 +10,12 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import pseudofermion
 from pseudofermion import cli
+from pseudofermion.overlaps import _Record
 
 
 def test_star_import_gives_the_names_init_imports():
@@ -98,3 +100,65 @@ def test_records_are_immutable_values():
     report = cli.ReportDocument("gram", {}, {}, [check])
     report.checks = []
     assert report == cli.ReportDocument("gram", {}, {}, [])
+
+
+# One builder of every record class, each called twice for a rebuilt twin.
+RECORDS = {
+    "NCBosonParams": lambda: pseudofermion.NCBosonParams.from_gamma(0.3 + 0.2j),
+    "GramBlock": lambda: pseudofermion.gram_block(3, 0.3 + 0.2j),
+    "BlockBasis": lambda: pseudofermion.fixture_basis(2, 0.4),
+    "BlockSystem": lambda: pseudofermion.build_block_system(
+        pseudofermion.realize_basis_cholesky(pseudofermion.gram_block(3, 0.3 + 0.2j))),
+    "DeformedLevelOperators": lambda: pseudofermion.deformed_number_operators(
+        pseudofermion.NCBosonParams.from_gamma(0.4), 3),
+    "GlobalOperators": lambda: pseudofermion.assemble(0.3 + 0.2j, 2),
+    "NoGoReport": lambda: pseudofermion.nogo_joint_kernel(0.5, [4, 8]),
+    "BicoherentFamily": lambda: pseudofermion.build_family(3),
+    "Check": lambda: cli.Check("c", 1.0, 2.0),
+    "ReportDocument": lambda: cli.run_gram(0.5, 3),
+}
+
+
+def changed_entry(value):
+    """``value`` with one entry of its first array, depth first, changed; None if it holds none."""
+    if isinstance(value, np.ndarray):
+        changed = value.copy()
+        changed.flat[-1] += 1
+        return changed
+    if isinstance(value, _Record):
+        fields = changed_entry(vars(value))
+        twin = object.__new__(type(value))
+        vars(twin).update(fields or {})
+        return None if fields is None else twin
+    if isinstance(value, (dict, list, tuple)):
+        entries = dict(value) if isinstance(value, dict) else dict(enumerate(value))
+        for key, entry in entries.items():
+            changed = changed_entry(entry)
+            if changed is not None:
+                entries[key] = changed
+                return entries if isinstance(value, dict) else type(value)(entries.values())
+    return None
+
+
+def test_every_record_class_has_a_builder():
+    public = [getattr(pseudofermion, name) for name in pseudofermion.__all__]
+    classes = {cls.__name__ for cls in [*public, cli.Check, cli.ReportDocument]
+               if inspect.isclass(cls) and issubclass(cls, _Record)}
+    assert classes == set(RECORDS)
+
+
+@pytest.mark.parametrize("name", RECORDS)
+def test_records_compare_by_value(name):
+    record, twin = RECORDS[name](), RECORDS[name]()
+    assert type(record).__name__ == name
+    assert record == twin and not record != twin
+    changed = changed_entry(record)
+    if changed is None:
+        # No array: hashed by its fields, equal hash for equal records.
+        assert hash(record) == hash(twin)
+        return
+    assert changed != record and record != changed
+    assert record == twin  # the entry was changed in a copy
+    # A record that holds an array is unhashable.
+    with pytest.raises(TypeError):
+        hash(record)
